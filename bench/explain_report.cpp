@@ -12,7 +12,7 @@
  *    under 2x compute and 2x link bandwidth must land within 15% of
  *    ground-truth re-simulations with the scaled `ChipConfig`;
  *  - runs the tuner explain integrations (`explainShortlist`,
- *    `tuneRobust{explain}`, a pipeline candidate) with the search
+ *    `tuneRobustShortlist{explain}`, a pipeline candidate) with the search
  *    trace open, producing `explain_search.jsonl`;
  *  - writes `explain_trace.json`, a Chrome trace with the critical
  *    path annotated (flow arrows + a `critical_path` track);
@@ -348,7 +348,10 @@ main(int argc, char **argv)
     rcfg.maxGemmsPerEval = smoke ? 1 : 2;
     rcfg.seed = args.seed;
     rcfg.explain = true;
-    tuneRobust(tuner, Algorithm::kMeshSlice, model, train, chips, rcfg);
+    tuneRobustShortlist(tuner, Algorithm::kMeshSlice,
+                        tuner.rankShapes(Algorithm::kMeshSlice, model,
+                                         train, chips, rcfg.topK),
+                        chips, rcfg);
     SearchTrace::global().record(explainRecordJson(
         "pipeline", Algorithm::kMeshSlice, chips, 0,
         pipe_cand.axes.tpRows, pipe_cand.axes.tpCols, pipe_cand.simTotal,

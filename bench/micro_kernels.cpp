@@ -299,18 +299,20 @@ main(int argc, char **argv)
     const int cells = rcfg.topK * rcfg.numScenarios;
     const int pool_threads_cand = 8;
 
+    auto tune_robust = [&] {
+        return tuneRobustShortlist(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, rob_train,
+                             rob_chips, rcfg.topK),
+            rob_chips, rcfg);
+    };
     ThreadPool::setGlobalThreads(1);
     RobustTuneResult rob_serial;
-    const double cand_serial_ms = wallMs([&] {
-        rob_serial = tuneRobust(tuner, Algorithm::kMeshSlice, model,
-                                rob_train, rob_chips, rcfg);
-    });
+    const double cand_serial_ms =
+        wallMs([&] { rob_serial = tune_robust(); });
     ThreadPool::setGlobalThreads(pool_threads_cand);
     RobustTuneResult rob_pool;
-    const double cand_pool_ms = wallMs([&] {
-        rob_pool = tuneRobust(tuner, Algorithm::kMeshSlice, model,
-                              rob_train, rob_chips, rcfg);
-    });
+    const double cand_pool_ms = wallMs([&] { rob_pool = tune_robust(); });
     ThreadPool::setGlobalThreads(host_threads);
 
     bool picks_identical =

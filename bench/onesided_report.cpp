@@ -16,7 +16,7 @@
  *    known-dead membership cache bound the damage by ONE detection
  *    latency plus the detoured re-reads (the collective executors are
  *    fatal here without a recovery handler).
- *  - Robust re-ranking: `tuneRobust` per algorithm on shared
+ *  - Robust re-ranking: `tuneRobustShortlist` per algorithm on shared
  *    straggler-heavy scenarios — fault-free the tuner ranks MeshSlice
  *    first, but the robust quantile objective flips the pick to
  *    OneSided.
@@ -208,7 +208,7 @@ main(int argc, char **argv)
               << " write-offs — bounded: "
               << (kill_bounded ? "yes" : "NO") << "\n\n";
 
-    // ---- Robust re-ranking across algorithms: tuneRobust per
+    // ---- Robust re-ranking across algorithms: tuneRobustShortlist per
     // algorithm on the SAME straggler-heavy scenarios. Fault-free the
     // tuner ranks MeshSlice ahead of OneSided (the gets carry more
     // per-link bytes); the robust quantile objective must flip the
@@ -239,8 +239,10 @@ main(int argc, char **argv)
         rcfg.topK = 2;
         rcfg.maxGemmsPerEval = args.smoke ? 2 : 3;
         rcfg.scenarios = tuner_scenarios;
-        const RobustTuneResult result =
-            tuneRobust(tuner, algo, model, train, chips, rcfg);
+        const RobustTuneResult result = tuneRobustShortlist(
+            tuner, algo,
+            tuner.rankShapes(algo, model, train, chips, rcfg.topK), chips,
+            rcfg);
         AlgoRank rank;
         rank.algo = algo;
         rank.nominalEst = result.nominal().nominalEst;

@@ -17,7 +17,7 @@
  *    kill (detect → abort → ring rebuild → retry), with the fault-free
  *    run double-executed to demonstrate the bit-identical-replay
  *    contract extends to the recovery machinery.
- *  - Recovery-aware autotuning: `tuneWithRecovery` solves the
+ *  - Recovery-aware autotuning: `tuneWithRecoveryShortlist` solves the
  *    checkpoint interval jointly with the mesh shape; the report
  *    records whether recovery economics flip the pick.
  *
@@ -58,7 +58,8 @@ meshShapes(int chips)
 
 /** Expected cost of the cheapest single-failure re-shard: moved bytes
  *  averaged over the uniformly random failed index, better of the
- *  row/column retirement orientations (mirrors `tuneWithRecovery`). */
+ *  row/column retirement orientations (mirrors
+ *  `tuneWithRecoveryShortlist`). */
 struct ShapeReshard
 {
     double movedBytes = 0.0;
@@ -305,8 +306,11 @@ main(int argc, char **argv)
     rcfg.chipMtbf = base_mtbf * 0.125; // failure-rich regime
     rcfg.checkpointBytesPerChip = ckpt_per_chip;
     rcfg.topK = 4;
-    const RecoveryTuneResult tuned = tuneWithRecovery(
-        tuner, Algorithm::kMeshSlice, model, train, chips, rcfg);
+    const RecoveryTuneResult tuned = tuneWithRecoveryShortlist(
+        tuner, Algorithm::kMeshSlice,
+        tuner.rankShapes(Algorithm::kMeshSlice, model, train, chips,
+                         rcfg.topK),
+        chips, rcfg);
     std::cout << "recovery-aware tuner: nominal "
               << tuned.nominal().plan.rows << "x"
               << tuned.nominal().plan.cols << " -> "

@@ -11,7 +11,7 @@
  *    as a function of S (more slices = more, smaller transfers to
  *    hide — and more sync boundaries for jitter to hit).
  *  - Straggler row: the same GeMM with one straggler chip.
- *  - Robust-vs-nominal autotuning: `tuneRobust` under directional
+ *  - Robust-vs-nominal autotuning: `tuneRobustShortlist` under directional
  *    link-degradation scenarios; records whether the robust objective
  *    picks a different mesh shape than the fault-free optimum.
  *
@@ -217,8 +217,11 @@ main(int argc, char **argv)
         TunerCase tc;
         tc.label = i == 0 ? "vertical_links_15pct"
                           : "horizontal_links_15pct";
-        tc.result = tuneRobust(tuner, Algorithm::kMeshSlice, model, train,
-                               chips, rcfg);
+        tc.result = tuneRobustShortlist(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, train, chips,
+                             rcfg.topK),
+            chips, rcfg);
         any_pick_differs = any_pick_differs || tc.result.pickDiffers();
         std::cout << "robust tuner [" << tc.label << "]: nominal "
                   << tc.result.nominal().plan.rows << "x"

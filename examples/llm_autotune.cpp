@@ -18,6 +18,7 @@
  *
  * Usage: llm_autotune [chips] [--explain]   (default 256)
  */
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "tuner/autotuner.hpp"
 #include "tuner/explain.hpp"
 #include "tuner/pipeline_tuner.hpp"
+#include "util/logging.hpp"
 
 using namespace meshslice;
 
@@ -79,11 +81,23 @@ main(int argc, char **argv)
 {
     int chips = 256;
     bool explain = false;
+    bool chips_set = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--explain") == 0)
+        const char *arg = argv[i];
+        if (std::strcmp(arg, "--explain") == 0) {
             explain = true;
-        else
-            chips = std::atoi(argv[i]);
+            continue;
+        }
+        char *end = nullptr;
+        const long v = std::strtol(arg, &end, 10);
+        if (chips_set || *end != '\0' || v <= 0 || v > INT_MAX)
+            fatal("%s: %s '%s'\nusage: %s [chips] [--explain]", argv[0],
+                  std::strncmp(arg, "--", 2) == 0 ? "unknown flag"
+                  : chips_set ? "unexpected extra argument"
+                              : "chip count must be a positive integer, got",
+                  arg, argv[0]);
+        chips = static_cast<int>(v);
+        chips_set = true;
     }
     const ChipConfig cfg = tpuV4Config();
     const TrainingConfig train = TrainingConfig::weakScaling(chips);

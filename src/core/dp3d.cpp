@@ -78,36 +78,38 @@ runMeshSliceDP(Torus3D &torus, Algorithm algo,
     for (int l = 0; l < torus.depth(); ++l)
         buildGemmSchedule(graph, torus.layer(l), algo, layer_spec,
                           &layer_accum);
-    // The DP gradient all-reduce runs after every layer's GeMM. The
-    // task graph has no explicit "whole layer" node, so chain it on a
-    // barrier task depending on all tasks added so far: emulate by
-    // starting the all-reduce from graph completion — instead, run the
-    // graph, then the all-reduce, measuring both phases.
+    // Timestamp the schedule's completion, not the simulator's drain
+    // (as in GemmExecutor::run): a fault window that outlives the step
+    // must not inflate its time.
     const Time begin = cluster.sim().now();
-    graph.start([&finished] { finished = true; });
-    cluster.sim().run();
-    if (!finished)
-        panic("runMeshSliceDP: layer schedules did not drain");
-
-    // DP all-reduce over the depth rings (weight-gradient sync).
-    if (torus.depth() > 1 && weight_grad_bytes > 0) {
-        bool dp_done = false;
+    Time end = begin;
+    auto finish = [&] {
+        finished = true;
+        end = cluster.sim().now();
+    };
+    // The DP gradient all-reduce over the depth rings starts as soon
+    // as every layer's GeMM has completed.
+    graph.start([&] {
+        if (torus.depth() == 1 || weight_grad_bytes <= 0) {
+            finish();
+            return;
+        }
         allDepthRings(
             torus,
             [&](const CommStats &stats) {
                 out.interLayer += stats;
-                dp_done = true;
+                finish();
             },
             [&](const Ring &ring, CommDone ring_done) {
                 ringAllReduce(cluster, ring, weight_grad_bytes,
                               kLaneVerticalComm, std::move(ring_done));
             });
-        cluster.sim().run();
-        if (!dp_done)
-            panic("runMeshSliceDP: all-reduce did not drain");
-    }
+    });
+    cluster.sim().run();
+    if (!finished)
+        panic("runMeshSliceDP: schedule did not drain");
 
-    out.time = cluster.sim().now() - begin;
+    out.time = end - begin;
     out.flops = layer_accum.flops;
     out.intraLayer += layer_accum.horizontal;
     out.intraLayer += layer_accum.vertical;
@@ -229,13 +231,18 @@ run25DGemm(Torus3D &torus, std::int64_t m, std::int64_t k, std::int64_t n,
         },
         reduce_deps);
 
+    // The schedule's completion time, not the simulator's drain.
     const Time begin = cluster.sim().now();
-    graph.start([&finished] { finished = true; });
+    Time end = begin;
+    graph.start([&finished, &end, &cluster] {
+        finished = true;
+        end = cluster.sim().now();
+    });
     cluster.sim().run();
     if (!finished)
         panic("run25DGemm: schedule did not drain");
 
-    out.time = cluster.sim().now() - begin;
+    out.time = end - begin;
     out.intraLayer += intra.horizontal;
     out.intraLayer += intra.vertical;
     return out;

@@ -8,37 +8,6 @@
 
 namespace meshslice {
 
-namespace {
-
-/**
- * Forward-pass 1D spec equivalent of a 2D GeMM spec: activations move
- * for 1D TP, weights for FSDP (Sec 4.3).
- */
-Gemm1DSpec
-to1DSpec(const Gemm2DSpec &spec, Algorithm algo)
-{
-    Gemm1DSpec s;
-    s.m = spec.m;
-    s.k = spec.k;
-    s.n = spec.n;
-    s.chips = spec.chips();
-    s.sliceCount = spec.sliceCount;
-    s.bytesPerElement = spec.bytesPerElement;
-    const Bytes e = spec.bytesPerElement;
-    if (algo == Algorithm::kOneDTP) {
-        s.commBytes = spec.m * spec.k * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m, spec.k, spec.n / s.chips};
-    } else { // FSDP
-        s.commBytes = spec.k * spec.n * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m / s.chips, spec.k, spec.n};
-    }
-    return s;
-}
-
-} // namespace
-
 const FaultStudyEntry *
 FaultStudyResult::find(Algorithm algo) const
 {

@@ -240,6 +240,29 @@ validateSpec(const Gemm1DSpec &spec)
               static_cast<long long>(spec.local.n));
 }
 
+Gemm1DSpec
+to1DSpec(const Gemm2DSpec &spec, Algorithm algo)
+{
+    Gemm1DSpec s;
+    s.m = spec.m;
+    s.k = spec.k;
+    s.n = spec.n;
+    s.chips = spec.chips();
+    s.sliceCount = spec.sliceCount;
+    s.bytesPerElement = spec.bytesPerElement;
+    const Bytes e = spec.bytesPerElement;
+    if (algo == Algorithm::kOneDTP) {
+        s.commBytes = spec.m * spec.k * e;
+        s.commIsReduce = false;
+        s.local = GemmWork{spec.m, spec.k, spec.n / s.chips};
+    } else { // FSDP
+        s.commBytes = spec.k * spec.n * e;
+        s.commIsReduce = false;
+        s.local = GemmWork{spec.m / s.chips, spec.k, spec.n};
+    }
+    return s;
+}
+
 std::vector<int>
 validSliceCounts(const ChipConfig &cfg, const Gemm2DSpec &spec, int max_s)
 {

@@ -164,6 +164,13 @@ struct Gemm1DSpec
  *  `runGemm1D`). */
 void validateSpec(const Gemm1DSpec &spec);
 
+/**
+ * Forward-pass 1D spec equivalent of a 2D GeMM spec on the same chip
+ * count: activations move for 1D TP (@p algo kOneDTP), weights for
+ * FSDP (Sec 4.3).
+ */
+Gemm1DSpec to1DSpec(const Gemm2DSpec &spec, Algorithm algo);
+
 /** Outcome of one simulated distributed GeMM. */
 struct GemmRunResult
 {

@@ -29,158 +29,24 @@ planSourceName(PlanSource source)
 
 namespace {
 
+/** The declared phase sequence, in the order `runPhases` runs the
+ *  enabled phases (DESIGN.md §4k). */
+constexpr const char *kShortlistPhase = "phase1-shortlist";
+constexpr const char *kDataflowSlicePhase = "phase2-dataflow-slice";
+constexpr const char *kRobustPhase = "robust-rerank";
+constexpr const char *kRecoveryPhase = "recovery-pricing";
+constexpr const char *kPipelinePhase = "pipeline-3d";
+
 /** Set the plan's 2D TP decision (shape + per-GeMM plans), keeping the
  *  3D cluster axes in sync for the phases that run pre-pipeline. */
 void
-adoptTpPick(PlanState &state, const AutotuneResult &pick,
+adoptTpPick(EnginePlan &plan, const AutotuneResult &pick,
             const char *phase_name)
 {
-    state.plan.tp = pick;
-    state.plan.cluster.tpRows = pick.rows;
-    state.plan.cluster.tpCols = pick.cols;
-    state.plan.pickedBy = phase_name;
-}
-
-/** Phase 1+2 of the paper's autotuner: the ranked top-K mesh-shape
- *  shortlist, each entry a complete plan (stationary selection, tuned
- *  slice counts). Fault-independent, so cached and reused across
- *  fault-profile deltas. */
-class ShortlistPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "phase1-shortlist"; }
-    bool reusableAcrossFaultProfiles() const override { return true; }
-    bool enabled(const PlanQuery &) const override { return true; }
-
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.shortlist =
-            tuner.rankShapes(q.algo, q.model, q.train, q.chips,
-                             shortlistSizeFor(q), q.optimizeDataflow);
-    }
-};
-
-/** Fix the nominal decision: the shortlist head becomes the plan's 2D
- *  TP pick (per-GeMM dataflow + slice counts). Downstream phases may
- *  override the pick; this phase guarantees every plan has one. */
-class DataflowSlicePhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "phase2-dataflow-slice"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-    bool enabled(const PlanQuery &) const override { return true; }
-
-    void
-    run(const LlmAutotuner &, PlanState &state) const override
-    {
-        if (state.shortlist.empty())
-            panic("PlanEngine: phase1-shortlist produced no candidates");
-        state.plan.cluster.dp = 1;
-        state.plan.cluster.pp = 1;
-        state.plan.cluster.oneD = false;
-        adoptTpPick(state, state.shortlist.front(), name());
-    }
-};
-
-/** Robust re-rank of the shortlist under the query's fault profile. */
-class RobustRerankPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "robust-rerank"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-
-    bool
-    enabled(const PlanQuery &q) const override
-    {
-        return q.runRobust;
-    }
-
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.robust = tuneRobustShortlist(tuner, q.algo, state.shortlist,
-                                           q.chips, q.robust);
-        state.plan.hasRobust = true;
-        state.plan.robustObjective = state.robust.picked().objective;
-        state.plan.robustPickIndex = state.robust.pickedIndex;
-        adoptTpPick(state, state.robust.picked().plan, name());
-    }
-};
-
-/** Recovery-economics pricing over the same shortlist. */
-class RecoveryPricingPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "recovery-pricing"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-
-    bool
-    enabled(const PlanQuery &q) const override
-    {
-        return q.runRecovery;
-    }
-
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.recovery = tuneWithRecoveryShortlist(
-            tuner, q.algo, state.shortlist, q.chips, q.recovery);
-        const RecoveryCandidate &picked = state.recovery.picked();
-        state.plan.hasRecovery = true;
-        state.plan.checkpointInterval = picked.checkpointInterval;
-        state.plan.goodput = picked.goodput;
-        state.plan.effectiveStepTime = picked.effectiveStepTime;
-        adoptTpPick(state, picked.plan, name());
-    }
-};
-
-/** Phase-3 3D composition (pp x dp x tp). Runs its own shape search at
- *  the micro-batch size, so it replaces the 2D pick wholesale. */
-class Pipeline3dPhase : public PlanPhase
-{
-  public:
-    const char *name() const override { return "pipeline-3d"; }
-    bool reusableAcrossFaultProfiles() const override { return false; }
-
-    bool
-    enabled(const PlanQuery &q) const override
-    {
-        return q.runPipeline;
-    }
-
-    void
-    run(const LlmAutotuner &tuner, PlanState &state) const override
-    {
-        const PlanQuery &q = state.query;
-        state.pipeline3d = tunePipeline(tuner, q.model, q.train, q.chips,
-                                        q.pipeline);
-        const PipelineCandidate &picked = state.pipeline3d.picked();
-        state.plan.hasPipeline = true;
-        state.plan.axes = picked.axes;
-        state.plan.pipelineEstTotal = picked.estTotal;
-        state.plan.pipelineSimTotal = picked.simTotal;
-        state.plan.stageMemoryBytes = picked.stageMemoryBytes;
-        state.plan.peakStash = picked.peakStash;
-        state.plan.cluster.dp = picked.axes.dp;
-        state.plan.cluster.pp = picked.axes.pp;
-        adoptTpPick(state, picked.tpPlan, name());
-    }
-};
-
-std::vector<std::unique_ptr<PlanPhase>>
-buildPhases()
-{
-    std::vector<std::unique_ptr<PlanPhase>> phases;
-    phases.push_back(std::make_unique<ShortlistPhase>());
-    phases.push_back(std::make_unique<DataflowSlicePhase>());
-    phases.push_back(std::make_unique<RobustRerankPhase>());
-    phases.push_back(std::make_unique<RecoveryPricingPhase>());
-    phases.push_back(std::make_unique<Pipeline3dPhase>());
-    return phases;
+    plan.tp = pick;
+    plan.cluster.tpRows = pick.rows;
+    plan.cluster.tpCols = pick.cols;
+    plan.pickedBy = phase_name;
 }
 
 } // namespace
@@ -188,8 +54,7 @@ buildPhases()
 PlanEngine::PlanEngine() : PlanEngine(Options{}) {}
 
 PlanEngine::PlanEngine(Options options)
-    : options_(std::move(options)), phases_(buildPhases()),
-      cache_(options_.cacheCapacity, &stats_)
+    : options_(std::move(options)), cache_(options_.cacheCapacity, &stats_)
 {
     stats_.enable(true);
     if (!options_.persistPath.empty())
@@ -199,36 +64,79 @@ PlanEngine::PlanEngine(Options options)
 std::vector<std::string>
 PlanEngine::phaseNames()
 {
-    std::vector<std::string> names;
-    for (const auto &phase : buildPhases())
-        names.push_back(phase->name());
-    return names;
+    return {kShortlistPhase, kDataflowSlicePhase, kRobustPhase,
+            kRecoveryPhase, kPipelinePhase};
 }
 
-PlanState
-PlanEngine::runPhases(const PlanQuery &query, const PlanKey &key,
-                      const std::string &cached_shortlist_json)
+EnginePlan
+PlanEngine::runPhases(const PlanQuery &q,
+                      std::vector<AutotuneResult> &shortlist)
 {
-    PlanState state;
-    state.query = query;
-    state.key = key;
-    if (!cached_shortlist_json.empty()) {
-        state.shortlist = shortlistFromJson(
-            cached_shortlist_json, "PlanCache shortlist " + key.digest());
-        state.shortlistFromCache = true;
+    const LlmAutotuner tuner(CostModel::calibrated(q.chip));
+    auto ran = [this](const char *phase) {
+        stats_.add(std::string("engine/phase/") + phase + "/runs", 1.0);
+    };
+    EnginePlan plan;
+
+    // Phase 1+2 of the paper's autotuner: the ranked top-K mesh-shape
+    // shortlist. Fault-independent, so an incremental serve reuses the
+    // cached one.
+    if (shortlist.empty()) {
+        shortlist = tuner.rankShapes(q.algo, q.model, q.train, q.chips,
+                                     shortlistSizeFor(q),
+                                     q.optimizeDataflow);
+        ran(kShortlistPhase);
     }
-    const LlmAutotuner tuner(CostModel::calibrated(query.chip));
-    for (const auto &phase : phases_) {
-        if (!phase->enabled(query))
-            continue;
-        if (state.shortlistFromCache &&
-            phase->reusableAcrossFaultProfiles())
-            continue;
-        phase->run(tuner, state);
-        stats_.add(std::string("engine/phase/") + phase->name() + "/runs",
-                   1.0);
+
+    // The nominal decision: the shortlist head. Later phases may
+    // override the pick; this one guarantees every plan has one.
+    plan.cluster.dp = 1;
+    plan.cluster.pp = 1;
+    plan.cluster.oneD = false;
+    adoptTpPick(plan, shortlist.front(), kDataflowSlicePhase);
+    ran(kDataflowSlicePhase);
+
+    if (q.runRobust) {
+        const RobustTuneResult robust =
+            tuneRobustShortlist(tuner, q.algo, shortlist, q.chips, q.robust);
+        plan.hasRobust = true;
+        plan.robustObjective = robust.picked().objective;
+        plan.robustPickIndex = robust.pickedIndex;
+        adoptTpPick(plan, robust.picked().plan, kRobustPhase);
+        ran(kRobustPhase);
     }
-    return state;
+
+    if (q.runRecovery) {
+        const RecoveryCandidate picked =
+            tuneWithRecoveryShortlist(tuner, q.algo, shortlist, q.chips,
+                                      q.recovery)
+                .picked();
+        plan.hasRecovery = true;
+        plan.checkpointInterval = picked.checkpointInterval;
+        plan.goodput = picked.goodput;
+        plan.effectiveStepTime = picked.effectiveStepTime;
+        adoptTpPick(plan, picked.plan, kRecoveryPhase);
+        ran(kRecoveryPhase);
+    }
+
+    // Phase-3 3D composition (pp x dp x tp) runs its own shape search
+    // at the micro-batch size, so it replaces the 2D pick wholesale.
+    if (q.runPipeline) {
+        const PipelineCandidate picked =
+            tunePipeline(tuner, q.model, q.train, q.chips, q.pipeline)
+                .picked();
+        plan.hasPipeline = true;
+        plan.axes = picked.axes;
+        plan.pipelineEstTotal = picked.estTotal;
+        plan.pipelineSimTotal = picked.simTotal;
+        plan.stageMemoryBytes = picked.stageMemoryBytes;
+        plan.peakStash = picked.peakStash;
+        plan.cluster.dp = picked.axes.dp;
+        plan.cluster.pp = picked.axes.pp;
+        adoptTpPick(plan, picked.tpPlan, kPipelinePhase);
+        ran(kPipelinePhase);
+    }
+    return plan;
 }
 
 PlanResult
@@ -236,6 +144,12 @@ PlanEngine::plan(const PlanQuery &query)
 {
     if (query.chips <= 0)
         fatal("PlanEngine: chips must be positive (got %d)", query.chips);
+    if (query.train.batch < 1 || query.train.seqLen < 1)
+        fatal("PlanEngine: %s on %d chips needs a positive batch and "
+              "seqLen (got batch %lld, seqLen %lld)",
+              query.model.name.c_str(), query.chips,
+              static_cast<long long>(query.train.batch),
+              static_cast<long long>(query.train.seqLen));
     const PlanKey key = planKeyOf(query);
     const std::string full = key.full();
 
@@ -267,15 +181,19 @@ PlanEngine::plan(const PlanQuery &query)
         cache_.shortlistForBase(key.base(), &cached_shortlist);
     lock.unlock();
 
-    const PlanState state =
-        runPhases(query, key, incremental ? cached_shortlist : "");
-    std::string plan_json = enginePlanToJson(state.plan);
-    std::string shortlist_json = shortlistToJson(state.shortlist);
+    std::vector<AutotuneResult> shortlist;
+    if (incremental)
+        shortlist = shortlistFromJson(
+            cached_shortlist, "PlanCache shortlist " + key.digest());
+    const EnginePlan plan = runPhases(query, shortlist);
+    std::string plan_json = enginePlanToJson(plan);
+    std::string shortlist_json = shortlistToJson(shortlist);
 
     if (incremental && options_.verifyIncremental) {
-        const PlanState cold = runPhases(query, key, "");
-        if (enginePlanToJson(cold.plan) != plan_json ||
-            shortlistToJson(cold.shortlist) != shortlist_json)
+        std::vector<AutotuneResult> cold_shortlist;
+        const EnginePlan cold = runPhases(query, cold_shortlist);
+        if (enginePlanToJson(cold) != plan_json ||
+            shortlistToJson(cold_shortlist) != shortlist_json)
             panic("PlanEngine: incremental re-tune of %s is not "
                   "bit-identical to the cold full tune",
                   key.digest().c_str());
@@ -292,7 +210,7 @@ PlanEngine::plan(const PlanQuery &query)
     stats_.add("engine/serve/computed", 1.0);
 
     PlanResult result;
-    result.plan = state.plan;
+    result.plan = plan;
     result.planJson = std::move(plan_json);
     result.key = key;
     result.source =

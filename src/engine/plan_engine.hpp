@@ -2,12 +2,12 @@
  * @file
  * PlanEngine: the concurrent plan-serving facade (DESIGN.md §4k).
  *
- * All tuning routes through one declared sequence of `PlanPhase`
- * stages — phase1-shortlist → phase2-dataflow-slice → robust-rerank →
- * recovery-pricing → pipeline-3d — each consuming and producing the
- * typed `PlanState`. The facade wraps the existing `LlmAutotuner` /
- * robust / recovery / pipeline entry points; new search stages are
- * added by inserting a phase, not by growing another ad-hoc function.
+ * Every served plan comes from one declared phase sequence —
+ * phase1-shortlist → phase2-dataflow-slice → robust-rerank →
+ * recovery-pricing → pipeline-3d — run in that order by one function
+ * over the `LlmAutotuner` / robust / recovery / pipeline entry points.
+ * Each enabled phase may override the 2D TP pick of the ones before
+ * it; `EnginePlan::pickedBy` names the last.
  *
  * Serving semantics:
  *  - **Content-addressed cache**: results are stored under the exact
@@ -28,7 +28,6 @@
 #define MESHSLICE_ENGINE_PLAN_ENGINE_HPP_
 
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -39,36 +38,10 @@
 
 namespace meshslice {
 
-/** One stage of the engine's declared search pipeline. */
-class PlanPhase
-{
-  public:
-    virtual ~PlanPhase() = default;
-
-    /** Stable phase name (appears in docs, stats and `pickedBy`). */
-    virtual const char *name() const = 0;
-
-    /**
-     * True when the phase's output is a pure function of the query's
-     * *base* key (model|cluster|tune) — independent of the fault
-     * profile — and is cached as an intermediate. Incremental queries
-     * skip reusable phases and warm-start from the cached state.
-     */
-    virtual bool reusableAcrossFaultProfiles() const = 0;
-
-    /** True when @p query asks for this phase at all. */
-    virtual bool enabled(const PlanQuery &query) const = 0;
-
-    /** Consume/extend @p state. @p tuner is calibrated for the query's
-     *  chip config. */
-    virtual void run(const LlmAutotuner &tuner, PlanState &state) const
-        = 0;
-};
-
 /** How a served plan was obtained. */
 enum class PlanSource
 {
-    kCold,        ///< full phase pipeline ran
+    kCold,        ///< full phase sequence ran
     kCacheHit,    ///< exact key already cached
     kCoalesced,   ///< waited on an identical in-flight query
     kIncremental, ///< fault-only delta; reused the cached shortlist
@@ -130,16 +103,21 @@ class PlanEngine
     /** Hit/miss/eviction and serve counters (`engine/...`). */
     const StatsRegistry &stats() const { return stats_; }
 
-    /** Serves that actually ran the phase pipeline (cold+incremental). */
+    /** Serves that actually ran the phases (cold+incremental). */
     long computedCount() const;
 
   private:
-    PlanState runPhases(const PlanQuery &query, const PlanKey &key,
-                        const std::string &cached_shortlist_json);
+    /**
+     * Run the enabled phases of @p query in declared order. A
+     * non-empty @p shortlist is the cached phase-1/2 output of an
+     * incremental serve and skips phase1-shortlist; an empty one is
+     * filled by it.
+     */
+    EnginePlan runPhases(const PlanQuery &query,
+                         std::vector<AutotuneResult> &shortlist);
 
     Options options_;
     StatsRegistry stats_;
-    std::vector<std::unique_ptr<PlanPhase>> phases_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

@@ -351,6 +351,9 @@ shortlistFromJson(const std::string &text, const std::string &context)
     if (root.kind != JsonValue::kArray)
         fatal("Shortlist: %s: top-level value must be an array",
               context.c_str());
+    if (root.arr.empty())
+        fatal("Shortlist: %s: the array is empty (a shortlist holds at "
+              "least one plan)", context.c_str());
     std::vector<AutotuneResult> shortlist;
     shortlist.reserve(root.arr.size());
     for (const JsonValue &v : root.arr)

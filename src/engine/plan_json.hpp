@@ -35,7 +35,8 @@ EnginePlan enginePlanFromJson(const std::string &text,
 /** Serialize a phase-1/2 shortlist (compact single line). */
 std::string shortlistToJson(const std::vector<AutotuneResult> &shortlist);
 
-/** Parse the JSON emitted by `shortlistToJson`. */
+/** Parse the JSON emitted by `shortlistToJson`; `fatal` on an empty
+ *  array, since `rankShapes` never yields one. */
 std::vector<AutotuneResult>
 shortlistFromJson(const std::string &text,
                   const std::string &context = "<string>");

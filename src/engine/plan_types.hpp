@@ -1,6 +1,6 @@
 /**
  * @file
- * Typed state of the PlanEngine's phase pipeline (DESIGN.md §4k).
+ * Query, key and plan types of the PlanEngine (DESIGN.md §4k).
  *
  * A `PlanQuery` is everything a "plan my training job" request can
  * vary: the model and batch, the cluster (chip count + `ChipConfig`),
@@ -16,9 +16,6 @@
  * An `EnginePlan` is the serializable outcome: the 3D `ClusterPlan`,
  * the picked 2D TP plan with per-GeMM dataflow/slice counts, and the
  * summaries of whichever robust / recovery / pipeline phases ran.
- * `PlanState` is the working state threaded through the `PlanPhase`
- * sequence; the shortlist it carries is also the cached per-phase
- * intermediate that warm-starts incremental queries.
  */
 #ifndef MESHSLICE_ENGINE_PLAN_TYPES_HPP_
 #define MESHSLICE_ENGINE_PLAN_TYPES_HPP_
@@ -99,7 +96,7 @@ struct PlanKey
 /** Build the four-component key of @p query. */
 PlanKey planKeyOf(const PlanQuery &query);
 
-/** The serializable outcome of a full phase pipeline. */
+/** The serializable outcome of the phase sequence. */
 struct EnginePlan
 {
     /** 3D decomposition; dp = pp = 1 unless the pipeline phase ran. */
@@ -127,37 +124,12 @@ struct EnginePlan
     int peakStash = 0;             ///< peak in-flight micro-batches
 };
 
-/** Working state consumed/produced by the `PlanPhase` sequence. */
-struct PlanState
-{
-    PlanQuery query;
-    PlanKey key;
-
-    /**
-     * Phase-1/2 output: the top-K mesh shapes by nominal estimate,
-     * each a complete plan (dataflows + tuned slice counts). Sized to
-     * the largest topK any enabled downstream phase needs, and prefix
-     * stable, so every consumer truncates to its own K. This is the
-     * cached intermediate incremental queries reuse.
-     */
-    std::vector<AutotuneResult> shortlist;
-    /** True when `shortlist` was warm-started from the cache (the
-     *  incremental path) instead of computed by phase1-shortlist. */
-    bool shortlistFromCache = false;
-
-    /** Full phase outputs (not serialized; `plan` carries summaries). */
-    RobustTuneResult robust;
-    RecoveryTuneResult recovery;
-    PipelineTuneResult pipeline3d;
-
-    /** The accumulating outcome. */
-    EnginePlan plan;
-};
-
 /**
  * Shortlist size phase1-shortlist computes for @p query: the largest
  * topK among the enabled downstream consumers (robust / recovery), at
- * least 1. `rankShapes` is prefix-stable, so one list serves all.
+ * least 1. `rankShapes` is prefix-stable, so one list serves all; it
+ * is also the intermediate the cache keeps to warm-start incremental
+ * queries.
  */
 int shortlistSizeFor(const PlanQuery &query);
 

@@ -64,31 +64,6 @@ fullyDivides(const Gemm2DSpec &spec, MeshShape shape)
            spec.n % shape.rows == 0 && spec.n % shape.cols == 0;
 }
 
-/** Forward-pass 1D spec of a 2D GeMM spec (same construction as the
- *  fault study's): activations move for 1D TP, weights for FSDP. */
-Gemm1DSpec
-to1DSpec(const Gemm2DSpec &spec, Algorithm algo)
-{
-    Gemm1DSpec s;
-    s.m = spec.m;
-    s.k = spec.k;
-    s.n = spec.n;
-    s.chips = spec.chips();
-    s.sliceCount = spec.sliceCount;
-    s.bytesPerElement = spec.bytesPerElement;
-    const Bytes e = spec.bytesPerElement;
-    if (algo == Algorithm::kOneDTP) {
-        s.commBytes = spec.m * spec.k * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m, spec.k, spec.n / s.chips};
-    } else { // FSDP
-        s.commBytes = spec.k * spec.n * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m / s.chips, spec.k, spec.n};
-    }
-    return s;
-}
-
 /** Closed-form checkpoint span matching `runCheckpoint` when nothing
  *  else contends: per-chip rate = min(HBM, target/chips). */
 Time

@@ -10,32 +10,11 @@
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 
 namespace meshslice {
 
 namespace {
-
-/**
- * splitmix64: tiny, portable, and — unlike `std::uniform_real_distribution`
- * over a standard engine — guaranteed to produce the same stream on every
- * implementation, which the bit-identical-replay contract depends on.
- */
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/** Uniform double in [0, 1) from the top 53 bits of a splitmix64 draw. */
-double
-uniform01(std::uint64_t &state)
-{
-    return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
 
 double
 requireNumber(const JsonValue &obj, const char *key, double fallback,

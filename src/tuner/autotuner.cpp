@@ -181,8 +181,8 @@ LlmAutotuner::tuneForAlgorithm(Algorithm algo,
                                const TrainingConfig &train, int chips,
                                bool optimize_dataflow) const
 {
-    return tunePhase2(
-        algo, buildPhase1(algo, model, train, optimize_dataflow), chips);
+    return rankShapes(algo, model, train, chips, 1, optimize_dataflow)
+        .front();
 }
 
 AutotuneResult
@@ -250,10 +250,16 @@ traceShapeCandidate(Algorithm algo, int chips, int rows, int cols,
 
 } // namespace
 
-AutotuneResult
-LlmAutotuner::tunePhase2(Algorithm algo, std::vector<FcLayerPlan> layers,
-                         int chips) const
+std::vector<AutotuneResult>
+LlmAutotuner::rankShapes(Algorithm algo, const TransformerConfig &model,
+                         const TrainingConfig &train, int chips, int k,
+                         bool optimize_dataflow) const
 {
+    if (k <= 0)
+        fatal("LlmAutotuner::rankShapes: k must be positive (got %d)", k);
+    const std::vector<FcLayerPlan> layers =
+        buildPhase1(algo, model, train, optimize_dataflow);
+
     // Feasibility pre-check (cheap, serial): collect the candidate
     // mesh shapes, breaking out of the pass scan on the first
     // non-dividing GeMM instead of evaluating all 12.
@@ -282,15 +288,18 @@ LlmAutotuner::tunePhase2(Algorithm algo, std::vector<FcLayerPlan> layers,
                                 /*feasible=*/false, 1e300);
     }
     if (shapes.empty())
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
+        fatal("LlmAutotuner: no %s mesh shape of %d chips divides every "
+              "FC GeMM of %s (batch %lld, seqLen %lld)",
+              algorithmName(algo), chips, model.name.c_str(),
+              static_cast<long long>(train.batch),
+              static_cast<long long>(train.seqLen));
 
     // Evaluate candidates in parallel. Each evaluation only records
-    // the tuned (S, time) pairs — the layers vector is *not* copied
-    // per shape; the winner's copy is materialized once at the end.
-    // Trace records ("slice" lines of the inner search plus the
-    // "shape" line) are buffered per candidate and flushed in serial
-    // index order below, so the trace file is byte-identical to a
-    // MESHSLICE_THREADS=1 run.
+    // the tuned (S, time) pairs — the layers vector is copied only for
+    // the returned entries. Trace records ("slice" lines of the inner
+    // search plus the "shape" line) are buffered per candidate and
+    // flushed in serial index order, so the trace file is
+    // byte-identical to a MESHSLICE_THREADS=1 run.
     const bool tracing = SearchTrace::global().enabled();
     std::vector<SearchTraceCapture> captures(tracing ? shapes.size() : 0);
     std::vector<ShapeEval> evals(shapes.size());
@@ -319,104 +328,12 @@ LlmAutotuner::tunePhase2(Algorithm algo, std::vector<FcLayerPlan> layers,
             evals[static_cast<size_t>(idx)] = std::move(ev);
         }
     });
-    // Serial, index-ordered fold (meshShapesOf order = increasing
-    // rows): ties keep the earliest candidate — lowest rows first — so
-    // the result is bit-identical to the serial loop for any
-    // MESHSLICE_THREADS.
-    ShapeEval best;
-    for (size_t i = 0; i < evals.size(); ++i) {
-        if (tracing)
-            captures[i].flushToGlobal();
-        if (evals[i].blockFcTime < best.blockFcTime)
-            best = std::move(evals[i]);
-    }
-    if (best.blockFcTime >= 1e300)
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
-
-    AutotuneResult out;
-    out.rows = best.rows;
-    out.cols = best.cols;
-    out.blockFcTime = best.blockFcTime;
-    out.layers = std::move(layers); // the only layers copy/move
-    size_t g = 0;
-    for (FcLayerPlan &layer : out.layers) {
-        for (GemmPlan &plan : layer.passes) {
-            plan.sliceCount = best.perGemm[g].first;
-            plan.estTime = best.perGemm[g].second;
-            ++g;
-        }
-    }
-    return out;
-}
-
-std::vector<AutotuneResult>
-LlmAutotuner::rankShapes(Algorithm algo, const TransformerConfig &model,
-                         const TrainingConfig &train, int chips, int k,
-                         bool optimize_dataflow) const
-{
-    if (k <= 0)
-        fatal("LlmAutotuner::rankShapes: k must be positive (got %d)", k);
-    const std::vector<FcLayerPlan> layers =
-        buildPhase1(algo, model, train, optimize_dataflow);
-
-    std::vector<std::pair<int, int>> shapes;
-    for (auto [rows, cols] : meshShapesOf(chips)) {
-        if (algo == Algorithm::kCannon && rows != cols)
-            continue;
-        bool feasible = true;
-        for (const FcLayerPlan &layer : layers) {
-            for (const GemmPlan &plan : layer.passes)
-                if (!shapeFeasible(plan.gemm, static_cast<int>(rows),
-                                   static_cast<int>(cols))) {
-                    feasible = false;
-                    break;
-                }
-            if (!feasible)
-                break;
-        }
-        if (feasible)
-            shapes.emplace_back(static_cast<int>(rows),
-                                static_cast<int>(cols));
-    }
-    if (shapes.empty())
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
-
-    // Evaluate every candidate (deterministically indexed, so the
-    // parallel fill is bit-identical to the serial loop). The inner
-    // search's "slice" trace records are buffered per candidate and
-    // flushed in index order for a deterministic trace file.
-    const bool tracing = SearchTrace::global().enabled();
-    std::vector<SearchTraceCapture> captures(tracing ? shapes.size() : 0);
-    std::vector<ShapeEval> evals(shapes.size());
-    parallelFor(static_cast<std::int64_t>(shapes.size()), 1,
-                [&](std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t i = begin; i < end; ++i) {
-                        ShapeEval ev;
-                        ev.rows = shapes[static_cast<size_t>(i)].first;
-                        ev.cols = shapes[static_cast<size_t>(i)].second;
-                        ev.blockFcTime = 0.0;
-                        std::optional<SearchTraceCapture::Scope> scope;
-                        if (tracing)
-                            scope.emplace(
-                                captures[static_cast<size_t>(i)]);
-                        for (const FcLayerPlan &layer : layers)
-                            for (const GemmPlan &plan : layer.passes) {
-                                const Gemm2DSpec spec =
-                                    makeSpec(plan.gemm, plan.dataflow,
-                                             ev.rows, ev.cols);
-                                auto [s, t] =
-                                    cost_.tuneSliceCount(algo, spec);
-                                ev.perGemm.emplace_back(s, t);
-                                ev.blockFcTime += t;
-                            }
-                        evals[static_cast<size_t>(i)] = std::move(ev);
-                    }
-                });
     for (SearchTraceCapture &cap : captures)
         cap.flushToGlobal();
 
-    // meshShapesOf yields increasing rows; stable sort on time keeps
-    // the lowest-rows candidate first on ties, matching tunePhase2.
+    // meshShapesOf yields increasing rows; the stable sort on time
+    // keeps the lowest-rows candidate first on ties, so the ranking is
+    // bit-identical for any MESHSLICE_THREADS.
     std::stable_sort(evals.begin(), evals.end(),
                      [](const ShapeEval &a, const ShapeEval &b) {
                          return a.blockFcTime < b.blockFcTime;
@@ -443,7 +360,11 @@ LlmAutotuner::rankShapes(Algorithm algo, const TransformerConfig &model,
         out.push_back(std::move(res));
     }
     if (out.empty())
-        panic("LlmAutotuner: no feasible mesh shape for %d chips", chips);
+        fatal("LlmAutotuner: no slice count fits %s (batch %lld, seqLen "
+              "%lld) in HBM at any %s mesh shape of %d chips",
+              model.name.c_str(), static_cast<long long>(train.batch),
+              static_cast<long long>(train.seqLen), algorithmName(algo),
+              chips);
     return out;
 }
 

@@ -94,8 +94,7 @@ class LlmAutotuner
     /**
      * Phase 2 for a fixed algorithm and fixed per-GeMM dataflows:
      * best mesh shape (by summed estimated time) and the per-GeMM
-     * tuned slice counts at that shape. Cannon only considers square
-     * shapes.
+     * tuned slice counts at that shape — `rankShapes(..., 1).front()`.
      */
     AutotuneResult tuneForAlgorithm(Algorithm algo,
                                     const TransformerConfig &model,
@@ -103,12 +102,18 @@ class LlmAutotuner
                                     bool optimize_dataflow = true) const;
 
     /**
-     * Phase-2 candidate ranking: the top @p k feasible mesh shapes by
-     * nominal estimated block FC time, each returned as a complete
-     * plan (tuned slice counts included). Entry 0 is the shape
-     * `tuneForAlgorithm` would pick. Deterministic order: estimated
-     * time, ties broken by lower row count. Used by the robust tuner
-     * to shortlist candidates for scenario re-evaluation.
+     * The phase-2 sweep: the top @p k feasible mesh shapes by nominal
+     * estimated block FC time, each returned as a complete plan
+     * (tuned slice counts included). Entry 0 is the shape
+     * `tuneForAlgorithm` picks. Deterministic order: estimated time,
+     * ties broken by lower row count. Cannon only considers square
+     * shapes. The fault-aware tuners re-rank this shortlist
+     * (`tuneRobustShortlist`, `tuneWithRecoveryShortlist`).
+     *
+     * Every candidate shape is traced as a `"phase":"shape"` record:
+     * shapes the divisibility pre-check prunes as `"feasible":false`,
+     * evaluated shapes right after their `"slice"` records. `fatal`
+     * when no shape divides the GeMMs or no slice count fits in HBM.
      */
     std::vector<AutotuneResult> rankShapes(Algorithm algo,
                                            const TransformerConfig &model,
@@ -130,10 +135,6 @@ class LlmAutotuner
                                int force_s = 0) const;
 
   private:
-    AutotuneResult tunePhase2(Algorithm algo,
-                              std::vector<FcLayerPlan> layers,
-                              int chips) const;
-
     CostModel cost_;
 };
 

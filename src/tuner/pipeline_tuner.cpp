@@ -23,7 +23,7 @@ constexpr double kFwdShare = 1.0 / 3.0;
  * feasibility loop so structurally impossible TP degrees (e.g. a
  * factor of 5 against GPT-3's power-of-two-times-three dimensions) are
  * *pruned* with a reason instead of tripping the autotuner's
- * no-feasible-shape panic.
+ * no-feasible-shape `fatal`.
  */
 bool
 anyTpMeshFeasible(const TransformerConfig &model,

@@ -10,27 +10,12 @@
 #include "tuner/search_trace.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/parallel.hpp"
 
 namespace meshslice {
 
 namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-double
-uniform01(std::uint64_t &state)
-{
-    return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
 
 void
 traceRobustEval(Algorithm algo, int chips, const RobustCandidate &cand,
@@ -187,26 +172,14 @@ sampleScenarios(const RobustTuneConfig &cfg, int chips)
 }
 
 RobustTuneResult
-tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
-           const TransformerConfig &model, const TrainingConfig &train,
-           int chips, const RobustTuneConfig &cfg, bool optimize_dataflow,
-           StatsRegistry *stats)
-{
-    return tuneRobustShortlist(
-        tuner, algo,
-        tuner.rankShapes(algo, model, train, chips, cfg.topK,
-                         optimize_dataflow),
-        chips, cfg, stats);
-}
-
-RobustTuneResult
 tuneRobustShortlist(const LlmAutotuner &tuner, Algorithm algo,
                     const std::vector<AutotuneResult> &full_shortlist,
                     int chips, const RobustTuneConfig &cfg,
                     StatsRegistry *stats)
 {
     if (!(cfg.quantile > 0.0 && cfg.quantile <= 1.0))
-        fatal("tuneRobust: quantile %g outside (0, 1]", cfg.quantile);
+        fatal("tuneRobustShortlist: quantile %g outside (0, 1]",
+              cfg.quantile);
     if (full_shortlist.empty())
         fatal("tuneRobustShortlist: the shortlist is empty");
 
@@ -216,7 +189,7 @@ tuneRobustShortlist(const LlmAutotuner &tuner, Algorithm algo,
 
     // The caller may hold a longer shortlist than this re-rank wants
     // (the PlanEngine caches one shortlist sized for every phase);
-    // evaluating the prefix is identical to rankShapes(cfg.topK).
+    // rankShapes is prefix-stable, so the prefix is its top cfg.topK.
     std::vector<AutotuneResult> shortlist = full_shortlist;
     if (cfg.topK > 0 &&
         static_cast<int>(shortlist.size()) > cfg.topK)
@@ -311,37 +284,21 @@ tuneRobustShortlist(const LlmAutotuner &tuner, Algorithm algo,
 }
 
 RecoveryTuneResult
-tuneWithRecovery(const LlmAutotuner &tuner, Algorithm algo,
-                 const TransformerConfig &model, const TrainingConfig &train,
-                 int chips, const RecoveryTuneConfig &cfg,
-                 bool optimize_dataflow)
-{
-    if (cfg.topK <= 0)
-        fatal("tuneWithRecovery: topK must be positive (got %d)",
-              cfg.topK);
-    return tuneWithRecoveryShortlist(
-        tuner, algo,
-        tuner.rankShapes(algo, model, train, chips, cfg.topK,
-                         optimize_dataflow),
-        chips, cfg);
-}
-
-RecoveryTuneResult
 tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
                           const std::vector<AutotuneResult> &full_shortlist,
                           int chips, const RecoveryTuneConfig &cfg)
 {
     if (cfg.topK <= 0)
-        fatal("tuneWithRecovery: topK must be positive (got %d)",
+        fatal("tuneWithRecoveryShortlist: topK must be positive (got %d)",
               cfg.topK);
     if (!(cfg.chipMtbf > 0.0))
-        fatal("tuneWithRecovery: chipMtbf must be positive (got %g s) — "
-              "recovery-aware tuning prices failures, so a failure rate "
-              "is required", cfg.chipMtbf);
+        fatal("tuneWithRecoveryShortlist: chipMtbf must be positive (got "
+              "%g s) — recovery-aware tuning prices failures, so a "
+              "failure rate is required", cfg.chipMtbf);
     if (cfg.checkpointBytesPerChip <= 0)
-        fatal("tuneWithRecovery: checkpointBytesPerChip must be positive "
-              "(got %lld) — the checkpoint write cost anchors the "
-              "Young-Daly interval",
+        fatal("tuneWithRecoveryShortlist: checkpointBytesPerChip must be "
+              "positive (got %lld) — the checkpoint write cost anchors "
+              "the Young-Daly interval",
               static_cast<long long>(cfg.checkpointBytesPerChip));
     if (full_shortlist.empty())
         fatal("tuneWithRecoveryShortlist: the shortlist is empty");
@@ -381,9 +338,9 @@ tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
             if (by_col.time >= 0.0 && (!best || by_col.time < best->time))
                 best = &by_col;
             if (!best)
-                fatal("tuneWithRecovery: a %dx%d mesh has no survivor "
-                      "mesh to re-shard onto after a failure", plan.rows,
-                      plan.cols);
+                fatal("tuneWithRecoveryShortlist: a %dx%d mesh has no "
+                      "survivor mesh to re-shard onto after a failure",
+                      plan.rows, plan.cols);
             cand.reshardBytes = best->bytes;
             cand.reshardTime = best->time;
 

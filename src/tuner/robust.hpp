@@ -119,8 +119,12 @@ std::vector<FaultScenario> sampleScenarios(const RobustTuneConfig &cfg,
                                            int chips);
 
 /**
- * Robust phase-2: shortlist `cfg.topK` shapes with @p tuner, simulate
- * each under the scenarios, pick by the quantile objective.
+ * Robust phase-2: simulate the first `cfg.topK` entries of a phase-2
+ * @p shortlist (`LlmAutotuner::rankShapes`) under the scenarios and
+ * pick by the quantile objective. The caller may hold a longer
+ * shortlist — the PlanEngine caches one sized for every fault-aware
+ * phase, so a fault-profile-only change re-ranks it without redoing
+ * the shape sweep, bit-identically to a cold tune.
  *
  * The (candidate, scenario) evaluations are independent simulations on
  * private clusters and run concurrently on the global thread pool;
@@ -129,21 +133,6 @@ std::vector<FaultScenario> sampleScenarios(const RobustTuneConfig &cfg,
  * bit-identical to a `MESHSLICE_THREADS=1` run. When @p stats is
  * non-null each cell's per-resource accounting is merged under
  * `robust/cand<ci>/scen<si>/...`.
- */
-RobustTuneResult tuneRobust(const LlmAutotuner &tuner, Algorithm algo,
-                            const TransformerConfig &model,
-                            const TrainingConfig &train, int chips,
-                            const RobustTuneConfig &cfg,
-                            bool optimize_dataflow = true,
-                            StatsRegistry *stats = nullptr);
-
-/**
- * The robust re-ranking alone, over a @p shortlist the caller already
- * holds (at most `cfg.topK` entries are evaluated). `tuneRobust` is
- * exactly `tuneRobustShortlist(rankShapes(...))`; the PlanEngine's
- * incremental re-tune calls this directly with the cached phase-1/2
- * shortlist so a fault-profile-only change skips the shape sweep — and
- * is bit-identical to the cold full tune by construction.
  */
 RobustTuneResult tuneRobustShortlist(
     const LlmAutotuner &tuner, Algorithm algo,
@@ -211,25 +200,13 @@ struct RecoveryTuneResult
 };
 
 /**
- * Shortlist `cfg.topK` shapes with @p tuner, price each one's
- * checkpoint/restart economics (C from the chip's host-DMA bandwidth,
- * M = chipMtbf / chips, D = detection + restart + that shape's
- * expected re-shard), solve τ* per shape, and pick the minimum
- * `effectiveStepTime`. Candidate and pick records are emitted through
- * `SearchTrace` as `"phase":"recovery"` / `"phase":"recovery_pick"`.
- */
-RecoveryTuneResult tuneWithRecovery(const LlmAutotuner &tuner,
-                                    Algorithm algo,
-                                    const TransformerConfig &model,
-                                    const TrainingConfig &train, int chips,
-                                    const RecoveryTuneConfig &cfg,
-                                    bool optimize_dataflow = true);
-
-/**
- * The recovery pricing alone, over a caller-held @p shortlist (at most
- * `cfg.topK` entries are priced). `tuneWithRecovery` is exactly
- * `tuneWithRecoveryShortlist(rankShapes(...))`; see
- * `tuneRobustShortlist` for why the split exists.
+ * Recovery-aware phase-2: price the checkpoint/restart economics of
+ * the first `cfg.topK` entries of a phase-2 @p shortlist (C from the
+ * chip's host-DMA bandwidth, M = chipMtbf / chips, D = detection +
+ * restart + that shape's expected re-shard), solve τ* per shape, and
+ * pick the minimum `effectiveStepTime`. Candidate and pick records are
+ * emitted through `SearchTrace` as `"phase":"recovery"` /
+ * `"phase":"recovery_pick"`.
  */
 RecoveryTuneResult tuneWithRecoveryShortlist(
     const LlmAutotuner &tuner, Algorithm algo,

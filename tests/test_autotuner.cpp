@@ -2,11 +2,22 @@
  * @file
  * Tests of the two-phase LLM autotuner: stationary/dataflow selection
  * (Table 1 rules), plan structure, mesh-shape search, slice-count
- * tuning and the dataflow-optimization speedup (Table 2 direction).
+ * tuning, the dataflow-optimization speedup (Table 2 direction) and
+ * the phase-2 sweep's contract (`tuneForAlgorithm` is the head of
+ * `rankShapes`, and every candidate shape is traced).
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "tuner/autotuner.hpp"
+#include "tuner/search_trace.hpp"
+#include "util/json.hpp"
+#include "util/math.hpp"
 
 namespace meshslice {
 namespace {
@@ -142,6 +153,82 @@ TEST_F(AutotunerTest, MakeSpecCopiesGeometry)
     EXPECT_EQ(spec.dataflow, Dataflow::kLS);
     EXPECT_EQ(spec.chips(), 64);
     EXPECT_EQ(spec.sliceCount, 8);
+}
+
+TEST_F(AutotunerTest, TuneForAlgorithmIsTheHeadOfRankShapes)
+{
+    const LlmAutotuner tuner(cost());
+    const TransformerConfig model = gpt3Config();
+    const TrainingConfig train = TrainingConfig::weakScaling(64);
+    for (Algorithm algo : all2DAlgorithms()) {
+        SCOPED_TRACE(algorithmName(algo));
+        const AutotuneResult tuned =
+            tuner.tuneForAlgorithm(algo, model, train, 64);
+        const AutotuneResult head =
+            tuner.rankShapes(algo, model, train, 64, 3).front();
+        EXPECT_EQ(tuned.rows, head.rows);
+        EXPECT_EQ(tuned.cols, head.cols);
+        EXPECT_EQ(tuned.blockFcTime, head.blockFcTime);
+        const std::vector<GemmPlan> a = tuned.allPlans();
+        const std::vector<GemmPlan> b = head.allPlans();
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].gemm.name, b[i].gemm.name);
+            EXPECT_EQ(a[i].dataflow, b[i].dataflow);
+            EXPECT_EQ(a[i].sliceCount, b[i].sliceCount);
+            EXPECT_EQ(a[i].estTime, b[i].estTime);
+        }
+    }
+}
+
+TEST_F(AutotunerTest, RankShapesTracesEveryMeshShape)
+{
+    const LlmAutotuner tuner(cost());
+    const TransformerConfig model = gpt3Config();
+    // 32 tokens: the 1x64 and 64x1 meshes do not divide the token
+    // dimension, so the pre-check prunes them.
+    const TrainingConfig train{1, 32};
+    const std::string path = testing::TempDir() + "rank_shapes_trace.jsonl";
+    for (Algorithm algo : {Algorithm::kMeshSlice, Algorithm::kCannon}) {
+        SCOPED_TRACE(algorithmName(algo));
+        ASSERT_TRUE(SearchTrace::global().open(path));
+        (void)tuner.rankShapes(algo, model, train, 64, 3);
+        SearchTrace::global().close();
+
+        std::map<std::pair<int, int>, std::vector<bool>> traced;
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);) {
+            const JsonValue rec = parseJson(line, "trace", path);
+            if (rec.find("phase")->str != "shape")
+                continue;
+            const std::pair<int, int> shape{
+                static_cast<int>(rec.find("rows")->number),
+                static_cast<int>(rec.find("cols")->number)};
+            traced[shape].push_back(rec.find("feasible")->boolean);
+        }
+
+        size_t want = 0;
+        for (auto [rows, cols] : meshShapesOf(64)) {
+            if (algo == Algorithm::kCannon && rows != cols)
+                continue;
+            ++want;
+            const std::pair<int, int> shape{static_cast<int>(rows),
+                                            static_cast<int>(cols)};
+            bool divides = true;
+            for (const FcGemm &gemm : blockFcGemms(model, train))
+                divides = divides &&
+                          shapeFeasible(gemm, shape.first, shape.second);
+            ASSERT_EQ(traced[shape].size(), 1u)
+                << rows << "x" << cols << " traced once";
+            EXPECT_EQ(traced[shape][0], divides) << rows << "x" << cols;
+        }
+        EXPECT_EQ(traced.size(), want);
+        if (algo == Algorithm::kMeshSlice) {
+            EXPECT_FALSE(traced[std::make_pair(1, 64)].at(0));
+            EXPECT_TRUE(traced[std::make_pair(8, 8)].at(0));
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST_F(AutotunerTest, ShapeFeasibilityChecksDivisibility)

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests of the 3D-cluster composition (Sec 7): topology structure,
- * MeshSlice+DP vs 2.5D GeMM execution, traffic relationships and the
- * square-mesh restriction 2.5D inherits from Cannon.
+ * MeshSlice+DP vs 2.5D GeMM execution, traffic relationships, the
+ * square-mesh restriction 2.5D inherits from Cannon, and completion
+ * (not drain) timing under a fault window that outlives the run.
  */
 #include <gtest/gtest.h>
 
 #include "core/dp3d.hpp"
+#include "sim/fault.hpp"
 
 namespace meshslice {
 namespace {
@@ -156,6 +158,52 @@ TEST(Dp3D, MeshSliceDPBeats25DOnImbalancedShapes)
         runMeshSliceDP(tms, Algorithm::kMeshSlice, spec, w_grad);
 
     EXPECT_LT(rms.time, r25.time);
+}
+
+/** Run @p fn on a fresh 4x4x2 torus whose depth links (link.D+) run at
+ *  half bandwidth from t = 0 for @p duration seconds (< 0 = for good),
+ *  and return the reported time. */
+template <typename Fn>
+Time
+timeUnderDepthLinkWindow(Time duration, Fn fn)
+{
+    Cluster cluster(tpuV4Config(), 4 * 4 * 2);
+    Torus3D torus(cluster, 4, 4, 2);
+    FaultScenario scenario;
+    scenario.faults.push_back(CapacityFault{"link.D+", 0.5, 0.0, duration});
+    FaultInjector injector(cluster.sim(), cluster.net(), scenario);
+    injector.arm();
+    cluster.attachFaults(&injector);
+    return fn(torus).time;
+}
+
+TEST(Dp3D, ReportsCompletionNotDrainTime)
+{
+    // A window that ends at 10 s covers the whole (millisecond) run, so
+    // the run sees exactly the capacity of a persistent window; only
+    // the simulator's drain differs, and it must not be reported.
+    auto dp = [](Torus3D &torus) {
+        Gemm2DSpec spec;
+        spec.m = 8192;
+        spec.k = 4096;
+        spec.n = 4096;
+        spec.rows = 4;
+        spec.cols = 4;
+        spec.sliceCount = 4;
+        return runMeshSliceDP(torus, Algorithm::kMeshSlice, spec,
+                              spec.k * spec.n * 2 / spec.chips());
+    };
+    auto two_point_five = [](Torus3D &torus) {
+        return run25DGemm(torus, 16384, 8192, 4096);
+    };
+    const Time dp_persistent = timeUnderDepthLinkWindow(-1.0, dp);
+    EXPECT_LT(dp_persistent, 1.0);
+    EXPECT_EQ(timeUnderDepthLinkWindow(10.0, dp), dp_persistent);
+    const Time p25_persistent =
+        timeUnderDepthLinkWindow(-1.0, two_point_five);
+    EXPECT_LT(p25_persistent, 1.0);
+    EXPECT_EQ(timeUnderDepthLinkWindow(10.0, two_point_five),
+              p25_persistent);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * PlanEngine subsystem tests: content-addressed key stability and
  * sensitivity, deterministic plan JSON round-trips, LRU cache
  * behavior and persistence, cache-hit / single-flight / incremental
- * serving identity, thread invariance, and the concurrency safety of
- * the comm-calibration memoization the engine hammers.
+ * serving identity, thread invariance, the concurrency safety of
+ * the comm-calibration memoization the engine hammers, and `fatal`
+ * exits for serve-path inputs the planner cannot plan for.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include "engine/plan_engine.hpp"
 #include "engine/plan_json.hpp"
 #include "tuner/cost_model.hpp"
-#include "tuner/robust.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
 
@@ -350,27 +350,53 @@ TEST(PlanEngineTest, CalibrationMemoizationIsConcurrencySafe)
     EXPECT_EQ(calibrationRunCount() - before, 3);
 }
 
-TEST(PlanEngineTest, ShortlistOverloadsMatchFullTunes)
+// ---------------------------------------------------------------------
+// Serve-path inputs the planner cannot plan for exit through `fatal`.
+
+TEST(PlanEngineDeathTest, NoDividingMeshShapeIsFatal)
 {
-    const PlanQuery q = tinyQuery();
-    const LlmAutotuner tuner(CostModel::calibrated(q.chip));
-    const std::vector<AutotuneResult> shortlist = tuner.rankShapes(
-        q.algo, q.model, q.train, q.chips, q.robust.topK, true);
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const PlanQuery q = planQueryFromJson(
+        "{\"model\":\"gpt3\",\"chips\":7}", tpuV4Config(), "q.json");
+    EXPECT_EXIT(PlanEngine().plan(q), testing::ExitedWithCode(1),
+                "mesh shape of 7 chips divides every FC GeMM of GPT-3");
+}
 
-    const RobustTuneResult full = tuneRobust(tuner, q.algo, q.model,
-                                             q.train, q.chips, q.robust);
-    const RobustTuneResult from_shortlist =
-        tuneRobustShortlist(tuner, q.algo, shortlist, q.chips, q.robust);
-    EXPECT_EQ(from_shortlist.pickedIndex, full.pickedIndex);
-    EXPECT_EQ(from_shortlist.picked().objective, full.picked().objective);
+TEST(PlanEngineDeathTest, NoSliceCountFittingHbmIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const PlanQuery q = planQueryFromJson(
+        "{\"model\":\"gpt3\",\"chips\":4,\"train\":{\"batch\":4096}}",
+        tpuV4Config(), "q.json");
+    EXPECT_EXIT(PlanEngine().plan(q), testing::ExitedWithCode(1),
+                "no slice count fits GPT-3 .batch 4096.*of 4 chips");
+}
 
-    const RecoveryTuneResult recovery = tuneWithRecoveryShortlist(
-        tuner, q.algo, shortlist, q.chips, q.recovery);
-    const RecoveryTuneResult recovery_full = tuneWithRecovery(
-        tuner, q.algo, q.model, q.train, q.chips, q.recovery);
-    EXPECT_EQ(recovery.picked().plan.rows, recovery_full.picked().plan.rows);
-    EXPECT_EQ(recovery.picked().effectiveStepTime,
-              recovery_full.picked().effectiveStepTime);
+TEST(PlanEngineDeathTest, EmptyCachedShortlistIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = tempPath("plan_cache_empty_shortlist.json");
+    const PlanKey key = planKeyOf(tinyQuery(7));
+    PlanCache cache(8, nullptr);
+    cache.insert(key.full(), key.base(), "{}", "[]");
+    cache.saveFile(path);
+    PlanEngine::Options options;
+    options.persistPath = path;
+    // The fault-only variant is served incrementally off that entry.
+    EXPECT_EXIT(PlanEngine(options).plan(tinyQuery(8)),
+                testing::ExitedWithCode(1),
+                "PlanCache shortlist [0-9a-f]+: the array is empty");
+    std::remove(path.c_str());
+}
+
+TEST(PlanEngineDeathTest, ZeroBatchIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Weak scaling gives one chip a batch of 0 sequences.
+    const PlanQuery q = planQueryFromJson(
+        "{\"model\":\"gpt3\",\"chips\":1}", tpuV4Config(), "q.json");
+    EXPECT_EXIT(PlanEngine().plan(q), testing::ExitedWithCode(1),
+                "GPT-3 on 1 chips needs a positive batch");
 }
 
 } // namespace

@@ -239,12 +239,17 @@ TEST(FaultInjection, RobustTuneInvariantUnderThreadCount)
     rcfg.numScenarios = 2;
     rcfg.maxGemmsPerEval = 2;
 
+    auto tune = [&] {
+        return tuneRobustShortlist(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, train, 16,
+                             rcfg.topK),
+            16, rcfg);
+    };
     ThreadPool::setGlobalThreads(1);
-    const RobustTuneResult serial = tuneRobust(
-        tuner, Algorithm::kMeshSlice, model, train, 16, rcfg);
+    const RobustTuneResult serial = tune();
     ThreadPool::setGlobalThreads(8);
-    const RobustTuneResult threaded = tuneRobust(
-        tuner, Algorithm::kMeshSlice, model, train, 16, rcfg);
+    const RobustTuneResult threaded = tune();
     ThreadPool::setGlobalThreads(ThreadPool::defaultThreadCount());
 
     ASSERT_EQ(serial.candidates.size(), threaded.candidates.size());
@@ -424,9 +429,11 @@ TEST(RobustTuner, PickedObjectiveNeverWorseThanNominalCandidate)
     rcfg.topK = 3;
     rcfg.numScenarios = 2;
     rcfg.maxGemmsPerEval = 2;
-    const RobustTuneResult result =
-        tuneRobust(tuner, Algorithm::kMeshSlice, gpt3Config(),
-                   TrainingConfig{32, 2048}, 16, rcfg);
+    const RobustTuneResult result = tuneRobustShortlist(
+        tuner, Algorithm::kMeshSlice,
+        tuner.rankShapes(Algorithm::kMeshSlice, gpt3Config(),
+                         TrainingConfig{32, 2048}, 16, rcfg.topK),
+        16, rcfg);
     ASSERT_FALSE(result.candidates.empty());
     EXPECT_LE(result.picked().objective, result.nominal().objective);
     for (const RobustCandidate &cand : result.candidates)

@@ -293,12 +293,17 @@ TEST(SimParallel, RecoveryTunePickInvariantUnderThreadCount)
     rcfg.checkpointBytesPerChip = 4.0 * 1024 * 1024 * 1024;
     rcfg.topK = 3;
 
+    auto tune = [&] {
+        return tuneWithRecoveryShortlist(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, train, 16,
+                             rcfg.topK),
+            16, rcfg);
+    };
     ThreadPool::setGlobalThreads(1);
-    const RecoveryTuneResult serial = tuneWithRecovery(
-        tuner, Algorithm::kMeshSlice, model, train, 16, rcfg);
+    const RecoveryTuneResult serial = tune();
     ThreadPool::setGlobalThreads(8);
-    const RecoveryTuneResult threaded = tuneWithRecovery(
-        tuner, Algorithm::kMeshSlice, model, train, 16, rcfg);
+    const RecoveryTuneResult threaded = tune();
 
     ASSERT_EQ(serial.candidates.size(), threaded.candidates.size());
     EXPECT_EQ(serial.pickedIndex, threaded.pickedIndex);
@@ -326,18 +331,21 @@ TEST(SimParallel, RobustTuneMergedStatsInvariantUnderThreadCount)
     rcfg.numScenarios = 2;
     rcfg.maxGemmsPerEval = 2;
 
+    auto tune = [&](StatsRegistry *stats) {
+        return tuneRobustShortlist(
+            tuner, Algorithm::kMeshSlice,
+            tuner.rankShapes(Algorithm::kMeshSlice, model, train, 16,
+                             rcfg.topK),
+            16, rcfg, stats);
+    };
     ThreadPool::setGlobalThreads(1);
     StatsRegistry serial_stats;
     serial_stats.enable(true);
-    const RobustTuneResult serial =
-        tuneRobust(tuner, Algorithm::kMeshSlice, model, train, 16,
-                   rcfg, true, &serial_stats);
+    const RobustTuneResult serial = tune(&serial_stats);
     ThreadPool::setGlobalThreads(8);
     StatsRegistry threaded_stats;
     threaded_stats.enable(true);
-    const RobustTuneResult threaded =
-        tuneRobust(tuner, Algorithm::kMeshSlice, model, train, 16,
-                   rcfg, true, &threaded_stats);
+    const RobustTuneResult threaded = tune(&threaded_stats);
 
     EXPECT_EQ(serial.pickedIndex, threaded.pickedIndex);
     EXPECT_GT(serial_stats.size(), 0u);
