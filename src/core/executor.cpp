@@ -315,10 +315,11 @@ buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     // compute group g waits for all its input comm iterations; reduce
     // iteration it waits for the compute group that produced it.
     int prev_comm[2] = {-1, -1};
-    std::vector<int> pre_last(static_cast<size_t>(p_iter), -1);
+    std::vector<int> pre_of[2] = {
+        std::vector<int>(static_cast<size_t>(p_iter), -1),
+        std::vector<int>(static_cast<size_t>(p_iter), -1)};
     // Pre-communication chains (both directions advance independently).
     for (int it = 0; it < p_iter; ++it) {
-        int last = -1;
         for (int i = 0; i < 2; ++i) {
             if (sides[i].isReduce)
                 continue;
@@ -326,34 +327,33 @@ buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
             if (prev_comm[i] >= 0)
                 deps.push_back(prev_comm[i]);
             prev_comm[i] = graph.addTask(comm_task(sides[i], it), deps);
-            last = prev_comm[i];
+            pre_of[i][static_cast<size_t>(it)] = prev_comm[i];
         }
-        pre_last[static_cast<size_t>(it)] = last;
     }
     int prev_comp = -1;
-    std::vector<int> comp_of_group(static_cast<size_t>(s_count), -1);
+    std::vector<int> comp_of_iter(static_cast<size_t>(p_iter), -1);
     for (int g = 0; g < s_count; ++g) {
         std::vector<int> deps;
         if (prev_comp >= 0)
             deps.push_back(prev_comp);
-        // Depend on every pre-comm iteration of the group's range (the
-        // chains make the last of each direction sufficient, but both
-        // directions' last iterations matter).
+        // Depend on the group's last pre-comm iteration in *each*
+        // direction (the chains cover the earlier ones).
+        const int lo = g == 0 ? 0 : group_hi(g - 1);
         const int hi = group_hi(g);
-        for (int it = (g == 0 ? 0 : group_hi(g - 1)); it < hi; ++it)
-            if (pre_last[static_cast<size_t>(it)] >= 0)
-                deps.push_back(pre_last[static_cast<size_t>(it)]);
+        for (int i = 0; i < 2; ++i)
+            if (!sides[i].isReduce)
+                deps.push_back(pre_of[i][static_cast<size_t>(hi - 1)]);
         prev_comp = graph.addTask(gemm_task, deps);
-        comp_of_group[static_cast<size_t>(g)] = prev_comp;
+        for (int it = lo; it < hi; ++it)
+            comp_of_iter[static_cast<size_t>(it)] = prev_comp;
     }
     // Post (reduce) chains.
     int prev_post[2] = {-1, -1};
     for (int it = 0; it < p_iter; ++it) {
-        const int g = std::min(s_count - 1, it * s_count / p_iter);
         for (int i = 0; i < 2; ++i) {
             if (!sides[i].isReduce)
                 continue;
-            std::vector<int> deps{comp_of_group[static_cast<size_t>(g)]};
+            std::vector<int> deps{comp_of_iter[static_cast<size_t>(it)]};
             if (prev_post[i] >= 0)
                 deps.push_back(prev_post[i]);
             prev_post[i] = graph.addTask(comm_task(sides[i], it), deps);

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/executor.hpp"
 #include "core/mesh_ops.hpp"
 #include "hw/compute_model.hpp"
+#include "sim/trace.hpp"
 
 namespace meshslice {
 namespace {
@@ -138,6 +141,101 @@ TEST(Executor, SummaSyncCountGrowsQuadratically)
                             r_big.horizontal.syncCount) /
         (r_small.vertical.syncCount + r_small.horizontal.syncCount);
     EXPECT_GE(ratio, 2.5);
+}
+
+TEST(Executor, SummaMirrorImagesAreBitIdentical)
+{
+    // Transposing the problem (M <-> N) swaps the mesh directions of a
+    // square mesh, so the OS schedule must take exactly the same time:
+    // a compute group waits for *both* directions' broadcasts.
+    const ChipConfig cfg = tpuV4Config();
+    for (int s : {1, 2, 4}) {
+        Gemm2DSpec tall = testSpec(4, 4, s);
+        tall.m = 6144;
+        tall.k = 1536;
+        tall.n = 1536;
+        Gemm2DSpec wide = tall;
+        wide.m = 1536;
+        wide.n = 6144;
+        EXPECT_EQ(runOn(cfg, Algorithm::kSumma, tall).time,
+                  runOn(cfg, Algorithm::kSumma, wide).time)
+            << "S=" << s;
+    }
+}
+
+/** Chip 0's spans on @p lane whose name is @p name, in record order. */
+std::vector<TraceRecorder::Span>
+chip0Spans(const std::vector<TraceRecorder::Span> &spans, int lane,
+           const std::string &name)
+{
+    std::vector<TraceRecorder::Span> out;
+    for (const TraceRecorder::Span &span : spans)
+        if (span.pid == 0 && span.tid == lane && span.name == name)
+            out.push_back(span);
+    return out;
+}
+
+TEST(Executor, SummaTraceHonoursDependencies)
+{
+    // SUMMA runs P = lcm(rows, cols) communication iterations and
+    // unrolls its computation into S groups; group g holds iterations
+    // [g*P/S, (g+1)*P/S).
+    const ChipConfig cfg = tpuV4Config();
+    auto traced = [&cfg](const Gemm2DSpec &spec) {
+        Cluster cluster(cfg, spec.chips());
+        TorusMesh mesh(cluster, spec.rows, spec.cols);
+        cluster.trace().enable(true);
+        GemmExecutor(mesh).run(Algorithm::kSumma, spec);
+        return cluster.trace().spans();
+    };
+    auto group_lo = [](int g, int p, int s) { return g * p / s; };
+
+    // OS: every compute starts after both lanes' broadcasts of its
+    // iterations.
+    {
+        Gemm2DSpec spec = testSpec(4, 4, 4);
+        spec.m = 6144;
+        spec.k = 1536;
+        spec.n = 1536;
+        const auto spans = traced(spec);
+        const auto gemms = chip0Spans(spans, kLaneCompute, "gemm");
+        const int p = 4;
+        ASSERT_EQ(gemms.size(), 4u);
+        for (int lane : {kLaneHorizontalComm, kLaneVerticalComm}) {
+            const auto bcasts = chip0Spans(spans, lane, "broadcast");
+            ASSERT_EQ(bcasts.size(), static_cast<size_t>(p));
+            for (int g = 0; g < 4; ++g)
+                for (int it = group_lo(g, p, 4); it < group_lo(g + 1, p, 4);
+                     ++it)
+                    EXPECT_GE(gemms[static_cast<size_t>(g)].begin,
+                              bcasts[static_cast<size_t>(it)].end)
+                        << "lane " << lane << " group " << g << " iter "
+                        << it;
+        }
+    }
+    // LS and RS on 2x3 (P = 6, S = 4 does not divide it): every reduce
+    // starts after the compute of the group that holds its iteration.
+    for (Dataflow df : {Dataflow::kLS, Dataflow::kRS}) {
+        Gemm2DSpec spec = testSpec(2, 3, 4, df);
+        spec.m = spec.k = spec.n = 6144;
+        const auto spans = traced(spec);
+        const auto gemms = chip0Spans(spans, kLaneCompute, "gemm");
+        const int p = 6;
+        ASSERT_EQ(gemms.size(), 4u);
+        std::vector<TraceRecorder::Span> reduces;
+        for (int lane : {kLaneHorizontalComm, kLaneVerticalComm}) {
+            const auto on_lane = chip0Spans(spans, lane, "reduce");
+            if (!on_lane.empty())
+                reduces = on_lane;
+        }
+        ASSERT_EQ(reduces.size(), static_cast<size_t>(p));
+        for (int g = 0; g < 4; ++g)
+            for (int it = group_lo(g, p, 4); it < group_lo(g + 1, p, 4);
+                 ++it)
+                EXPECT_GE(reduces[static_cast<size_t>(it)].begin,
+                          gemms[static_cast<size_t>(g)].end)
+                    << dataflowName(df) << " group " << g << " iter " << it;
+    }
 }
 
 TEST(Executor, MeshSliceSyncsScaleWithSliceCount)
