@@ -1,6 +1,8 @@
 #include "bench/common.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -23,6 +25,19 @@ usageError(const char *prog, const char *why, const char *what)
 
 } // namespace
 
+std::optional<std::int64_t>
+parsePositiveInt(const char *text, std::int64_t max)
+{
+    if (text == nullptr || *text < '0' || *text > '9')
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || v <= 0 || v > max)
+        return std::nullopt;
+    return v;
+}
+
 BenchArgs
 BenchArgs::parse(int argc, char **argv, int default_chips)
 {
@@ -36,12 +51,11 @@ BenchArgs::parse(int argc, char **argv, int default_chips)
             if (chips_set)
                 usageError(prog, "unexpected extra positional argument",
                            arg.c_str());
-            char *end = nullptr;
-            const long v = std::strtol(arg.c_str(), &end, 10);
-            if (!end || *end != '\0' || v <= 0)
+            const auto v = parsePositiveInt(arg.c_str(), INT_MAX);
+            if (!v)
                 usageError(prog, "chip count must be a positive integer, "
                            "got", arg.c_str());
-            args.chips = static_cast<int>(v);
+            args.chips = static_cast<int>(*v);
             chips_set = true;
             continue;
         }

@@ -10,6 +10,7 @@
 #define MESHSLICE_BENCH_COMMON_HPP_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/executor.hpp"
@@ -17,6 +18,14 @@
 #include "tuner/autotuner.hpp"
 
 namespace meshslice {
+
+/**
+ * Parse @p text as a whole-string positive decimal integer no larger
+ * than @p max: no sign, no whitespace, no trailing text, no overflow.
+ * The one strict integer parser of the bench and example CLIs.
+ */
+std::optional<std::int64_t> parsePositiveInt(const char *text,
+                                             std::int64_t max);
 
 /**
  * Shared CLI of the report-style benchmarks:

@@ -12,9 +12,8 @@
  * The "naive" GeMM baseline below is the literal pre-PR kernel
  * (branchy triple loop, single thread); the autotune baseline is the
  * same search forced onto one pool thread (`MESHSLICE_THREADS=1`
- * semantics); the "eager" simulator baseline is the legacy per-event
- * full accounting sweep. Speedups are therefore vs the pre-PR serial
- * behaviour; pool speedups scale with the host's core count.
+ * semantics). Speedups are therefore vs the pre-PR serial behaviour;
+ * pool speedups scale with the host's core count.
  *
  * CLI: `micro_kernels [dim] [--smoke] [--out PATH]` (shared BenchArgs;
  * the positional argument is the GeMM dimension). `--smoke` shrinks
@@ -79,22 +78,18 @@ gflops(std::int64_t m, std::int64_t k, std::int64_t n, double ms)
 }
 
 /** One measured simulator run of a MeshSlice GeMM on a rows x cols
- *  torus (the real executor schedule, driven manually so eager runs
- *  can stop after `max_events` instead of simulating to completion). */
+ *  torus (the real executor schedule). */
 struct SimRunMeasurement
 {
     Time simTime = 0.0;
     std::uint64_t events = 0;
     double wallMs = 0.0;
-    bool completed = false;
 };
 
 SimRunMeasurement
-runTorusGemm(const ChipConfig &cfg, int rows, int cols, bool eager,
-             std::uint64_t max_events)
+runTorusGemm(const ChipConfig &cfg, int rows, int cols)
 {
     Cluster cluster(cfg, rows * cols);
-    cluster.net().setEagerAccounting(eager);
     TorusMesh mesh(cluster, rows, cols);
     Gemm2DSpec spec;
     spec.m = spec.k = spec.n = 6400;
@@ -108,38 +103,12 @@ runTorusGemm(const ChipConfig &cfg, int rows, int cols, bool eager,
     buildGemmSchedule(graph, mesh, Algorithm::kMeshSlice, spec, &result);
 
     SimRunMeasurement out;
-    bool finished = false;
     const auto start = std::chrono::steady_clock::now();
-    graph.start([&finished] { finished = true; });
-    if (max_events == 0) {
-        cluster.sim().run();
-    } else {
-        // Partial run: advance in doubling sim-time slices until the
-        // event budget is spent (the eager sweep is O(resources) per
-        // event — a full 10k-chip run would take minutes).
-        Time deadline = 1e-7;
-        while (!finished && cluster.sim().eventsProcessed() < max_events) {
-            cluster.sim().runUntil(deadline);
-            deadline *= 2.0;
-        }
-    }
+    out.simTime = graph.run("micro_kernels");
     const auto stop = std::chrono::steady_clock::now();
     out.wallMs =
         std::chrono::duration<double, std::milli>(stop - start).count();
-    out.simTime = cluster.sim().now();
     out.events = cluster.sim().eventsProcessed();
-    out.completed = finished;
-    if (!finished) {
-        // Drain the partial run: in-flight collectives hold
-        // self-deleting join state that only frees on completion, so
-        // abandoning the simulation here would leak it (LeakSanitizer
-        // flags the smoke run). Batched accounting makes the drain
-        // cost seconds where the eager sweep would take minutes; the
-        // measurement above is already taken, so the mode switch
-        // cannot skew it.
-        cluster.net().setEagerAccounting(false);
-        cluster.sim().run();
-    }
     return out;
 }
 
@@ -239,52 +208,17 @@ main(int argc, char **argv)
               << "  parallel          " << tune_parallel_ms << " ms\n"
               << "  speedup           " << tune_speedup << "x\n\n";
 
-    // ---- Simulator throughput (a): in-run event batching. One
-    // MeshSlice GeMM on a large torus, batched (default, lazy
-    // accounting) run to completion vs the legacy eager sweep run over
-    // a partial event budget (a full eager run at this scale is
-    // minutes). events/sec is the comparable number.
+    // ---- Simulator throughput (a): one MeshSlice GeMM on a large
+    // torus under the batched (lazy) fluid accounting.
     const int torus = args.smoke ? 32 : 100;
-    const std::uint64_t eager_budget = args.smoke ? 2000 : 5000;
     std::cout << "sim_throughput: " << torus << "x" << torus
               << " torus (" << torus * torus << " chips)...\n";
-    const SimRunMeasurement batched =
-        runTorusGemm(cfg, torus, torus, /*eager=*/false,
-                     /*max_events=*/0);
-    const SimRunMeasurement eager =
-        runTorusGemm(cfg, torus, torus, /*eager=*/true, eager_budget);
+    const SimRunMeasurement batched = runTorusGemm(cfg, torus, torus);
     const double batched_eps =
         static_cast<double>(batched.events) / (batched.wallMs * 1e-3);
-    const double eager_eps =
-        static_cast<double>(eager.events) / (eager.wallMs * 1e-3);
-    const double batching_speedup = batched_eps / eager_eps;
     std::cout << "  batched (full run)   " << batched.events
               << " events in " << batched.wallMs << " ms = "
-              << batched_eps << " events/s\n"
-              << "  eager (partial run)  " << eager.events
-              << " events in " << eager.wallMs << " ms = " << eager_eps
-              << " events/s\n"
-              << "  batching speedup     " << batching_speedup << "x\n";
-
-    // Cross-mode identity at a size where the eager sweep can run to
-    // completion: flow completion times and event counts must not
-    // depend on the accounting mode.
-    const int id_torus = args.smoke ? 16 : 32;
-    const SimRunMeasurement id_batched =
-        runTorusGemm(cfg, id_torus, id_torus, /*eager=*/false, 0);
-    const SimRunMeasurement id_eager =
-        runTorusGemm(cfg, id_torus, id_torus, /*eager=*/true, 0);
-    const bool identical_time = id_batched.simTime == id_eager.simTime;
-    const bool identical_events =
-        id_batched.events == id_eager.events;
-    std::cout << "  identity @ " << id_torus << "x" << id_torus
-              << ": time " << (identical_time ? "OK" : "MISMATCH")
-              << ", events "
-              << (identical_events ? "OK" : "MISMATCH") << "\n";
-    if (!identical_time || !identical_events) {
-        std::cerr << "FAIL: eager vs batched accounting diverged\n";
-        return 1;
-    }
+              << batched_eps << " events/s\n";
 
     // ---- Simulator throughput (b): concurrent candidate simulations.
     // The robust tuner's (candidate, scenario) grid — each cell a full
@@ -386,25 +320,8 @@ main(int argc, char **argv)
          << "      \"events\": " << batched.events << ",\n"
          << "      \"wall_ms\": " << batched.wallMs << ",\n"
          << "      \"events_per_sec\": " << batched_eps << ",\n"
-         << "      \"completed\": "
-         << (batched.completed ? "true" : "false") << ",\n"
+         << "      \"completed\": true,\n"
          << "      \"sim_s\": " << batched.simTime << "\n"
-         << "    },\n"
-         << "    \"eager\": {\n"
-         << "      \"events\": " << eager.events << ",\n"
-         << "      \"wall_ms\": " << eager.wallMs << ",\n"
-         << "      \"events_per_sec\": " << eager_eps << ",\n"
-         << "      \"completed\": "
-         << (eager.completed ? "true" : "false") << ",\n"
-         << "      \"partial\": true\n"
-         << "    },\n"
-         << "    \"batching_speedup\": " << batching_speedup << ",\n"
-         << "    \"identity_check\": {\n"
-         << "      \"torus\": " << id_torus << ",\n"
-         << "      \"identical_time\": "
-         << (identical_time ? "true" : "false") << ",\n"
-         << "      \"identical_events\": "
-         << (identical_events ? "true" : "false") << "\n"
          << "    },\n"
          << "    \"candidates\": {\n"
          << "      \"chips\": " << rob_chips << ",\n"

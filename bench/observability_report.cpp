@@ -18,11 +18,12 @@
  *    of the same simulation, and the ns/call of a disabled-registry
  *    mutation (the no-op fast path).
  *
- * Emits `BENCH_observability.json` in the working directory.
+ * Emits `BENCH_observability.json` in the working directory (or at
+ * `--out`). CLI: the shared `BenchArgs` (`[chips] [--out PATH]`; the
+ * sweep has no smoke variant, so `--smoke` runs it unchanged).
  */
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -223,7 +224,8 @@ disabledNoopNs()
 int
 main(int argc, char **argv)
 {
-    const int chips = argc > 1 ? std::atoi(argv[1]) : 16;
+    const BenchArgs args = BenchArgs::parse(argc, argv);
+    const int chips = args.chips;
     const ChipConfig cfg = tpuV4Config();
     const TransformerConfig model = gpt3Config();
     const TrainingConfig train = TrainingConfig::weakScaling(chips);
@@ -326,7 +328,9 @@ main(int argc, char **argv)
               << "% of the dark per-event cost\n";
 
     // ---- BENCH_observability.json
-    std::ofstream json("BENCH_observability.json");
+    const std::string out_path =
+        args.out.empty() ? "BENCH_observability.json" : args.out;
+    std::ofstream json(out_path);
     json << "{\n  \"chips\": " << chips << ",\n  \"algorithms\": {\n";
     for (size_t i = 0; i < runs.size(); ++i) {
         const AlgoRun &r = runs[i];
@@ -375,8 +379,8 @@ main(int argc, char **argv)
          << "  \"artifacts\": [\"observability_trace.json\", "
             "\"observability_stats.json\", \"tuner_search.jsonl\"]\n"
          << "}\n";
-    std::cout << "wrote BENCH_observability.json, "
-                 "observability_trace.json, observability_stats.json, "
+    std::cout << "wrote " << out_path
+              << ", observability_trace.json, observability_stats.json, "
                  "tuner_search.jsonl\n";
     return 0;
 }

@@ -9,22 +9,47 @@
  * how MeshSlice overlaps communication with computation.
  *
  * Usage:
- *   gemm_playground [algo] [M] [K] [N] [rows] [cols] [S] [dataflow]
- *                   [trace.json]
+ *   gemm_playground [algo [M K N [rows cols [S [dataflow [trace.json]]]]]]
  * Example:
  *   gemm_playground meshslice 65536 12288 12288 8 4 8 OS /tmp/t.json
+ *
+ * Arguments come in complete groups (M K N together, rows cols
+ * together); every number must be a whole positive integer. `--help`
+ * prints the usage line.
  */
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "bench/common.hpp"
 #include "core/executor.hpp"
 #include "util/logging.hpp"
 
 using namespace meshslice;
 
 namespace {
+
+constexpr const char *kArgs =
+    "[algo [M K N [rows cols [S [dataflow [trace.json]]]]]]";
+
+[[noreturn]] void
+usageError(const char *prog, const std::string &why)
+{
+    fatal("%s: %s\nusage: %s %s", prog, why.c_str(), prog, kArgs);
+}
+
+/** Argument @p index of @p argv as a positive integer, else fatal. */
+std::int64_t
+positiveArg(char **argv, int index, const char *what, std::int64_t max)
+{
+    const auto v = parsePositiveInt(argv[index], max);
+    if (!v)
+        usageError(argv[0], strprintf("%s must be a positive integer, "
+                                      "got '%s'", what, argv[index]));
+    return *v;
+}
 
 Algorithm
 parseAlgo(const char *name)
@@ -67,19 +92,31 @@ main(int argc, char **argv)
     spec.dataflow = Dataflow::kOS;
     const char *trace_path = nullptr;
 
+    if (argc > 1 && std::strcmp(argv[1], "--help") == 0) {
+        std::printf("usage: %s %s\n", argv[0], kArgs);
+        return 0;
+    }
+    // Complete argument groups only: a partial M K N or rows cols group
+    // must not silently fall back to the defaults.
+    if (argc == 3 || argc == 4 || argc == 6 || argc > 10)
+        usageError(argv[0], strprintf("incomplete or extra arguments (%d "
+                                      "given)", argc - 1));
     if (argc > 1)
         algo = parseAlgo(argv[1]);
     if (argc > 4) {
-        spec.m = std::atoll(argv[2]);
-        spec.k = std::atoll(argv[3]);
-        spec.n = std::atoll(argv[4]);
+        spec.m = positiveArg(argv, 2, "M", INT64_MAX);
+        spec.k = positiveArg(argv, 3, "K", INT64_MAX);
+        spec.n = positiveArg(argv, 4, "N", INT64_MAX);
     }
     if (argc > 6) {
-        spec.rows = std::atoi(argv[5]);
-        spec.cols = std::atoi(argv[6]);
+        spec.rows = static_cast<int>(positiveArg(argv, 5, "rows", INT_MAX));
+        spec.cols = static_cast<int>(positiveArg(argv, 6, "cols", INT_MAX));
+        if (static_cast<std::int64_t>(spec.rows) * spec.cols > INT_MAX)
+            usageError(argv[0], strprintf("a %dx%d mesh is too large",
+                                          spec.rows, spec.cols));
     }
     if (argc > 7)
-        spec.sliceCount = std::atoi(argv[7]);
+        spec.sliceCount = static_cast<int>(positiveArg(argv, 7, "S", INT_MAX));
     if (argc > 8)
         spec.dataflow = parseDataflow(argv[8]);
     if (argc > 9)

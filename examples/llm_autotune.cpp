@@ -88,15 +88,14 @@ main(int argc, char **argv)
             explain = true;
             continue;
         }
-        char *end = nullptr;
-        const long v = std::strtol(arg, &end, 10);
-        if (chips_set || *end != '\0' || v <= 0 || v > INT_MAX)
+        const auto v = parsePositiveInt(arg, INT_MAX);
+        if (chips_set || !v)
             fatal("%s: %s '%s'\nusage: %s [chips] [--explain]", argv[0],
                   std::strncmp(arg, "--", 2) == 0 ? "unknown flag"
                   : chips_set ? "unexpected extra argument"
                               : "chip count must be a positive integer, got",
                   arg, argv[0]);
-        chips = static_cast<int>(v);
+        chips = static_cast<int>(*v);
         chips_set = true;
     }
     const ChipConfig cfg = tpuV4Config();

@@ -4,7 +4,6 @@
 
 #include "core/mesh_ops.hpp"
 #include "core/taskgraph.hpp"
-#include "sim/join.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
@@ -35,33 +34,6 @@ Torus3D::Torus3D(Cluster &cluster, int rows, int cols, int depth)
         }
     }
 }
-
-namespace {
-
-/** Fan an operation out to every depth ring; join with merged stats. */
-template <typename IssueFn>
-void
-allDepthRings(Torus3D &torus, CommDone done, IssueFn issue)
-{
-    struct Fanout
-    {
-        CommStats merged;
-        CommDone done;
-    };
-    auto state = std::make_shared<Fanout>();
-    state->done = std::move(done);
-    const int rings = torus.rows() * torus.cols();
-    Join *join = Join::create(rings, [state] { state->done(state->merged); });
-    for (int r = 0; r < torus.rows(); ++r)
-        for (int c = 0; c < torus.cols(); ++c)
-            issue(torus.depthRing(r, c),
-                  [state, join](const CommStats &stats) {
-                      state->merged.mergeParallel(stats);
-                      join->signal();
-                  });
-}
-
-} // namespace
 
 Gemm3DResult
 runMeshSliceDP(Torus3D &torus, Algorithm algo,
@@ -94,8 +66,8 @@ runMeshSliceDP(Torus3D &torus, Algorithm algo,
             finish();
             return;
         }
-        allDepthRings(
-            torus,
+        fanoutRings(
+            torus.depthRings(),
             [&](const CommStats &stats) {
                 out.interLayer += stats;
                 finish();
@@ -135,22 +107,26 @@ run25DGemm(Torus3D &torus, std::int64_t m, std::int64_t k, std::int64_t n,
                 static_cast<double>(n);
     GemmRunResult intra;
 
+    Gemm2DSpec layer;
+    layer.m = m;
+    layer.k = k;
+    layer.n = n;
+    layer.rows = p;
+    layer.cols = p;
+    layer.bytesPerElement = bytes_per_element;
     const Bytes e = bytes_per_element;
-    const Bytes chips2d = static_cast<Bytes>(p) * p;
+    const Bytes chips2d = layer.chips();
     const Bytes shard_a = m * k * e / chips2d;
     const Bytes shard_b = k * n * e / chips2d;
     const Bytes shard_c = m * n * e / chips2d;
-    const GemmWork iter_work{m / p, k / p, n / p};
-    const int iterations = p / c_depth;
 
     TaskGraph graph(cluster.sim(), &cluster.profiler());
-    bool finished = false;
 
     // Phase 1: replicate the A and B shards across the depth rings
     // (broadcast from layer 0 — the 2.5D "c copies of the inputs").
-    int replicate_task = graph.addTask([&](std::function<void()> done) {
-        allDepthRings(
-            torus,
+    const int replicate = graph.addTask([&](std::function<void()> done) {
+        fanoutRings(
+            torus.depthRings(),
             [&out, done = std::move(done)](const CommStats &stats) {
                 out.interLayer += stats;
                 done();
@@ -162,87 +138,31 @@ run25DGemm(Torus3D &torus, std::int64_t m, std::int64_t k, std::int64_t n,
             });
     });
 
-    // Phase 2 per layer: Cannon skew then `iterations` shifted
-    // multiply-rotate steps (each layer starts from a different
-    // rotation offset; timing is identical).
-    auto shift_task = [&](int l, Dir dir, Bytes bytes) {
-        return [&, l, dir, bytes](std::function<void()> done) {
-            meshShift(torus.layer(l), dir, bytes, true,
-                      [&intra, dir, done = std::move(done)](
-                          const CommStats &stats) {
-                          if (dir == Dir::kHorizontal)
-                              intra.horizontal += stats;
-                          else
-                              intra.vertical += stats;
-                          done();
-                      });
-        };
-    };
-    auto gemm_task = [&, iter_work](int l) {
-        return [&, l, iter_work](std::function<void()> done) {
-            meshGemm(torus.layer(l), iter_work, std::move(done));
-        };
-    };
-
+    // Phase 2 per layer: P/c steps of Cannon (each layer starts from a
+    // different rotation offset; timing is identical).
     std::vector<int> reduce_deps;
-    for (int l = 0; l < torus.depth(); ++l) {
-        int prev_h = replicate_task;
-        int prev_v = replicate_task;
-        for (int h = 0; h < p / 2; ++h) {
-            prev_h = graph.addTask(shift_task(l, Dir::kHorizontal,
-                                              shard_a),
-                                   {prev_h});
-            prev_v = graph.addTask(shift_task(l, Dir::kVertical, shard_b),
-                                   {prev_v});
-        }
-        int prev_comp = -1;
-        for (int it = 0; it < iterations; ++it) {
-            std::vector<int> deps{prev_h, prev_v};
-            if (prev_comp >= 0)
-                deps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task(l), deps);
-            if (it + 1 < iterations) {
-                prev_h = graph.addTask(shift_task(l, Dir::kHorizontal,
-                                                  shard_a),
-                                       {prev_h});
-                prev_v = graph.addTask(shift_task(l, Dir::kVertical,
-                                                  shard_b),
-                                       {prev_v});
-            }
-        }
-        reduce_deps.push_back(prev_comp);
-    }
+    for (int l = 0; l < torus.depth(); ++l)
+        reduce_deps.push_back(buildCannon(graph, torus.layer(l), layer,
+                                          &intra, p / c_depth, replicate));
 
     // Phase 3: reduce the partial C's over the depth rings.
     graph.addTask(
         [&](std::function<void()> done) {
-            allDepthRings(
-                torus,
+            fanoutRings(
+                torus.depthRings(),
                 [&out, done = std::move(done)](const CommStats &stats) {
                     out.interLayer += stats;
                     done();
                 },
                 [&](const Ring &ring, CommDone ring_done) {
-                    const int packets =
-                        std::max(1, c_depth);
-                    ringReduce(cluster, ring, 0, shard_c, packets,
-                               kLaneVerticalComm, std::move(ring_done));
+                    ringReduce(cluster, ring, 0, shard_c,
+                               std::max(1, c_depth), kLaneVerticalComm,
+                               std::move(ring_done));
                 });
         },
         reduce_deps);
 
-    // The schedule's completion time, not the simulator's drain.
-    const Time begin = cluster.sim().now();
-    Time end = begin;
-    graph.start([&finished, &end, &cluster] {
-        finished = true;
-        end = cluster.sim().now();
-    });
-    cluster.sim().run();
-    if (!finished)
-        panic("run25DGemm: schedule did not drain");
-
-    out.time = end - begin;
+    out.time = graph.run("run25DGemm");
     out.intraLayer += intra.horizontal;
     out.intraLayer += intra.vertical;
     return out;

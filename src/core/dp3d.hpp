@@ -44,6 +44,8 @@ class Torus3D
     {
         return depthRings_.at(static_cast<size_t>(r * cols_ + c));
     }
+    /** Every depth ring, row-major over the (row, col) positions. */
+    const std::vector<Ring> &depthRings() const { return depthRings_; }
 
     Cluster &cluster() { return cluster_; }
 

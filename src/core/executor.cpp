@@ -55,17 +55,23 @@ sumCoreBusy(Cluster &cluster)
 }
 
 /**
- * Fill the overlap-efficiency fields of @p result from the core-busy
- * delta across the run and publish the per-algorithm metrics into the
- * cluster's stats registry.
+ * Run @p graph to completion and time it into @p result. A completed run
+ * also gets its overlap-efficiency fields from the core-busy delta
+ * across the run, and publishes the per-algorithm metrics into the
+ * cluster's stats registry; a run abandoned by a requested stop keeps
+ * only its partial time, which the caller discards.
  */
 void
-finishRunTelemetry(Cluster &cluster, const char *algo_name,
-                   GemmRunResult &result, double core_busy_before,
-                   int chips)
+runAndMeasure(TaskGraph &graph, Cluster &cluster, const char *who,
+              const char *algo_name, GemmRunResult &result)
 {
-    const double busy =
-        (sumCoreBusy(cluster) - core_busy_before) / std::max(1, chips);
+    const double core_busy_before = sumCoreBusy(cluster);
+    bool stopped = false;
+    result.time = graph.run(who, &stopped);
+    if (stopped)
+        return;
+    const double busy = (sumCoreBusy(cluster) - core_busy_before) /
+                        std::max(1, cluster.numChips());
     result.computeBusy = busy;
     result.exposedComm = std::max(0.0, result.time - busy);
     StatsRegistry &st = cluster.stats();
@@ -83,6 +89,33 @@ finishRunTelemetry(Cluster &cluster, const char *algo_name,
 }
 
 /**
+ * One SendRecv rotation of @p bytes, issued through
+ * @p shift(bytes, forward, done). With @p bidir the rotation is split
+ * over both ring directions and the halves' stats merged in parallel.
+ */
+template <typename ShiftFn>
+void
+splitShift(Bytes bytes, bool bidir, CommDone done, ShiftFn shift)
+{
+    if (!bidir) {
+        shift(bytes, true, std::move(done));
+        return;
+    }
+    // shared_ptr (not a raw new/delete pair): if the phase is abandoned
+    // mid-shift the Join is reclaimed by the abandon sweep, and
+    // destroying its callback must release the half-merged stats too.
+    auto merged = std::make_shared<CommStats>();
+    Join *join = Join::create(
+        2, [merged, done = std::move(done)] { done(*merged); });
+    auto half_done = [merged, join](const CommStats &stats) {
+        merged->mergeParallel(stats);
+        join->signal();
+    };
+    shift(bytes / 2, true, half_done);
+    shift(bytes - bytes / 2, false, half_done);
+}
+
+/**
  * Per-schedule flow-event plumbing: input collectives deposit a flow
  * id as they complete; the next compute task consumes all pending ids,
  * drawing comm -> compute dependency arrows in Perfetto.
@@ -97,11 +130,11 @@ struct Side
 {
     Dir dir;
     CollKind op;
-    Bytes shardPerIter; ///< AG/RdS per-chip shard bytes per iteration
-    Bytes payloadPerIter; ///< SUMMA per-ring payload bytes per iteration
+    Bytes bytesPerIter; ///< per-chip shard (AG/RdS) or per-ring payload
     int ringSize;
 };
 
+/** Both sides with AG/RdS per-chip shard bytes per slice. */
 std::vector<Side>
 sidesOf(const Gemm2DSpec &spec)
 {
@@ -111,10 +144,48 @@ sidesOf(const Gemm2DSpec &spec)
     const std::int64_t s = spec.sliceCount;
     return {
         Side{Dir::kHorizontal, h.op, h.matrixBytes / (chips * s),
-             h.matrixBytes / (spec.rows * s), spec.cols},
-        Side{Dir::kVertical, v.op, v.matrixBytes / (chips * s),
-             v.matrixBytes / (spec.cols * s), spec.rows},
+             spec.cols},
+        Side{Dir::kVertical, v.op, v.matrixBytes / (chips * s), spec.rows},
     };
+}
+
+/**
+ * One op of a collective pipeline: the input (AllGather-side)
+ * collectives of comm iterations [lo, hi) feed @p gemm, the output
+ * (ReduceScatter-side) ones drain it, on one channel per direction.
+ * @p comm(side, iter) makes a task.
+ */
+template <typename CommFn>
+void
+addCollectiveOp(SlicePipeline &pipe, const std::vector<Side> &sides,
+                int lo, int hi, const CommFn &comm,
+                const TaskGraph::TaskFn &gemm)
+{
+    for (int it = lo; it < hi; ++it)
+        for (const Side &side : sides)
+            if (side.op == CollKind::kAllGather)
+                pipe.feed(static_cast<int>(side.dir), comm(side, it));
+    pipe.compute(gemm);
+    for (int it = lo; it < hi; ++it)
+        for (const Side &side : sides)
+            if (side.op == CollKind::kReduceScatter)
+                pipe.drain(static_cast<int>(side.dir), comm(side, it));
+}
+
+/** Strict program order unless collectives may overlap compute. */
+SlicePipeline::Mode
+collectiveMode(const ChipConfig &cfg)
+{
+    return cfg.allowCollectiveOverlap ? SlicePipeline::Mode::kFull
+                                      : SlicePipeline::Mode::kNone;
+}
+
+/** SendRecv pipelines serialize under the Sec 5.3.1 XLA artifact. */
+SlicePipeline::Mode
+sendRecvMode(const ChipConfig &cfg)
+{
+    return cfg.allowSendRecvOverlap ? SlicePipeline::Mode::kFull
+                                    : SlicePipeline::Mode::kSerialized;
 }
 
 /**
@@ -125,19 +196,14 @@ void
 buildSliced(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
             GemmRunResult *state)
 {
-    const ChipConfig &cfg = mesh.cluster().config();
-    const bool overlap = cfg.allowCollectiveOverlap;
-    const int s_count = spec.sliceCount;
     const GemmWork work = localSliceWork(spec);
-    const auto sides = sidesOf(spec);
 
     // Flow arrows (Perfetto): each completed input collective deposits
     // a flow id; the compute that consumes it closes the arrow.
     auto links = std::make_shared<FlowLinks>();
     const int chip0 = mesh.chipAt(0, 0);
 
-    auto comm_task = [&, links, chip0](const Side &side, int iter) {
-        (void)iter;
+    auto comm_task = [&mesh, state, links, chip0](const Side &side, int) {
         return [&mesh, side, state, links,
                 chip0](std::function<void()> done) {
             Cluster &cl = mesh.cluster();
@@ -157,7 +223,7 @@ buildSliced(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
                 }
                 done();
             };
-            meshCollective(mesh, side.dir, side.op, side.shardPerIter,
+            meshCollective(mesh, side.dir, side.op, side.bytesPerIter,
                            statsSink(state, side.dir, std::move(wrapped)));
         };
     };
@@ -174,56 +240,10 @@ buildSliced(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
         meshGemm(mesh, work, std::move(done));
     };
 
-    if (!overlap) {
-        // Real-TPUv4 mode: strict program order, no comm/compute overlap.
-        int prev = -1;
-        auto chain = [&](TaskGraph::TaskFn fn) {
-            prev = graph.addTask(std::move(fn),
-                                 prev < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev});
-        };
-        for (int s = 0; s < s_count; ++s) {
-            for (const Side &side : sides)
-                if (side.op == CollKind::kAllGather)
-                    chain(comm_task(side, s));
-            chain(gemm_task);
-            for (const Side &side : sides)
-                if (side.op == CollKind::kReduceScatter)
-                    chain(comm_task(side, s));
-        }
-        return;
-    }
-
-    // Pipelined schedule: per-direction comm chains; compute(s) waits
-    // for its input comms and the previous compute; output comms follow
-    // their compute, chained per direction.
-    int prev_pre[2] = {-1, -1};
-    int prev_post[2] = {-1, -1};
-    int prev_comp = -1;
-    for (int s = 0; s < s_count; ++s) {
-        std::vector<int> comp_deps;
-        if (prev_comp >= 0)
-            comp_deps.push_back(prev_comp);
-        for (size_t i = 0; i < sides.size(); ++i) {
-            if (sides[i].op != CollKind::kAllGather)
-                continue;
-            std::vector<int> deps;
-            if (prev_pre[i] >= 0)
-                deps.push_back(prev_pre[i]);
-            prev_pre[i] = graph.addTask(comm_task(sides[i], s), deps);
-            comp_deps.push_back(prev_pre[i]);
-        }
-        const int comp = graph.addTask(gemm_task, comp_deps);
-        prev_comp = comp;
-        for (size_t i = 0; i < sides.size(); ++i) {
-            if (sides[i].op != CollKind::kReduceScatter)
-                continue;
-            std::vector<int> deps{comp};
-            if (prev_post[i] >= 0)
-                deps.push_back(prev_post[i]);
-            prev_post[i] = graph.addTask(comm_task(sides[i], s), deps);
-        }
-    }
+    SlicePipeline pipe(graph, collectiveMode(mesh.cluster().config()));
+    const auto sides = sidesOf(spec);
+    for (int s = 0; s < spec.sliceCount; ++s)
+        addCollectiveOp(pipe, sides, s, s + 1, comm_task, gemm_task);
 }
 
 /**
@@ -231,14 +251,13 @@ buildSliced(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
  * of Pr and Pc, Sec 2.3.3), giving P communication iterations of
  * pipelined bcast/reduce per direction — the O(P^2) synchronization
  * cost. Loop unrolling (Sec 4.2) merges the *computation* into the
- * autotuned S groups but leaves the fine-grain communication in place.
+ * autotuned S groups but leaves the fine-grain communication in place:
+ * group g computes iterations [g*P/S, (g+1)*P/S).
  */
 void
 buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
            GemmRunResult *state)
 {
-    const ChipConfig &cfg = mesh.cluster().config();
-    const bool overlap = cfg.allowCollectiveOverlap;
     const int p_iter =
         static_cast<int>(std::lcm(spec.rows, spec.cols));
     const int s_count = std::min(spec.sliceCount, p_iter);
@@ -249,32 +268,26 @@ buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     // Per-direction, per-communication-iteration payload of one ring.
     const FlowSide h = horizontalFlow(spec);
     const FlowSide v = verticalFlow(spec);
-    struct SummaSide
-    {
-        Dir dir;
-        bool isReduce;
-        Bytes payload;
-        int ringSize;
-    };
-    const SummaSide sides[2] = {
-        {Dir::kHorizontal, h.op == CollKind::kReduceScatter,
+    const std::vector<Side> sides = {
+        {Dir::kHorizontal, h.op,
          h.matrixBytes / (static_cast<Bytes>(spec.rows) * p_iter),
          spec.cols},
-        {Dir::kVertical, v.op == CollKind::kReduceScatter,
+        {Dir::kVertical, v.op,
          v.matrixBytes / (static_cast<Bytes>(spec.cols) * p_iter),
          spec.rows},
     };
 
-    auto comm_task = [&mesh, state](const SummaSide &side, int iter) {
+    auto comm_task = [&mesh, state](const Side &side, int iter) {
         return [&mesh, state, side, iter](std::function<void()> done) {
             const ChipConfig &c = mesh.cluster().config();
             const int hops = c.bidirectionalIci
                                  ? std::max(1, side.ringSize / 2)
                                  : side.ringSize - 1;
             const int packets =
-                optimalPacketCount(c, hops, side.payload);
-            meshBroadcastReduce(mesh, side.dir, side.isReduce, iter,
-                                side.payload, packets,
+                optimalPacketCount(c, hops, side.bytesPerIter);
+            meshBroadcastReduce(mesh, side.dir,
+                                side.op == CollKind::kReduceScatter, iter,
+                                side.bytesPerIter, packets,
                                 statsSink(state, side.dir,
                                           std::move(done)));
         };
@@ -283,82 +296,10 @@ buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
         meshGemm(mesh, work, std::move(done));
     };
 
-    // Comm iteration range feeding compute group g: [lo(g), hi(g)).
-    auto group_hi = [p_iter, s_count](int g) {
-        return (g + 1) * p_iter / s_count;
-    };
-
-    if (!overlap) {
-        int prev = -1;
-        auto chain = [&](TaskGraph::TaskFn fn) {
-            prev = graph.addTask(std::move(fn),
-                                 prev < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev});
-        };
-        int it_pre = 0;
-        int it_post = 0;
-        for (int g = 0; g < s_count; ++g) {
-            for (; it_pre < group_hi(g); ++it_pre)
-                for (const SummaSide &side : sides)
-                    if (!side.isReduce)
-                        chain(comm_task(side, it_pre));
-            chain(gemm_task);
-            for (; it_post < group_hi(g); ++it_post)
-                for (const SummaSide &side : sides)
-                    if (side.isReduce)
-                        chain(comm_task(side, it_post));
-        }
-        return;
-    }
-
-    // Pipelined: per-direction comm chains at p_iter granularity;
-    // compute group g waits for all its input comm iterations; reduce
-    // iteration it waits for the compute group that produced it.
-    int prev_comm[2] = {-1, -1};
-    std::vector<int> pre_of[2] = {
-        std::vector<int>(static_cast<size_t>(p_iter), -1),
-        std::vector<int>(static_cast<size_t>(p_iter), -1)};
-    // Pre-communication chains (both directions advance independently).
-    for (int it = 0; it < p_iter; ++it) {
-        for (int i = 0; i < 2; ++i) {
-            if (sides[i].isReduce)
-                continue;
-            std::vector<int> deps;
-            if (prev_comm[i] >= 0)
-                deps.push_back(prev_comm[i]);
-            prev_comm[i] = graph.addTask(comm_task(sides[i], it), deps);
-            pre_of[i][static_cast<size_t>(it)] = prev_comm[i];
-        }
-    }
-    int prev_comp = -1;
-    std::vector<int> comp_of_iter(static_cast<size_t>(p_iter), -1);
-    for (int g = 0; g < s_count; ++g) {
-        std::vector<int> deps;
-        if (prev_comp >= 0)
-            deps.push_back(prev_comp);
-        // Depend on the group's last pre-comm iteration in *each*
-        // direction (the chains cover the earlier ones).
-        const int lo = g == 0 ? 0 : group_hi(g - 1);
-        const int hi = group_hi(g);
-        for (int i = 0; i < 2; ++i)
-            if (!sides[i].isReduce)
-                deps.push_back(pre_of[i][static_cast<size_t>(hi - 1)]);
-        prev_comp = graph.addTask(gemm_task, deps);
-        for (int it = lo; it < hi; ++it)
-            comp_of_iter[static_cast<size_t>(it)] = prev_comp;
-    }
-    // Post (reduce) chains.
-    int prev_post[2] = {-1, -1};
-    for (int it = 0; it < p_iter; ++it) {
-        for (int i = 0; i < 2; ++i) {
-            if (!sides[i].isReduce)
-                continue;
-            std::vector<int> deps{comp_of_iter[static_cast<size_t>(it)]};
-            if (prev_post[i] >= 0)
-                deps.push_back(prev_post[i]);
-            prev_post[i] = graph.addTask(comm_task(sides[i], it), deps);
-        }
-    }
+    SlicePipeline pipe(graph, collectiveMode(mesh.cluster().config()));
+    for (int g = 0; g < s_count; ++g)
+        addCollectiveOp(pipe, sides, g * p_iter / s_count,
+                        (g + 1) * p_iter / s_count, comm_task, gemm_task);
 }
 
 /** Wang: overlap the heavier direction via SendRecv rotations. */
@@ -373,7 +314,7 @@ buildWang(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
 
     // Per-link traffic of each direction decides which one to overlap.
     auto link_traffic = [](const Side &side) {
-        return static_cast<double>(side.shardPerIter) *
+        return static_cast<double>(side.bytesPerIter) *
                static_cast<double>(side.ringSize - 1);
     };
     const size_t ov = link_traffic(sides[0]) >= link_traffic(sides[1]) ? 0
@@ -384,32 +325,18 @@ buildWang(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     // Per-iteration rotation bytes: the whole (P-1)/P fraction of the
     // overlapped matrix split over S SendRecvs. With bidirectional ICI
     // the rotation is split over both directions.
-    const Bytes iter_bytes = ov_side.shardPerIter * (ov_side.ringSize - 1);
+    const Bytes iter_bytes = ov_side.bytesPerIter * (ov_side.ringSize - 1);
     const bool bidir = cfg.bidirectionalIci && ov_side.ringSize > 2;
 
     auto shift_task = [&mesh, ov_side, iter_bytes, bidir, state](
                           std::function<void()> done) {
-        if (bidir) {
-            // shared_ptr (not a raw new/delete pair): if the phase is
-            // abandoned mid-shift the Join is reclaimed by the abandon
-            // sweep, and destroying its callback must release the
-            // half-merged stats too.
-            auto merged = std::make_shared<CommStats>();
-            CommDone sink = statsSink(state, ov_side.dir, std::move(done));
-            Join *join = Join::create(2, [merged, sink] {
-                sink(*merged);
-            });
-            auto half_done = [merged, join](const CommStats &stats) {
-                merged->mergeParallel(stats);
-                join->signal();
-            };
-            meshShift(mesh, ov_side.dir, iter_bytes / 2, true, half_done);
-            meshShift(mesh, ov_side.dir, iter_bytes - iter_bytes / 2, false,
-                      half_done);
-        } else {
-            meshShift(mesh, ov_side.dir, iter_bytes, true,
-                      statsSink(state, ov_side.dir, std::move(done)));
-        }
+        splitShift(iter_bytes, bidir,
+                   statsSink(state, ov_side.dir, std::move(done)),
+                   [&mesh, dir = ov_side.dir](Bytes bytes, bool forward,
+                                              CommDone half) {
+                       meshShift(mesh, dir, bytes, forward,
+                                 std::move(half));
+                   });
     };
     auto gemm_task = [&mesh, work](std::function<void()> done) {
         meshGemm(mesh, work, std::move(done));
@@ -418,65 +345,31 @@ buildWang(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     auto blocking_task = [&mesh, bl_side, s_count, state](
                              std::function<void()> done) {
         meshCollective(mesh, bl_side.dir, bl_side.op,
-                       bl_side.shardPerIter * s_count,
+                       bl_side.bytesPerIter * s_count,
                        statsSink(state, bl_side.dir, std::move(done)));
     };
 
-    const bool ov_is_ag = ov_side.op == CollKind::kAllGather;
+    // A blocking AllGather is the pipeline's prologue; a blocking
+    // ReduceScatter its epilogue, after the last compute.
     const bool bl_is_ag = bl_side.op == CollKind::kAllGather;
-    const bool overlap = cfg.allowSendRecvOverlap;
-
-    int prologue = -1;
-    if (bl_is_ag)
-        prologue = graph.addTask(blocking_task);
-
-    auto with_prologue = [prologue](std::vector<int> deps) {
-        if (prologue >= 0)
-            deps.push_back(prologue);
-        return deps;
-    };
-
-    int prev_shift = -1;
-    int prev_comp = -1;
+    SlicePipeline pipe(graph, sendRecvMode(cfg),
+                       bl_is_ag ? graph.addTask(blocking_task) : -1);
     for (int s = 0; s < s_count; ++s) {
-        if (ov_is_ag) {
-            // shift feeds compute
-            std::vector<int> sdeps;
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            // XLA-artifact mode: the shift additionally waits for the
-            // previous compute, serializing the pipeline (Sec 5.3.1).
-            if (!overlap && prev_comp >= 0)
-                sdeps.push_back(prev_comp);
-            prev_shift = graph.addTask(shift_task, with_prologue(sdeps));
-            std::vector<int> cdeps{prev_shift};
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, cdeps);
-        } else {
-            // compute feeds shift (RdS decomposition)
-            std::vector<int> cdeps;
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, with_prologue(cdeps));
-            std::vector<int> sdeps{prev_comp};
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            prev_shift = graph.addTask(shift_task, sdeps);
-            if (!overlap)
-                prev_comp = prev_shift; // next compute waits the shift
-        }
+        if (ov_side.op == CollKind::kAllGather)
+            pipe.feed(0, shift_task); // shift feeds compute
+        pipe.compute(gemm_task);
+        if (ov_side.op == CollKind::kReduceScatter)
+            pipe.drain(0, shift_task); // RdS decomposition
     }
-    if (!bl_is_ag) {
-        // Blocking ReduceScatter epilogue after the last compute.
-        graph.addTask(blocking_task, {prev_comp});
-    }
+    if (!bl_is_ag)
+        graph.addTask(blocking_task, pipe.tail());
 }
 
-/** Cannon: square mesh, skew prologue, P systolic iterations. */
-void
+} // namespace
+
+int
 buildCannon(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
-            GemmRunResult *state)
+            GemmRunResult *accum, int iterations, int after)
 {
     if (spec.rows != spec.cols)
         panic("Cannon requires a square mesh, got %dx%d", spec.rows,
@@ -488,50 +381,38 @@ buildCannon(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     const Bytes shard_b = spec.k * spec.n * e / chips;
     const GemmWork work{spec.m / p, spec.k / p, spec.n / p};
 
-    auto shift_task = [&mesh, state](Dir dir, Bytes bytes) {
-        return [&mesh, state, dir, bytes](std::function<void()> done) {
+    auto shift_task = [&mesh, accum](Dir dir, Bytes bytes) {
+        return [&mesh, accum, dir, bytes](std::function<void()> done) {
             meshShift(mesh, dir, bytes, true,
-                      statsSink(state, dir, std::move(done)));
+                      statsSink(accum, dir, std::move(done)));
         };
     };
     auto gemm_task = [&mesh, work](std::function<void()> done) {
         meshGemm(mesh, work, std::move(done));
     };
 
+    // Each step's compute waits for one A and one B rotation.
+    SlicePipeline pipe(graph, SlicePipeline::Mode::kFull, after);
+    auto rotate = [&] {
+        pipe.feed(static_cast<int>(Dir::kHorizontal),
+                  shift_task(Dir::kHorizontal, shard_a));
+        pipe.feed(static_cast<int>(Dir::kVertical),
+                  shift_task(Dir::kVertical, shard_b));
+    };
     // Skew: row i shifts A by i hops, column j shifts B by j hops. With
     // wraparound the worst chip moves floor(P/2) hops; modelled as that
     // many sequential full-shard rotations in each direction.
-    int prev_h = -1;
-    int prev_v = -1;
-    for (int h = 0; h < p / 2; ++h) {
-        prev_h = graph.addTask(shift_task(Dir::kHorizontal, shard_a),
-                               prev_h < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev_h});
-        prev_v = graph.addTask(shift_task(Dir::kVertical, shard_b),
-                               prev_v < 0 ? std::vector<int>{}
-                                          : std::vector<int>{prev_v});
+    for (int h = 0; h < p / 2; ++h)
+        rotate();
+    for (int s = 0; s < iterations; ++s) {
+        if (s > 0)
+            rotate();
+        pipe.compute(gemm_task);
     }
-
-    int prev_comp = -1;
-    for (int s = 0; s < p; ++s) {
-        std::vector<int> cdeps;
-        if (prev_comp >= 0)
-            cdeps.push_back(prev_comp);
-        if (prev_h >= 0)
-            cdeps.push_back(prev_h);
-        if (prev_v >= 0)
-            cdeps.push_back(prev_v);
-        prev_comp = graph.addTask(gemm_task, cdeps);
-        if (s + 1 < p) {
-            prev_h = graph.addTask(shift_task(Dir::kHorizontal, shard_a),
-                                   prev_h < 0 ? std::vector<int>{}
-                                              : std::vector<int>{prev_h});
-            prev_v = graph.addTask(shift_task(Dir::kVertical, shard_b),
-                                   prev_v < 0 ? std::vector<int>{}
-                                              : std::vector<int>{prev_v});
-        }
-    }
+    return pipe.tail().front();
 }
+
+namespace {
 
 // --------------------------------------------------------------------
 // OneSided (Brock & Golin): stationary-C tiles pull their A/B slices
@@ -571,14 +452,13 @@ buildOneSided(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
         panic("OneSided pulls into a stationary C tile: dataflow must "
               "be OS, got %s", dataflowName(spec.dataflow));
     Cluster &cluster = mesh.cluster();
-    const bool overlap = cluster.config().allowSendRecvOverlap;
     const int rows = spec.rows;
     const int cols = spec.cols;
     const int s_count = spec.sliceCount;
     const GemmWork work = localSliceWork(spec);
     const auto sides = sidesOf(spec);
-    const Bytes h_shard = sides[0].shardPerIter;
-    const Bytes v_shard = sides[1].shardPerIter;
+    const Bytes h_shard = sides[0].bytesPerIter;
+    const Bytes v_shard = sides[1].bytesPerIter;
 
     auto st = std::make_shared<OneSidedState>(mesh);
     st->chips.resize(static_cast<size_t>(rows) * cols);
@@ -730,25 +610,20 @@ buildOneSided(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
         };
     };
 
-    // Per-tile chains: gets(s) -> compute(s), with gets(s+1) pipelined
-    // over compute(s) unless SendRecv-style overlap is disabled (the
-    // real-TPUv4 mode serializes RDMA behind the consuming compute).
-    std::vector<int> prev_get(st->chips.size(), -1);
-    std::vector<int> prev_comp(st->chips.size(), -1);
+    // Per-tile pipelines: gets(s) feed compute(s), with gets(s+1)
+    // pipelined over compute(s) unless SendRecv-style overlap is
+    // disabled (the real-TPUv4 mode serializes RDMA behind the
+    // consuming compute).
+    std::vector<SlicePipeline> tiles(
+        st->chips.size(),
+        SlicePipeline(graph, sendRecvMode(cluster.config())));
     for (int s = 0; s < s_count; ++s) {
         for (int r = 0; r < rows; ++r) {
             for (int c = 0; c < cols; ++c) {
-                const size_t idx = static_cast<size_t>(r) * cols + c;
-                std::vector<int> gdeps;
-                if (prev_get[idx] >= 0)
-                    gdeps.push_back(prev_get[idx]);
-                if (!overlap && prev_comp[idx] >= 0)
-                    gdeps.push_back(prev_comp[idx]);
-                prev_get[idx] = graph.addTask(get_task(r, c), gdeps);
-                std::vector<int> cdeps{prev_get[idx]};
-                if (prev_comp[idx] >= 0)
-                    cdeps.push_back(prev_comp[idx]);
-                prev_comp[idx] = graph.addTask(comp_task(r, c), cdeps);
+                SlicePipeline &tile =
+                    tiles[static_cast<size_t>(r) * cols + c];
+                tile.feed(0, get_task(r, c));
+                tile.compute(comp_task(r, c));
             }
         }
     }
@@ -758,8 +633,8 @@ buildOneSided(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     // same convention as concurrent rings in the collective executors.
     // Costs nothing: it depends on tasks the graph waits for anyway.
     std::vector<int> finals;
-    for (int t : prev_comp)
-        if (t >= 0)
+    for (const SlicePipeline &tile : tiles)
+        for (int t : tile.tail())
             finals.push_back(t);
     graph.addTask(
         [st, state](std::function<void()> done) {
@@ -798,7 +673,7 @@ buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
         buildWang(graph, mesh, eff, accum);
         break;
       case Algorithm::kCannon:
-        buildCannon(graph, mesh, eff, accum);
+        buildCannon(graph, mesh, eff, accum, eff.rows);
         break;
       case Algorithm::kOneSided:
         buildOneSided(graph, mesh, eff, accum);
@@ -819,38 +694,19 @@ GemmExecutor::run(Algorithm algo, const Gemm2DSpec &spec)
     if (algo != Algorithm::kMeshSlice && algo != Algorithm::kOneSided)
         checked.sliceCount = 1;
     validateSpec(checked);
+    if (algo == Algorithm::kOneSided && spec.dataflow != Dataflow::kOS)
+        fatal("GemmExecutor: OneSided pulls into a stationary C tile, so "
+              "its dataflow must be OS, got %s",
+              dataflowName(spec.dataflow));
+    if (algo == Algorithm::kCannon && spec.rows != spec.cols)
+        fatal("GemmExecutor: Cannon requires a square mesh, got %dx%d",
+              spec.rows, spec.cols);
     Cluster &cluster = mesh_.cluster();
     GemmRunResult result;
-    bool finished = false;
-
     TaskGraph graph(cluster.sim(), &cluster.profiler());
     buildGemmSchedule(graph, mesh_, algo, spec, &result);
-
-    const double core_busy_before = sumCoreBusy(cluster);
-    const Time begin = cluster.sim().now();
-    // Timestamp the *graph's* completion, not the simulator's drain:
-    // a fault window whose end boundary outlives the GeMM (or a death
-    // watch armed past it) must not inflate the reported step time.
-    Time end = begin;
-    graph.start([&finished, &end, &cluster] {
-        finished = true;
-        end = cluster.sim().now();
-    });
-    cluster.sim().run();
-    if (!finished) {
-        // A requested stop is a deliberate abandonment (the elastic
-        // runtime's fail-stop handler fired mid-schedule): hand back a
-        // partial result the caller will discard. Anything else is the
-        // historical invariant violation.
-        if (cluster.sim().stopRequested()) {
-            result.time = cluster.sim().now() - begin;
-            return result;
-        }
-        panic("GemmExecutor: schedule did not drain");
-    }
-    result.time = end - begin;
-    finishRunTelemetry(cluster, algorithmName(algo), result,
-                       core_busy_before, cluster.numChips());
+    runAndMeasure(graph, cluster, "GemmExecutor", algorithmName(algo),
+                  result);
     return result;
 }
 
@@ -866,11 +722,7 @@ runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
               cluster.numChips());
 
     GemmRunResult result;
-    bool finished = false;
     result.flops = spec.totalFlops();
-    // The 1D baselines also overlap via SendRecv rotations, so the
-    // XLA-artifact mode (Sec 5.3.1) serializes them too.
-    const bool overlap = cfg.allowSendRecvOverlap;
 
     const int s_count = spec.sliceCount;
     // Slice the larger free dimension of the local GeMM.
@@ -888,82 +740,30 @@ runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
 
     auto shift_task = [&cluster, &ring, iter_bytes, bidir, &result](
                           std::function<void()> done) {
-        CommDone sink =
-            statsSink(&result, Dir::kHorizontal, std::move(done));
-        if (bidir) {
-            // shared_ptr for the same abandonment-safety reason as the
-            // 2D shift task above.
-            auto merged = std::make_shared<CommStats>();
-            Join *join = Join::create(2, [merged, sink] {
-                sink(*merged);
-            });
-            auto half_done = [merged, join](const CommStats &stats) {
-                merged->mergeParallel(stats);
-                join->signal();
-            };
-            ringShift(cluster, ring, iter_bytes / 2, true,
-                      kLaneHorizontalComm, half_done);
-            ringShift(cluster, ring, iter_bytes - iter_bytes / 2, false,
-                      kLaneHorizontalComm, half_done);
-        } else {
-            ringShift(cluster, ring, iter_bytes, true, kLaneHorizontalComm,
-                      sink);
-        }
+        splitShift(iter_bytes, bidir,
+                   statsSink(&result, Dir::kHorizontal, std::move(done)),
+                   [&cluster, &ring](Bytes bytes, bool forward,
+                                     CommDone half) {
+                       ringShift(cluster, ring, bytes, forward,
+                                 kLaneHorizontalComm, std::move(half));
+                   });
     };
     auto gemm_task = [&net, work](std::function<void()> done) {
         ringNetGemm(net, work, std::move(done));
     };
 
+    // The 1D baselines also overlap via SendRecv rotations, so the
+    // XLA-artifact mode (Sec 5.3.1) serializes them too.
     TaskGraph graph(cluster.sim(), &cluster.profiler());
-    int prev_shift = -1;
-    int prev_comp = -1;
+    SlicePipeline pipe(graph, sendRecvMode(cfg));
     for (int s = 0; s < s_count; ++s) {
-        if (!spec.commIsReduce) {
-            std::vector<int> sdeps;
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            if (!overlap && prev_comp >= 0)
-                sdeps.push_back(prev_comp);
-            prev_shift = graph.addTask(shift_task, sdeps);
-            std::vector<int> cdeps{prev_shift};
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, cdeps);
-        } else {
-            std::vector<int> cdeps;
-            if (prev_comp >= 0)
-                cdeps.push_back(prev_comp);
-            prev_comp = graph.addTask(gemm_task, cdeps);
-            std::vector<int> sdeps{prev_comp};
-            if (prev_shift >= 0)
-                sdeps.push_back(prev_shift);
-            prev_shift = graph.addTask(shift_task, sdeps);
-            if (!overlap)
-                prev_comp = prev_shift; // next compute waits the shift
-        }
+        if (!spec.commIsReduce)
+            pipe.feed(0, shift_task);
+        pipe.compute(gemm_task);
+        if (spec.commIsReduce)
+            pipe.drain(0, shift_task);
     }
-
-    const double core_busy_before = sumCoreBusy(cluster);
-    const Time begin = cluster.sim().now();
-    // As in GemmExecutor::run: the graph's completion time, not the
-    // simulator's drain time (fault-window boundaries may outlive it).
-    Time end = begin;
-    graph.start([&finished, &end, &cluster] {
-        finished = true;
-        end = cluster.sim().now();
-    });
-    cluster.sim().run();
-    if (!finished) {
-        // Same abandonment escape as GemmExecutor::run.
-        if (cluster.sim().stopRequested()) {
-            result.time = cluster.sim().now() - begin;
-            return result;
-        }
-        panic("runGemm1D: schedule did not drain");
-    }
-    result.time = end - begin;
-    finishRunTelemetry(cluster, algorithmName(algo), result,
-                       core_busy_before, cluster.numChips());
+    runAndMeasure(graph, cluster, "runGemm1D", algorithmName(algo), result);
     return result;
 }
 

@@ -71,6 +71,17 @@ class GemmExecutor
 void buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
                        const Gemm2DSpec &spec, GemmRunResult *accum);
 
+/**
+ * Append @p iterations systolic steps of Cannon's algorithm for @p spec
+ * (a square mesh; a full GeMM takes `spec.rows` steps) to @p graph,
+ * behind the floor(P/2)-rotation skew prologue, accumulating
+ * communication stats into @p accum. Every chain of the schedule
+ * starts after task @p after (-1: none). The 2.5D GeMM runs P/c steps
+ * per depth layer. @return the id of the last compute task.
+ */
+int buildCannon(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
+                GemmRunResult *accum, int iterations, int after = -1);
+
 /** Simulate a 1D baseline (`kOneDTP` semantics == `kFsdp`: the spec's
  *  comm matrix and local work differ, the schedule is the same).
  *  @p algo only labels the telemetry (per-algorithm overlap metrics in

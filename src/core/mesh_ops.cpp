@@ -1,40 +1,23 @@
 #include "core/mesh_ops.hpp"
 
-#include <memory>
-
-#include "sim/join.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
 
 namespace {
 
-/** Aggregates stats of concurrent symmetric ring ops, then fires. */
-struct RingFanout
-{
-    CommStats merged;
-    CommDone done;
-};
-
-/** Run @p issue on every ring of @p dir, merging the per-ring stats. */
+/** Run @p issue(ring, lane, ring_done) on every ring of @p dir. */
 template <typename IssueFn>
 void
-fanoutRings(TorusMesh &mesh, Dir dir, CommDone done, IssueFn issue)
+fanoutMesh(TorusMesh &mesh, Dir dir, CommDone done, IssueFn issue)
 {
-    const auto &rings = dir == Dir::kHorizontal ? mesh.rowRings()
-                                                : mesh.colRings();
-    auto state = std::make_shared<RingFanout>();
-    state->done = std::move(done);
-    Join *join = Join::create(static_cast<int>(rings.size()),
-                              [state] { state->done(state->merged); });
     const int lane = dir == Dir::kHorizontal ? kLaneHorizontalComm
                                              : kLaneVerticalComm;
-    for (const Ring &ring : rings) {
-        issue(ring, lane, [state, join](const CommStats &stats) {
-            state->merged.mergeParallel(stats);
-            join->signal();
-        });
-    }
+    fanoutRings(dir == Dir::kHorizontal ? mesh.rowRings() : mesh.colRings(),
+                std::move(done),
+                [&issue, lane](const Ring &ring, CommDone ring_done) {
+                    issue(ring, lane, std::move(ring_done));
+                });
 }
 
 } // namespace
@@ -44,17 +27,17 @@ meshCollective(TorusMesh &mesh, Dir dir, CollKind kind, Bytes shard_bytes,
                CommDone done)
 {
     Cluster &cluster = mesh.cluster();
-    fanoutRings(mesh, dir, std::move(done),
-                [&cluster, kind, shard_bytes](const Ring &ring, int lane,
-                                              CommDone ring_done) {
-                    if (kind == CollKind::kAllGather) {
-                        ringAllGather(cluster, ring, shard_bytes, lane,
-                                      std::move(ring_done));
-                    } else {
-                        ringReduceScatter(cluster, ring, shard_bytes, lane,
-                                          std::move(ring_done));
-                    }
-                });
+    fanoutMesh(mesh, dir, std::move(done),
+               [&cluster, kind, shard_bytes](const Ring &ring, int lane,
+                                             CommDone ring_done) {
+                   if (kind == CollKind::kAllGather) {
+                       ringAllGather(cluster, ring, shard_bytes, lane,
+                                     std::move(ring_done));
+                   } else {
+                       ringReduceScatter(cluster, ring, shard_bytes, lane,
+                                         std::move(ring_done));
+                   }
+               });
 }
 
 void
@@ -62,18 +45,18 @@ meshBroadcastReduce(TorusMesh &mesh, Dir dir, bool is_reduce, int root_pos,
                     Bytes payload_bytes, int packets, CommDone done)
 {
     Cluster &cluster = mesh.cluster();
-    fanoutRings(mesh, dir, std::move(done),
-                [&cluster, is_reduce, root_pos, payload_bytes,
-                 packets](const Ring &ring, int lane, CommDone ring_done) {
-                    const int root = root_pos % std::max(1, ring.size());
-                    if (is_reduce) {
-                        ringReduce(cluster, ring, root, payload_bytes,
-                                   packets, lane, std::move(ring_done));
-                    } else {
-                        ringBroadcast(cluster, ring, root, payload_bytes,
-                                      packets, lane, std::move(ring_done));
-                    }
-                });
+    fanoutMesh(mesh, dir, std::move(done),
+               [&cluster, is_reduce, root_pos, payload_bytes,
+                packets](const Ring &ring, int lane, CommDone ring_done) {
+                   const int root = root_pos % std::max(1, ring.size());
+                   if (is_reduce) {
+                       ringReduce(cluster, ring, root, payload_bytes,
+                                  packets, lane, std::move(ring_done));
+                   } else {
+                       ringBroadcast(cluster, ring, root, payload_bytes,
+                                     packets, lane, std::move(ring_done));
+                   }
+               });
 }
 
 void
@@ -81,12 +64,12 @@ meshShift(TorusMesh &mesh, Dir dir, Bytes block_bytes, bool forward,
           CommDone done)
 {
     Cluster &cluster = mesh.cluster();
-    fanoutRings(mesh, dir, std::move(done),
-                [&cluster, block_bytes, forward](const Ring &ring, int lane,
-                                                 CommDone ring_done) {
-                    ringShift(cluster, ring, block_bytes, forward, lane,
-                              std::move(ring_done));
-                });
+    fanoutMesh(mesh, dir, std::move(done),
+               [&cluster, block_bytes, forward](const Ring &ring, int lane,
+                                                CommDone ring_done) {
+                   ringShift(cluster, ring, block_bytes, forward, lane,
+                             std::move(ring_done));
+               });
 }
 
 void

@@ -9,16 +9,45 @@
 #define MESHSLICE_CORE_MESH_OPS_HPP_
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "core/spec.hpp"
 #include "hw/compute_model.hpp"
 #include "net/collectives.hpp"
 #include "net/topology.hpp"
+#include "sim/join.hpp"
 
 namespace meshslice {
 
 /** Mesh communication direction. */
 enum class Dir { kHorizontal, kVertical };
+
+/**
+ * Run @p issue(ring, ring_done) on every ring of @p rings concurrently;
+ * @p done receives the per-ring stats merged with `mergeParallel` (the
+ * rings are symmetric) once the last ring finished.
+ */
+template <typename IssueFn>
+void
+fanoutRings(const std::vector<Ring> &rings, CommDone done, IssueFn issue)
+{
+    struct Fanout
+    {
+        CommStats merged;
+        CommDone done;
+    };
+    auto state = std::make_shared<Fanout>();
+    state->done = std::move(done);
+    Join *join = Join::create(static_cast<int>(rings.size()),
+                              [state] { state->done(state->merged); });
+    for (const Ring &ring : rings) {
+        issue(ring, [state, join](const CommStats &stats) {
+            state->merged.mergeParallel(stats);
+            join->signal();
+        });
+    }
+}
 
 /**
  * Run an AllGather or ReduceScatter on every ring of @p dir with

@@ -46,6 +46,27 @@ TaskGraph::start(std::function<void()> all_done)
             launchTask(static_cast<int>(id));
 }
 
+Time
+TaskGraph::run(const char *who, bool *stopped)
+{
+    const Time begin = sim_.now();
+    Time end = begin;
+    bool finished = false;
+    start([this, &finished, &end] {
+        finished = true;
+        end = sim_.now();
+    });
+    sim_.run();
+    if (stopped != nullptr)
+        *stopped = !finished && sim_.stopRequested();
+    if (finished)
+        return end - begin;
+    if (stopped != nullptr && *stopped)
+        return sim_.now() - begin;
+    panic("%s: simulation drained with %d of %zu tasks incomplete", who,
+          remaining_, tasks_.size());
+}
+
 void
 TaskGraph::launchTask(int id)
 {
@@ -78,6 +99,75 @@ TaskGraph::completeTask(int id)
     }
     if (--remaining_ == 0)
         allDone_();
+}
+
+int
+SlicePipeline::add(TaskGraph::TaskFn fn, std::vector<int> deps)
+{
+    if (mode_ == Mode::kNone)
+        deps.assign(last_ >= 0 ? 1 : 0, last_);
+    if (deps.empty() && after_ >= 0)
+        deps.push_back(after_);
+    last_ = graph_.addTask(std::move(fn), std::move(deps));
+    return last_;
+}
+
+std::vector<int>
+SlicePipeline::gate() const
+{
+    std::vector<int> deps;
+    if (mode_ == Mode::kSerialized)
+        for (int d : drained_)
+            if (d >= 0)
+                deps.push_back(d);
+    if (deps.empty() && lastCompute_ >= 0)
+        deps.push_back(lastCompute_);
+    return deps;
+}
+
+void
+SlicePipeline::feed(int channel, TaskGraph::TaskFn fn)
+{
+    std::vector<int> deps;
+    if (feedChain_[channel] >= 0)
+        deps.push_back(feedChain_[channel]);
+    if (mode_ == Mode::kSerialized)
+        for (int g : gate())
+            deps.push_back(g);
+    feedChain_[channel] = fed_[channel] = add(std::move(fn), deps);
+}
+
+void
+SlicePipeline::compute(TaskGraph::TaskFn fn)
+{
+    std::vector<int> deps = gate();
+    for (int f : fed_)
+        if (f >= 0)
+            deps.push_back(f);
+    lastCompute_ = add(std::move(fn), std::move(deps));
+    for (int c = 0; c < kChannels; ++c)
+        fed_[c] = drained_[c] = -1;
+}
+
+void
+SlicePipeline::drain(int channel, TaskGraph::TaskFn fn)
+{
+    std::vector<int> deps;
+    if (lastCompute_ >= 0)
+        deps.push_back(lastCompute_);
+    if (drainChain_[channel] >= 0)
+        deps.push_back(drainChain_[channel]);
+    drainChain_[channel] = drained_[channel] = add(std::move(fn), deps);
+}
+
+std::vector<int>
+SlicePipeline::tail() const
+{
+    std::vector<int> ends(lastCompute_ >= 0 ? 1 : 0, lastCompute_);
+    for (int d : drained_)
+        if (d >= 0)
+            ends.push_back(d);
+    return ends;
 }
 
 } // namespace meshslice

@@ -319,31 +319,15 @@ runPipeline(PipelineCluster &pc, const PipelineExecSpec &spec)
     for (size_t i = 0; i < program.tasks.size(); ++i)
         add_compute(i);
 
-    bool finished = false;
-    const Time begin = sim.now();
-    // Timestamp the *schedule's* completion, not the simulator's
-    // drain: a fault window whose end boundary outlives the pipeline
-    // (or a deadline watch armed past it) must not inflate the
-    // reported step time.
-    Time end = begin;
-    graph.start([&finished, &end, &sim]() {
-        finished = true;
-        end = sim.now();
-    });
-    sim.run();
-    if (!finished) {
+    bool stopped = false;
+    const Time span = graph.run("runPipeline", &stopped);
+    if (stopped) {
         // A requested stop is a deliberate abandonment: hand back a
-        // partial result the caller will discard. Anything else is
-        // the historical invariant violation.
-        if (sim.stopRequested()) {
-            PipelineRunResult partial;
-            partial.time = sim.now() - begin;
-            return partial;
-        }
-        panic("runPipeline: simulation drained with %zu of %zu tasks "
-              "incomplete", program.tasks.size(), program.tasks.size());
+        // partial result the caller will discard.
+        PipelineRunResult partial;
+        partial.time = span;
+        return partial;
     }
-    const Time span = end - begin;
 
     PipelineRunResult result;
     result.time = span;

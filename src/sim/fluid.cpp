@@ -53,10 +53,7 @@ FluidNetwork::setCapacity(ResourceId id, double capacity)
         panic("FluidNetwork: capacity must be positive");
     // Settle the elapsed segment at the old capacity so busy/idle/
     // degraded seconds are attributed to the window they belong to.
-    if (eagerAccounting_)
-        advanceResourceAccounting();
-    else
-        settleResource(resources_.at(static_cast<size_t>(id)));
+    settleResource(resources_.at(static_cast<size_t>(id)));
     resources_.at(static_cast<size_t>(id)).capacity = capacity;
     markDirty();
 }
@@ -64,10 +61,7 @@ FluidNetwork::setCapacity(ResourceId id, double capacity)
 void
 FluidNetwork::setAvailable(ResourceId id, bool available)
 {
-    if (eagerAccounting_)
-        advanceResourceAccounting();
-    else
-        settleResource(resources_.at(static_cast<size_t>(id)));
+    settleResource(resources_.at(static_cast<size_t>(id)));
     resources_.at(static_cast<size_t>(id)).available = available;
     markDirty();
 }
@@ -185,10 +179,7 @@ FluidNetwork::cancelFlow(FlowId id)
     // Settle accounting so the work done before the abort stays
     // attributed to the correct window, then drop the flow without
     // invoking its completion callback.
-    if (eagerAccounting_)
-        advanceResourceAccounting();
-    else
-        settleFlowResources(it->second.demands);
+    settleFlowResources(it->second.demands);
     advanceFlow(it->second);
     sim_.cancel(it->second.completion);
     for (const auto &d : it->second.demands)
@@ -275,13 +266,6 @@ FluidNetwork::settleResource(Resource &res)
 }
 
 void
-FluidNetwork::advanceResourceAccounting()
-{
-    for (Resource &res : resources_)
-        settleResource(res);
-}
-
-void
 FluidNetwork::settleFlowResources(const std::vector<Demand> &demands)
 {
     // Settling twice at one timestamp is harmless (dt == 0), so no
@@ -296,10 +280,7 @@ FluidNetwork::finishFlow(FlowId id)
     auto it = flows_.find(id);
     if (it == flows_.end())
         return; // cancelled completion that raced with a reschedule
-    if (eagerAccounting_)
-        advanceResourceAccounting();
-    else
-        settleFlowResources(it->second.demands);
+    settleFlowResources(it->second.demands);
     advanceFlow(it->second);
     if (publishFlowInfo_) {
         // Stash the profiler view of this flow before it is erased;
@@ -412,23 +393,19 @@ FluidNetwork::recompute()
         }
     }
     // The waterfill scans members in increasing resource id (matching
-    // the legacy full-resource sweep, so tie-breaks — and therefore
-    // rates — are bit-identical to it).
+    // a full-resource scan, so tie-breaks — and therefore rates — agree
+    // with the reference waterfill in tests/test_fluid.cpp).
     std::sort(memberIds_.begin(), memberIds_.end());
 
     // Settle accounting for every resource whose load may change:
     // whatever the previous assignment loaded plus this round's
     // members. Untouched resources keep a constant load, so their
     // deferred segment is recovered exactly on the next settle or
-    // stats read. The eager mode already swept everything per event.
-    if (eagerAccounting_) {
-        advanceResourceAccounting();
-    } else {
-        for (ResourceId r : loadedIds_)
-            settleResource(resources_[static_cast<size_t>(r)]);
-        for (ResourceId r : memberIds_)
-            settleResource(resources_[static_cast<size_t>(r)]);
-    }
+    // stats read.
+    for (ResourceId r : loadedIds_)
+        settleResource(resources_[static_cast<size_t>(r)]);
+    for (ResourceId r : memberIds_)
+        settleResource(resources_[static_cast<size_t>(r)]);
 
     // Saturate-and-waterfill: repeatedly pick the most oversubscribed
     // resource and cut its heaviest consumers to an equal consumption
@@ -508,17 +485,10 @@ FluidNetwork::recompute()
     // Apply rates, reschedule completions, refresh resource loads —
     // zeroing only what the previous assignment loaded, accumulating
     // only over this round's members.
-    if (eagerAccounting_) {
-        for (Resource &res : resources_) {
-            res.load = 0.0;
-            res.soloLoad = 0.0;
-        }
-    } else {
-        for (ResourceId r : loadedIds_) {
-            Resource &res = resources_[static_cast<size_t>(r)];
-            res.load = 0.0;
-            res.soloLoad = 0.0;
-        }
+    for (ResourceId r : loadedIds_) {
+        Resource &res = resources_[static_cast<size_t>(r)];
+        res.load = 0.0;
+        res.soloLoad = 0.0;
     }
     for (size_t i = 0; i < n; ++i) {
         Flow &flow = *scratchFlows_[i];

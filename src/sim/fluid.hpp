@@ -28,14 +28,11 @@
  * up to date, instead of sweeping every registered resource at every
  * event. Between settles a resource's load is constant, so the deferred
  * segment is recovered exactly (`resourceStats` folds the unsettled
- * tail on read) and the conservation law `busy + idle == wall` holds to
- * the same tolerances as the eager sweep. Likewise the waterfill and
- * the load-refresh loops touch only the resources that current flows
- * actually demand. This turns the per-event cost from O(all resources)
- * into O(active members) — the difference between a 100-chip and a
- * 100k-chip torus being simulable. `setEagerAccounting(true)` restores
- * the legacy full sweep (benchmarks A/B the two; flow completion times
- * are identical in both modes).
+ * tail on read) and the conservation law `busy + idle == wall` holds.
+ * Likewise the waterfill and the load-refresh loops touch only the
+ * resources that current flows actually demand. This turns the
+ * per-event cost from O(all resources) into O(active members) — the
+ * difference between a 100-chip and a 100k-chip torus being simulable.
  */
 #ifndef MESHSLICE_SIM_FLUID_HPP_
 #define MESHSLICE_SIM_FLUID_HPP_
@@ -188,17 +185,6 @@ class FluidNetwork
     double flowRate(FlowId id) const;
 
     /**
-     * Restore the legacy per-event full accounting sweep (every
-     * registered resource settled at every flow event / recompute).
-     * Results are identical — flow completion times and event counts do
-     * not depend on the accounting mode — but the eager sweep costs
-     * O(resources) per event. Benchmarks use it as the "serial
-     * accounting" baseline of the event-batching comparison.
-     */
-    void setEagerAccounting(bool eager) { eagerAccounting_ = eager; }
-    bool eagerAccounting() const { return eagerAccounting_; }
-
-    /**
      * Publish per-flow critical-path info (binding resource, throttled
      * seconds, per-class solo floors) for the span-graph profiler.
      * Purely observational: rates, completion times and event counts
@@ -262,8 +248,6 @@ class FluidNetwork
     /** Settle one resource's busy/idle/contention/degraded integrals
      *  up to the current time (load is constant since `lastUpdate`). */
     void settleResource(Resource &res);
-    /** Legacy eager sweep: settle every registered resource. */
-    void advanceResourceAccounting();
     /** Settle the resources whose load is about to change: everything
      *  loaded by the previous rate assignment plus @p demands. */
     void settleFlowResources(const std::vector<Demand> &demands);
@@ -275,7 +259,6 @@ class FluidNetwork
     FlowMap flows_;
     FlowId nextFlowId_ = 1;
     bool dirty_ = false;
-    bool eagerAccounting_ = false;
     bool publishFlowInfo_ = false;
     FlowEndInfo lastFlowInfo_;
 

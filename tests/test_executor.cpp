@@ -265,8 +265,16 @@ TEST(Executor, WangBlockingSideLaunchesOnce)
 TEST(ExecutorDeath, CannonRequiresSquareMesh)
 {
     const ChipConfig cfg = tpuV4Config();
-    EXPECT_DEATH(runOn(cfg, Algorithm::kCannon, testSpec(4, 8, 4)),
-                 "square");
+    EXPECT_EXIT(runOn(cfg, Algorithm::kCannon, testSpec(4, 8, 4)),
+                testing::ExitedWithCode(1), "Cannon requires a square mesh");
+}
+
+TEST(ExecutorDeath, OneSidedRequiresOutputStationary)
+{
+    const ChipConfig cfg = tpuV4Config();
+    EXPECT_EXIT(runOn(cfg, Algorithm::kOneSided,
+                      testSpec(2, 2, 2, Dataflow::kLS)),
+                testing::ExitedWithCode(1), "dataflow must be OS, got LS");
 }
 
 TEST(Executor, CannonPaysSkewPrologue)

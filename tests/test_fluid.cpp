@@ -1,10 +1,19 @@
 /**
  * @file
  * Tests of the fluid resource-sharing network: solo rates, fair
- * sharing, water-filling (work conservation), accounting, and the
- * NIC-vs-core HBM contention scenario the TPU model depends on.
+ * sharing, water-filling (work conservation), accounting, the
+ * NIC-vs-core HBM contention scenario the TPU model depends on, and a
+ * property test of the incremental waterfill against a plain
+ * full-scan reference.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
@@ -162,6 +171,130 @@ TEST_F(FluidTest, RatesRecomputeOnArrival)
     sim.schedule(5.0, [&] { net.startFlow(5000.0, {{r, 1.0}}, [] {}); });
     sim.run();
     EXPECT_NEAR(end_first, 15.0, 1e-9);
+}
+
+/**
+ * Reference saturate-and-waterfill over every resource: flows start at
+ * their solo rate; while a resource is oversubscribed, the most
+ * oversubscribed one (lowest id on ties) cuts its heaviest consumers
+ * to the equal consumption level that exactly fills its capacity. The
+ * simulator's waterfill only visits the resources current flows
+ * demand, settles lazily and reuses scratch state; its rates must
+ * match this plain version.
+ */
+std::vector<double>
+referenceRates(const std::vector<double> &capacity,
+               const std::vector<std::vector<Demand>> &flows)
+{
+    std::vector<double> rate(flows.size(), 1e300);
+    for (size_t i = 0; i < flows.size(); ++i)
+        for (const Demand &d : flows[i])
+            rate[i] = std::min(rate[i], capacity[d.resource] / d.perUnit);
+    std::vector<char> processed(capacity.size(), 0);
+    for (;;) {
+        int worst = -1;
+        double worst_ratio = 1.0 + 1e-9;
+        for (size_t r = 0; r < capacity.size(); ++r) {
+            if (processed[r])
+                continue;
+            double load = 0.0;
+            for (size_t i = 0; i < flows.size(); ++i)
+                for (const Demand &d : flows[i])
+                    if (d.resource == static_cast<ResourceId>(r))
+                        load += d.perUnit * rate[i];
+            if (load / capacity[r] > worst_ratio) {
+                worst_ratio = load / capacity[r];
+                worst = static_cast<int>(r);
+            }
+        }
+        if (worst < 0)
+            return rate;
+        processed[static_cast<size_t>(worst)] = 1;
+        // (consumption, flow, demand coefficient) of the flows on worst.
+        std::vector<std::pair<double, std::pair<size_t, double>>> on;
+        for (size_t i = 0; i < flows.size(); ++i)
+            for (const Demand &d : flows[i])
+                if (d.resource == worst)
+                    on.push_back({d.perUnit * rate[i], {i, d.perUnit}});
+        std::sort(on.begin(), on.end());
+        double below = 0.0;
+        double level = 0.0;
+        for (size_t k = 0; k < on.size(); ++k) {
+            level = (capacity[static_cast<size_t>(worst)] - below) /
+                    static_cast<double>(on.size() - k);
+            if (on[k].first > level)
+                break;
+            below += on[k].first;
+        }
+        for (const auto &[c, flow] : on)
+            if (c > level)
+                rate[flow.first] =
+                    std::min(rate[flow.first], level / flow.second);
+    }
+}
+
+TEST(FluidProperty, RatesMatchTheReferenceWaterfill)
+{
+    std::mt19937_64 rng(20250614);
+    auto uniform = [&rng](double lo, double hi) {
+        return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    auto below = [&rng](int n) {
+        return static_cast<int>(rng() % static_cast<unsigned>(n));
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        Simulator sim;
+        FluidNetwork net(sim);
+        std::vector<double> capacity(static_cast<size_t>(1 + below(12)));
+        for (double &c : capacity) {
+            c = uniform(1.0, 100.0);
+            net.addResource("r", c);
+        }
+        // Two rounds per trial: a random flow set, then some flows
+        // cancelled and new ones started on top of it.
+        std::map<FlowId, std::vector<Demand>> active;
+        for (int round = 0; round < 2; ++round) {
+            for (auto it = active.begin(); it != active.end();) {
+                if (below(3) == 0) {
+                    net.cancelFlow(it->first);
+                    it = active.erase(it);
+                } else {
+                    ++it;
+                }
+            }
+            const int count = 1 + below(16);
+            for (int f = 0; f < count; ++f) {
+                std::vector<ResourceId> ids(capacity.size());
+                for (size_t r = 0; r < ids.size(); ++r)
+                    ids[r] = static_cast<ResourceId>(r);
+                std::shuffle(ids.begin(), ids.end(), rng);
+                std::vector<Demand> demands;
+                const int width =
+                    1 + below(std::min<int>(4, static_cast<int>(ids.size())));
+                for (int d = 0; d < width; ++d)
+                    demands.push_back({ids[static_cast<size_t>(d)],
+                                       uniform(0.25, 4.0)});
+                // Sized so that nothing completes within the check.
+                const FlowId id = net.startFlow(1e15, demands, [] {});
+                active[id] = demands;
+            }
+            sim.runUntil(sim.now() + 1e-6);
+
+            std::vector<std::vector<Demand>> flows;
+            for (const auto &entry : active)
+                flows.push_back(entry.second);
+            const std::vector<double> expected =
+                referenceRates(capacity, flows);
+            size_t i = 0;
+            for (const auto &entry : active) {
+                const double got = net.flowRate(entry.first);
+                EXPECT_NEAR(got, expected[i], 1e-12 * expected[i])
+                    << "trial " << trial << " round " << round
+                    << " flow " << entry.first;
+                ++i;
+            }
+        }
+    }
 }
 
 } // namespace

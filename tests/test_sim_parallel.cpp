@@ -3,8 +3,7 @@
  * The parallel-simulation PR's contract: concurrent candidate
  * simulations are safe (run this under TSan) and bit-deterministic —
  * tuner picks, SearchTrace files and merged stats registries must not
- * depend on the thread count — and the batched fluid accounting is
- * observationally identical to the legacy eager sweep while keeping
+ * depend on the thread count — and the batched fluid accounting keeps
  * the busy+idle==wall conservation law exact. Also covers the event
  * queue's lazy-cancellation heap against a reference ordering and the
  * arena allocator backing per-run event/flow storage.
@@ -173,47 +172,7 @@ TEST(SimParallel, ArenaRecyclesFreedBlocks)
 }
 
 // ---------------------------------------------------------------------
-// Batched fluid accounting: identical to eager, conservation exact.
-
-struct TorusRun
-{
-    Time time = 0.0;
-    std::uint64_t events = 0;
-};
-
-TorusRun
-runTorusGemm(bool eager, FluidNetwork **net_out = nullptr,
-             Cluster *cluster = nullptr)
-{
-    static const ChipConfig cfg = tpuV4Config();
-    Cluster local(cfg, 64);
-    Cluster &cl = cluster ? *cluster : local;
-    cl.net().setEagerAccounting(eager);
-    TorusMesh mesh(cl, 8, 8);
-    Gemm2DSpec spec;
-    spec.m = 4096;
-    spec.k = 2048;
-    spec.n = 4096;
-    spec.rows = 8;
-    spec.cols = 8;
-    spec.sliceCount = 2;
-    GemmExecutor exec(mesh);
-    exec.run(Algorithm::kMeshSlice, spec);
-    if (net_out)
-        *net_out = &cl.net();
-    return {cl.sim().now(), cl.sim().eventsProcessed()};
-}
-
-TEST(SimParallel, EagerAndBatchedAccountingBitIdentical)
-{
-    // Lazy settlement must not change what the simulation *does* —
-    // flow completion times and the event schedule are bit-identical.
-    const TorusRun batched = runTorusGemm(/*eager=*/false);
-    const TorusRun eager = runTorusGemm(/*eager=*/true);
-    EXPECT_EQ(batched.time, eager.time);
-    EXPECT_EQ(batched.events, eager.events);
-    EXPECT_GT(batched.events, 0u);
-}
+// Batched fluid accounting: conservation exact.
 
 TEST(SimParallel, ConservationExactUnderBatchedAccounting)
 {
@@ -222,15 +181,23 @@ TEST(SimParallel, ConservationExactUnderBatchedAccounting)
     // most were never touched by the final settlement sweep.
     const ChipConfig cfg = tpuV4Config();
     Cluster cluster(cfg, 64);
-    const TorusRun run =
-        runTorusGemm(/*eager=*/false, nullptr, &cluster);
-    ASSERT_GT(run.time, 0.0);
+    TorusMesh mesh(cluster, 8, 8);
+    Gemm2DSpec spec;
+    spec.m = 4096;
+    spec.k = 2048;
+    spec.n = 4096;
+    spec.rows = 8;
+    spec.cols = 8;
+    spec.sliceCount = 2;
+    GemmExecutor(mesh).run(Algorithm::kMeshSlice, spec);
+    const Time time = cluster.sim().now();
+    ASSERT_GT(time, 0.0);
     const FluidNetwork &net = cluster.net();
     ASSERT_GT(net.resourceCount(), 0u);
     for (size_t id = 0; id < net.resourceCount(); ++id) {
         const ResourceStats rs =
             net.resourceStats(static_cast<ResourceId>(id));
-        const double wall = run.time - rs.createdAt;
+        const double wall = time - rs.createdAt;
         EXPECT_NEAR(rs.busyTime + rs.idleTime, wall, 1e-9 * wall + 1e-15)
             << rs.name;
     }

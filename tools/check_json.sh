@@ -190,7 +190,7 @@ if [ -n "$micro_bin" ]; then
     "$micro_bin" --smoke > micro_kernels.out
     check_file BENCH_kernels.json
     # The sim_throughput section (parallel-simulation PR) must be
-    # present, with the bench's own identity/determinism checks true.
+    # present, with the bench's own determinism check true.
     if "$python3" - BENCH_kernels.json <<'EOF'
 import json, sys
 
@@ -199,12 +199,10 @@ with open(sys.argv[1]) as fh:
 sim = doc.get("sim_throughput")
 if sim is None:
     sys.exit("BENCH_kernels.json: missing sim_throughput section")
-for key in ("batched", "eager", "identity_check", "candidates"):
+for key in ("batched", "candidates"):
     if key not in sim:
         sys.exit("BENCH_kernels.json: sim_throughput missing %r" % key)
 checks = {
-    "identical_time": sim["identity_check"].get("identical_time"),
-    "identical_events": sim["identity_check"].get("identical_events"),
     "picks_identical": sim["candidates"].get("picks_identical"),
 }
 bad = [k for k, v in checks.items() if v is not True]

@@ -4,8 +4,8 @@
 # every BENCH_*.json artifact via the `check-json` target of the
 # Release build — including the smoke run of the sim-throughput
 # microbenchmark, whose BENCH_kernels.json must carry a valid
-# sim_throughput section (batched-accounting identity and
-# thread-count-invariant robust picks are checked inside it). Every
+# sim_throughput section (thread-count-invariant robust picks are
+# checked inside it). Every
 # ctest pass also runs the `sim-throughput-smoke`- and
 # `profiler-smoke`-labelled tests, so the concurrent-candidate path
 # and the critical-path recorder execute under both sanitizers. The
