@@ -1,15 +1,23 @@
 /**
  * @file
- * Golden simulated times of every timed GeMM schedule.
+ * Golden tables of the timed and the functional GeMM runtimes.
  *
- * Each case runs one schedule (a 2D algorithm and dataflow on 4x4 and
- * 2x3 at S=2, the 1D rings, 2.5D and MeshSlice+DP) under the default
- * `ChipConfig` and with each overlap/ICI switch turned off, and prints
- * the time and both directions' `CommStats::total` in hex-float. The
- * committed table `golden/schedule_times.txt` pins them bit for bit,
- * so a refactor of the schedule builders or the simulator must
- * reproduce every one exactly. To inspect a deliberate change, set
- * `MESHSLICE_GOLDEN_OUT=<path>` to write the computed table there.
+ * `golden/schedule_times.txt`: each case runs one timed schedule (a 2D
+ * algorithm and dataflow on 4x4 and 2x3 at S=2, the 1D rings, 2.5D and
+ * MeshSlice+DP) under the default `ChipConfig` and with each
+ * overlap/ICI switch turned off, and prints the time and both
+ * directions' `CommStats::total` in hex-float.
+ *
+ * `golden/functional_outputs.txt`: each case runs one functional GeMM
+ * (a 2D algorithm and dataflow on 4x4 and 2x3 at S=1 and S=2, 2.5D at
+ * depth 1 and 2, the 1D baselines) on seeded random inputs and prints
+ * the FNV-1a digest of the gathered output's float bits.
+ *
+ * The committed tables pin both runtimes bit for bit, so a refactor of
+ * the schedule builders, the simulator or the functional algorithms
+ * must reproduce every line exactly. To inspect a deliberate change,
+ * set `MESHSLICE_GOLDEN_OUT=<dir>` to write the computed tables there
+ * under their committed names.
  */
 #include <gtest/gtest.h>
 
@@ -17,11 +25,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/dp3d.hpp"
 #include "core/executor.hpp"
+#include "gemm/functional_gemm.hpp"
+#include "util/fingerprint.hpp"
 
 namespace meshslice {
 namespace {
@@ -106,6 +117,31 @@ casesFor(const std::string &cfg_name, const ChipConfig &cfg)
     return out;
 }
 
+/**
+ * Compare @p actual with the committed table `golden/<file>` line by
+ * line, after writing it to `$MESHSLICE_GOLDEN_OUT/<file>` if set.
+ */
+void
+expectMatchesTable(const std::string &file,
+                   const std::vector<std::string> &actual)
+{
+    if (const char *dir = std::getenv("MESHSLICE_GOLDEN_OUT")) {
+        std::ofstream out(std::string(dir) + "/" + file);
+        for (const std::string &l : actual)
+            out << l << "\n";
+    }
+
+    std::ifstream table(std::string(MESHSLICE_GOLDEN_DIR "/") + file);
+    ASSERT_TRUE(table.good()) << "missing " MESHSLICE_GOLDEN_DIR "/"
+                              << file;
+    std::vector<std::string> expected;
+    for (std::string l; std::getline(table, l);)
+        expected.push_back(l);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i)
+        EXPECT_EQ(actual[i], expected[i]);
+}
+
 TEST(GoldenSchedules, SimulatedTimesMatchTheCommittedTable)
 {
     std::vector<std::pair<std::string, ChipConfig>> configs;
@@ -121,22 +157,111 @@ TEST(GoldenSchedules, SimulatedTimesMatchTheCommittedTable)
     for (const auto &[name, cfg] : configs)
         for (std::string &l : casesFor(name, cfg))
             actual.push_back(std::move(l));
+    expectMatchesTable("schedule_times.txt", actual);
+}
 
-    if (const char *out = std::getenv("MESHSLICE_GOLDEN_OUT")) {
-        std::ofstream file(out);
-        for (const std::string &l : actual)
-            file << l << "\n";
+/** FNV-1a digest of @p m's float bits. */
+std::string
+digestOf(const Matrix &m)
+{
+    return fnv1a64Hex(std::string_view(
+        reinterpret_cast<const char *>(m.data()),
+        static_cast<size_t>(m.rows() * m.cols()) * sizeof(float)));
+}
+
+/** The functional 2D GeMM of @p algo for @p df at @p s slices. */
+DistMatrix
+runFunctional(Algorithm algo, Dataflow df, const DistMatrix &a,
+              const DistMatrix &b, int s, int block)
+{
+    switch (algo) {
+      case Algorithm::kMeshSlice:
+        return df == Dataflow::kOS   ? funcMeshSliceOS(a, b, s, block)
+               : df == Dataflow::kLS ? funcMeshSliceLS(a, b, s, block)
+                                     : funcMeshSliceRS(a, b, s, block);
+      case Algorithm::kCollective:
+        return df == Dataflow::kOS   ? funcCollectiveOS(a, b)
+               : df == Dataflow::kLS ? funcCollectiveLS(a, b)
+                                     : funcCollectiveRS(a, b);
+      case Algorithm::kSumma:
+        return df == Dataflow::kOS   ? funcSummaOS(a, b)
+               : df == Dataflow::kLS ? funcSummaLS(a, b)
+                                     : funcSummaRS(a, b);
+      case Algorithm::kWang:
+        return df == Dataflow::kOS   ? funcWangOS(a, b)
+               : df == Dataflow::kLS ? funcWangLS(a, b)
+                                     : funcWangRS(a, b);
+      case Algorithm::kCannon:
+        return funcCannon(a, b);
+      case Algorithm::kOneSided:
+        return funcOneSidedOS(a, b, s, block);
+      default:
+        break;
     }
+    ADD_FAILURE() << "not a 2D algorithm: " << algorithmName(algo);
+    return {};
+}
 
-    std::ifstream table(MESHSLICE_GOLDEN_DIR "/schedule_times.txt");
-    ASSERT_TRUE(table.good()) << "missing " MESHSLICE_GOLDEN_DIR
-                                 "/schedule_times.txt";
-    std::vector<std::string> expected;
-    for (std::string l; std::getline(table, l);)
-        expected.push_back(l);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < actual.size(); ++i)
-        EXPECT_EQ(actual[i], expected[i]);
+TEST(GoldenFunctional, OutputsMatchTheCommittedTable)
+{
+    // Distinct dimensions, each a multiple of 48, so every sliced
+    // extent divides on both meshes at S=2, B=2 and every SUMMA panel
+    // count lcm(Pr, Pc) divides.
+    const std::int64_t m = 144, k = 96, n = 48;
+    const int block = 2;
+    std::vector<std::string> actual;
+    const int meshes[][2] = {{4, 4}, {2, 3}};
+    for (const auto &mesh : meshes) {
+        const MeshShape shape{mesh[0], mesh[1]};
+        for (Algorithm algo : all2DAlgorithms()) {
+            if (algo == Algorithm::kCannon && mesh[0] != mesh[1])
+                continue;
+            for (Dataflow df : {Dataflow::kOS, Dataflow::kLS, Dataflow::kRS}) {
+                if ((algo == Algorithm::kOneSided ||
+                     algo == Algorithm::kCannon) &&
+                    df != Dataflow::kOS)
+                    continue;
+                // OS: C = A B; LS: C = A B^T; RS: C = A^T B.
+                const Matrix a = df == Dataflow::kRS
+                                     ? Matrix::random(k, m, 1)
+                                     : Matrix::random(m, k, 1);
+                const Matrix b = df == Dataflow::kLS
+                                     ? Matrix::random(n, k, 2)
+                                     : Matrix::random(k, n, 2);
+                for (int s : {1, 2}) {
+                    Gemm2DSpec spec;
+                    spec.m = m;
+                    spec.k = k;
+                    spec.n = n;
+                    spec.dataflow = df;
+                    spec.rows = mesh[0];
+                    spec.cols = mesh[1];
+                    spec.sliceCount = s;
+                    const Matrix c =
+                        runFunctional(algo, df,
+                                      DistMatrix::scatter(a, shape),
+                                      DistMatrix::scatter(b, shape), s,
+                                      block)
+                            .gather();
+                    actual.push_back(std::string(algorithmName(algo)) +
+                                     " " + spec.str() + " " +
+                                     digestOf(c));
+                }
+            }
+        }
+    }
+    const MeshShape square{4, 4};
+    const Matrix a = Matrix::random(m, k, 1);
+    const Matrix b = Matrix::random(k, n, 2);
+    for (int depth : {1, 2})
+        actual.push_back(
+            "2.5D 4x4x" + std::to_string(depth) + " " +
+            digestOf(func25DGemm(DistMatrix::scatter(a, square),
+                                 DistMatrix::scatter(b, square), depth)
+                         .gather()));
+    actual.push_back("1DTP 4 " + digestOf(Matrix::hcat(func1DTP(a, b, 4))));
+    actual.push_back("FSDP 4 " + digestOf(Matrix::vcat(funcFsdp(a, b, 4))));
+    expectMatchesTable("functional_outputs.txt", actual);
 }
 
 } // namespace
