@@ -76,7 +76,7 @@ gemmMemoryFootprint(Algorithm algo, const Gemm2DSpec &spec)
       case Algorithm::kSumma: {
         // Per-iteration broadcast panels (1/P of the row/col share),
         // double-buffered; reduce sides stage symmetric partials.
-        const Bytes p_iter = std::max(spec.rows, spec.cols);
+        const Bytes p_iter = summaIterations(spec.rows, spec.cols);
         fp.gatherBuffers = 2 * (h_panel + v_panel) / p_iter;
         return fp;
       }

@@ -163,6 +163,12 @@ slicedDim(const Gemm2DSpec &spec)
     panic("slicedDim: bad dataflow");
 }
 
+int
+summaIterations(int rows, int cols)
+{
+    return std::lcm(rows, cols);
+}
+
 namespace {
 
 void

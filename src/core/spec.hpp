@@ -134,6 +134,12 @@ std::int64_t slicedDim(const Gemm2DSpec &spec);
 std::vector<int> validSliceCounts(const ChipConfig &cfg,
                                   const Gemm2DSpec &spec, int max_s = 64);
 
+/**
+ * SUMMA's panel iteration count on a `rows x cols` mesh: the matrices
+ * split into P x P panels, P = lcm(Pr, Pc) (Sec 2.3.3).
+ */
+int summaIterations(int rows, int cols);
+
 /** A 1D distributed GeMM (1D TP or FSDP baseline, Sec 4.3). */
 struct Gemm1DSpec
 {

@@ -64,6 +64,20 @@ TEST(MemoryModel, SummaUsesSmallPanels)
     EXPECT_LT(summa.gatherBuffers, coll.gatherBuffers);
 }
 
+TEST(MemoryModel, SummaPanelsFollowTheExecutorsIterationCount)
+{
+    // On 2x3 SUMMA broadcasts lcm(2, 3) = 6 panels per direction, so
+    // each double-buffered panel is a sixth of the row/column share.
+    Gemm2DSpec spec;
+    spec.m = spec.k = spec.n = 6144;
+    spec.rows = 2;
+    spec.cols = 3;
+    const Bytes h_panel = spec.m * spec.k * 2 / spec.rows;
+    const Bytes v_panel = spec.k * spec.n * 2 / spec.cols;
+    EXPECT_EQ(gemmMemoryFootprint(Algorithm::kSumma, spec).gatherBuffers,
+              2 * (h_panel + v_panel) / 6);
+}
+
 TEST(MemoryModel, CannonBuffersAreShardSized)
 {
     Gemm2DSpec spec = bigSpec(1);
