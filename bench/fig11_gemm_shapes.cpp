@@ -24,7 +24,8 @@ bestSpecFor(const CostModel &cost, Algorithm algo, const FcGemm &gemm,
     Gemm2DSpec best;
     Time best_t = 1e300;
     for (auto [rows, cols] : meshShapesOf(chips)) {
-        if (algo == Algorithm::kCannon && rows != cols)
+        if (!supportsMesh(algo, static_cast<int>(rows),
+                          static_cast<int>(cols)))
             continue;
         if (!shapeFeasible(gemm, static_cast<int>(rows),
                            static_cast<int>(cols)))
@@ -85,7 +86,7 @@ main()
             double u_ms = 0, u_coll = 0, u_wang = 0;
             for (Algorithm algo : algos) {
                 const Dataflow adf =
-                    algo == Algorithm::kCannon ? Dataflow::kOS : df;
+                    supportsDataflow(algo, df) ? df : Dataflow::kOS;
                 Gemm2DSpec spec =
                     bestSpecFor(cost, algo, entry.gemm, adf, chips);
                 GemmRunResult res = simulateOneGemm(cfg, algo, spec);

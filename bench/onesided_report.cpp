@@ -3,8 +3,8 @@
  * One-sided sliced GeMM report: what does RDMA-style per-tile pulling
  * buy, and what does it cost?
  *
- *  - Functional identity: `funcOneSidedOS` against the dense reference
- *    and bit-exact against MeshSlice's sliced reduction.
+ *  - Functional identity: functional OneSided against the dense
+ *    reference and bit-exact against MeshSlice's sliced reduction.
  *  - Fault-free parity: the timed OneSided executor against the sliced
  *    collectives on the paper GeMM — shortest-path gets carry 4/3 of
  *    the bidirectional ring's per-link bytes but pay zero sync steps,
@@ -35,7 +35,7 @@
 
 #include "bench/common.hpp"
 #include "core/fault_study.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "sim/fault.hpp"
 #include "tuner/robust.hpp"
 #include "tuner/search_trace.hpp"
@@ -103,10 +103,12 @@ main(int argc, char **argv)
         const Matrix ref = Matrix::gemm(a, b);
         const DistMatrix da = DistMatrix::scatter(a, fmesh);
         const DistMatrix db = DistMatrix::scatter(b, fmesh);
-        const DistMatrix os = funcOneSidedOS(da, db, 4, 2);
+        const DistMatrix os =
+            funcGemm(Algorithm::kOneSided, Dataflow::kOS, da, db, 4, 2);
         functional_identity =
             functional_identity && os.gather().allClose(ref, 2e-3);
-        const DistMatrix ms = funcMeshSliceOS(da, db, 4, 2);
+        const DistMatrix ms =
+            funcGemm(Algorithm::kMeshSlice, Dataflow::kOS, da, db, 4, 2);
         functional_identity = functional_identity &&
                               os.gather().maxAbsDiff(ms.gather()) == 0.0;
     }

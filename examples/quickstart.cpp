@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/executor.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 
 using namespace meshslice;
 
@@ -28,7 +28,8 @@ main()
 
     DistMatrix da = DistMatrix::scatter(a, mesh_shape);
     DistMatrix db = DistMatrix::scatter(b, mesh_shape);
-    DistMatrix dc = funcMeshSliceOS(da, db, slice_count, block);
+    DistMatrix dc = funcGemm(Algorithm::kMeshSlice, Dataflow::kOS, da, db,
+                             slice_count, block);
 
     Matrix reference = Matrix::gemm(a, b);
     std::printf("MeshSlice OS on a %dx%d mesh, S=%d: max |diff| vs dense "

@@ -95,7 +95,7 @@ run25DGemm(Torus3D &torus, std::int64_t m, std::int64_t k, std::int64_t n,
     Cluster &cluster = torus.cluster();
     const int p = torus.rows();
     const int c_depth = torus.depth();
-    if (torus.rows() != torus.cols())
+    if (!supportsMesh(Algorithm::kCannon, torus.rows(), torus.cols()))
         panic("run25DGemm: 2.5D requires a square base mesh, got %dx%d",
               torus.rows(), torus.cols());
     if (p % c_depth != 0)

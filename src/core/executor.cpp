@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <string>
 
 #include "core/mesh_ops.hpp"
@@ -247,23 +246,21 @@ buildSliced(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
 }
 
 /**
- * SUMMA: the matrices are split into P x P shards (P a common multiple
- * of Pr and Pc, Sec 2.3.3), giving P communication iterations of
+ * SUMMA: the matrices are split into P x P shards (P =
+ * `summaIterations`, Sec 2.3.3), giving P communication iterations of
  * pipelined bcast/reduce per direction — the O(P^2) synchronization
  * cost. Loop unrolling (Sec 4.2) merges the *computation* into the
- * autotuned S groups but leaves the fine-grain communication in place:
- * group g computes iterations [g*P/S, (g+1)*P/S).
+ * S <= P groups of `spec.sliceCount` but leaves the fine-grain
+ * communication in place: group g computes iterations
+ * [g*P/S, (g+1)*P/S).
  */
 void
 buildSumma(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
            GemmRunResult *state)
 {
-    const int p_iter =
-        static_cast<int>(std::lcm(spec.rows, spec.cols));
-    const int s_count = std::min(spec.sliceCount, p_iter);
-    Gemm2DSpec comp_spec = spec;
-    comp_spec.sliceCount = s_count;
-    const GemmWork work = localSliceWork(comp_spec);
+    const int p_iter = summaIterations(spec.rows, spec.cols);
+    const int s_count = spec.sliceCount;
+    const GemmWork work = localSliceWork(spec);
 
     // Per-direction, per-communication-iteration payload of one ring.
     const FlowSide h = horizontalFlow(spec);
@@ -311,14 +308,7 @@ buildWang(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
     const int s_count = spec.sliceCount;
     const GemmWork work = localSliceWork(spec);
     const auto sides = sidesOf(spec);
-
-    // Per-link traffic of each direction decides which one to overlap.
-    auto link_traffic = [](const Side &side) {
-        return static_cast<double>(side.bytesPerIter) *
-               static_cast<double>(side.ringSize - 1);
-    };
-    const size_t ov = link_traffic(sides[0]) >= link_traffic(sides[1]) ? 0
-                                                                       : 1;
+    const size_t ov = wangOverlapsHorizontal(spec) ? 0 : 1;
     const Side &ov_side = sides[ov];
     const Side &bl_side = sides[1 - ov];
 
@@ -371,7 +361,7 @@ int
 buildCannon(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
             GemmRunResult *accum, int iterations, int after)
 {
-    if (spec.rows != spec.cols)
+    if (!supportsMesh(Algorithm::kCannon, spec.rows, spec.cols))
         panic("Cannon requires a square mesh, got %dx%d", spec.rows,
               spec.cols);
     const int p = spec.rows;
@@ -448,9 +438,6 @@ void
 buildOneSided(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
               GemmRunResult *state)
 {
-    if (spec.dataflow != Dataflow::kOS)
-        panic("OneSided pulls into a stationary C tile: dataflow must "
-              "be OS, got %s", dataflowName(spec.dataflow));
     Cluster &cluster = mesh.cluster();
     const int rows = spec.rows;
     const int cols = spec.cols;
@@ -656,14 +643,16 @@ buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
     if (spec.rows != mesh.rows() || spec.cols != mesh.cols())
         panic("buildGemmSchedule: spec mesh %dx%d != topology %dx%d",
               spec.rows, spec.cols, mesh.rows(), mesh.cols());
+    if (!supportsDataflow(algo, spec.dataflow) ||
+        !supportsMesh(algo, spec.rows, spec.cols))
+        panic("buildGemmSchedule: %s cannot run %s", algorithmName(algo),
+              spec.str().c_str());
     accum->flops += spec.totalFlops();
     Gemm2DSpec eff = spec;
+    eff.sliceCount = effectiveSliceCount(algo, spec);
     switch (algo) {
       case Algorithm::kMeshSlice:
-        buildSliced(graph, mesh, eff, accum);
-        break;
       case Algorithm::kCollective:
-        eff.sliceCount = 1;
         buildSliced(graph, mesh, eff, accum);
         break;
       case Algorithm::kSumma:
@@ -673,7 +662,7 @@ buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
         buildWang(graph, mesh, eff, accum);
         break;
       case Algorithm::kCannon:
-        buildCannon(graph, mesh, eff, accum, eff.rows);
+        buildCannon(graph, mesh, eff, accum, eff.sliceCount);
         break;
       case Algorithm::kOneSided:
         buildOneSided(graph, mesh, eff, accum);
@@ -687,20 +676,18 @@ buildGemmSchedule(TaskGraph &graph, TorusMesh &mesh, Algorithm algo,
 GemmRunResult
 GemmExecutor::run(Algorithm algo, const Gemm2DSpec &spec)
 {
-    // Only MeshSlice and OneSided consume the slice count; the
-    // baselines ignore it, so don't hold them to its divisibility
-    // constraint.
+    if (!supportsDataflow(algo, spec.dataflow))
+        fatal("GemmExecutor: %s runs output-stationary only, so its "
+              "dataflow must be OS, got %s",
+              algorithmName(algo), dataflowName(spec.dataflow));
+    if (!supportsMesh(algo, spec.rows, spec.cols))
+        fatal("GemmExecutor: %s requires a square mesh, got %dx%d",
+              algorithmName(algo), spec.rows, spec.cols);
+    // Hold every algorithm to the divisibility of the slice count it
+    // runs, so no schedule drops work to integer truncation.
     Gemm2DSpec checked = spec;
-    if (algo != Algorithm::kMeshSlice && algo != Algorithm::kOneSided)
-        checked.sliceCount = 1;
+    checked.sliceCount = effectiveSliceCount(algo, spec);
     validateSpec(checked);
-    if (algo == Algorithm::kOneSided && spec.dataflow != Dataflow::kOS)
-        fatal("GemmExecutor: OneSided pulls into a stationary C tile, so "
-              "its dataflow must be OS, got %s",
-              dataflowName(spec.dataflow));
-    if (algo == Algorithm::kCannon && spec.rows != spec.cols)
-        fatal("GemmExecutor: Cannon requires a square mesh, got %dx%d",
-              spec.rows, spec.cols);
     Cluster &cluster = mesh_.cluster();
     GemmRunResult result;
     TaskGraph graph(cluster.sim(), &cluster.profiler());

@@ -51,10 +51,12 @@ class GemmExecutor
 
     /**
      * Simulate @p algo executing @p spec (blocking until the simulated
-     * schedule drains). @p algo must be a 2D algorithm; `kCollective`
-     * ignores `spec.sliceCount`, Cannon requires a square mesh and uses
-     * `mesh rows` iterations, `kOneSided` uses `spec.sliceCount` as the
-     * per-tile get/compute chain depth.
+     * schedule drains). @p algo must be a 2D algorithm that supports
+     * the spec's dataflow and mesh (`supportsDataflow`,
+     * `supportsMesh`), and the spec must be valid at the slice count
+     * the algorithm runs (`effectiveSliceCount`, `validateSpec`);
+     * anything else is `fatal`. `kOneSided` uses the slice count as
+     * the per-tile get/compute chain depth.
      */
     GemmRunResult run(Algorithm algo, const Gemm2DSpec &spec);
 

@@ -66,8 +66,9 @@ runFaultStudy(const ChipConfig &cfg, const Gemm2DSpec &spec,
 {
     FaultStudyResult result;
     for (Algorithm algo : algos) {
-        if (algo == Algorithm::kCannon && spec.rows != spec.cols)
-            continue; // Cannon needs a square mesh
+        if (!supportsDataflow(algo, spec.dataflow) ||
+            !supportsMesh(algo, spec.rows, spec.cols))
+            continue;
         FaultStudyEntry entry;
         entry.algo = algo;
         entry.nominal = runGemmUnderScenario(cfg, algo, spec, nullptr);

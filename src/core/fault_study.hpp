@@ -71,7 +71,8 @@ GemmRunResult runGemmUnderScenario(const ChipConfig &cfg, Algorithm algo,
 
 /**
  * Run every algorithm of @p algos nominally and under @p scenario.
- * Cannon is skipped automatically on non-square meshes. When @p stats
+ * Algorithms that cannot run the spec's dataflow or mesh
+ * (`supportsDataflow`, `supportsMesh`) are skipped. When @p stats
  * is non-null and enabled, per-algorithm deltas are recorded under
  * `fault_study/<algo>/...` (nominal_s, faulted_s, slowdown,
  * exposed_comm_nominal_s, exposed_comm_faulted_s, overlap_nominal,

@@ -33,7 +33,7 @@ gemmMemoryFootprint(Algorithm algo, const Gemm2DSpec &spec)
     // vertical one its whole column share.
     const Bytes h_panel = h.matrixBytes / spec.rows;
     const Bytes v_panel = v.matrixBytes / spec.cols;
-    const Bytes s = std::max(1, spec.sliceCount);
+    const Bytes s = std::max(1, effectiveSliceCount(algo, spec));
 
     auto side_bytes = [](const FlowSide &side, Bytes panel, Bytes slices) {
         // AG sides buffer the gathered panel; RdS sides stage the
@@ -54,8 +54,8 @@ gemmMemoryFootprint(Algorithm algo, const Gemm2DSpec &spec)
         return fp;
       }
       case Algorithm::kCollective: {
-        auto [hg, hp] = side_bytes(h, h_panel, 1);
-        auto [vg, vp] = side_bytes(v, v_panel, 1);
+        auto [hg, hp] = side_bytes(h, h_panel, s);
+        auto [vg, vp] = side_bytes(v, v_panel, s);
         fp.gatherBuffers = hg + vg; // no pipeline, single buffers
         fp.partialBuffers = hp + vp;
         return fp;
@@ -63,11 +63,7 @@ gemmMemoryFootprint(Algorithm algo, const Gemm2DSpec &spec)
       case Algorithm::kWang: {
         // The blocking direction materializes its full panel; the
         // overlapped direction stages 1/S rotations, double-buffered.
-        const double traffic_h = static_cast<double>(h.matrixBytes) /
-                                 spec.chips() * (spec.cols - 1);
-        const double traffic_v = static_cast<double>(v.matrixBytes) /
-                                 spec.chips() * (spec.rows - 1);
-        const bool ov_h = traffic_h >= traffic_v;
+        const bool ov_h = wangOverlapsHorizontal(spec);
         const Bytes ov_panel = ov_h ? h_panel : v_panel;
         const Bytes bl_panel = ov_h ? v_panel : h_panel;
         fp.gatherBuffers = bl_panel + 2 * (ov_panel / s);

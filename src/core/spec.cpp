@@ -1,5 +1,6 @@
 #include "core/spec.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "util/logging.hpp"
@@ -163,10 +164,58 @@ slicedDim(const Gemm2DSpec &spec)
     panic("slicedDim: bad dataflow");
 }
 
+bool
+supportsDataflow(Algorithm algo, Dataflow df)
+{
+    return df == Dataflow::kOS ||
+           (algo != Algorithm::kCannon && algo != Algorithm::kOneSided);
+}
+
+bool
+supportsMesh(Algorithm algo, int rows, int cols)
+{
+    return algo != Algorithm::kCannon || rows == cols;
+}
+
 int
 summaIterations(int rows, int cols)
 {
     return std::lcm(rows, cols);
+}
+
+int
+effectiveSliceCount(Algorithm algo, const Gemm2DSpec &spec)
+{
+    switch (algo) {
+      case Algorithm::kCollective:
+        return 1;
+      case Algorithm::kCannon:
+        return spec.rows;
+      case Algorithm::kSumma:
+        return std::min(spec.sliceCount,
+                        summaIterations(spec.rows, spec.cols));
+      default:
+        return spec.sliceCount;
+    }
+}
+
+bool
+tunesSliceCount(Algorithm algo)
+{
+    return algo != Algorithm::kCollective && algo != Algorithm::kCannon;
+}
+
+bool
+wangOverlapsHorizontal(const Gemm2DSpec &spec)
+{
+    const Bytes slice = static_cast<Bytes>(spec.chips()) * spec.sliceCount;
+    const double h = static_cast<double>(horizontalFlow(spec).matrixBytes /
+                                         slice) *
+                     static_cast<double>(spec.cols - 1);
+    const double v = static_cast<double>(verticalFlow(spec).matrixBytes /
+                                         slice) *
+                     static_cast<double>(spec.rows - 1);
+    return h >= v;
 }
 
 namespace {

@@ -135,10 +135,52 @@ std::vector<int> validSliceCounts(const ChipConfig &cfg,
                                   const Gemm2DSpec &spec, int max_s = 64);
 
 /**
+ * @name The per-algorithm rules of the 2D GeMMs
+ *
+ * The one definition of each decision that the timed executor, the
+ * functional runtime, the cost and memory models and the tuners make
+ * per algorithm.
+ * @{
+ */
+
+/**
+ * True if @p algo runs the @p df dataflow. Cannon implements only OS
+ * (Sec 2.3.2) and OneSided pulls into a stationary C tile, so both run
+ * OS alone; the other 2D algorithms run all three.
+ */
+bool supportsDataflow(Algorithm algo, Dataflow df);
+
+/** True if @p algo runs on a `rows x cols` mesh: Cannon needs a square
+ *  one, the other 2D algorithms take any shape. */
+bool supportsMesh(Algorithm algo, int rows, int cols);
+
+/**
  * SUMMA's panel iteration count on a `rows x cols` mesh: the matrices
  * split into P x P panels, P = lcm(Pr, Pc) (Sec 2.3.3).
  */
 int summaIterations(int rows, int cols);
+
+/**
+ * The slice count @p algo actually runs for @p spec: Collective 1,
+ * Cannon its P systolic steps, SUMMA min(S, summaIterations) compute
+ * groups, every other 2D algorithm `spec.sliceCount`. The dataflow's
+ * sliced dimension must divide by it (`validateSpec`).
+ */
+int effectiveSliceCount(Algorithm algo, const Gemm2DSpec &spec);
+
+/** True if @p algo runs the slice count it is given, so the tuner
+ *  searches S; Collective and Cannon fix theirs. */
+bool tunesSliceCount(Algorithm algo);
+
+/**
+ * True if Wang overlaps the horizontal direction of @p spec: the one
+ * whose per-link traffic, one slice's shard times ring length - 1, is
+ * the heavier (horizontal on a tie). The other direction is one
+ * blocking collective.
+ */
+bool wangOverlapsHorizontal(const Gemm2DSpec &spec);
+
+/** @} */
 
 /** A 1D distributed GeMM (1D TP or FSDP baseline, Sec 4.3). */
 struct Gemm1DSpec

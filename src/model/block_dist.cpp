@@ -1,6 +1,6 @@
 #include "model/block_dist.hpp"
 
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
@@ -103,7 +103,8 @@ DistMatrix
 fcForward(const DistBlockConfig &cfg, const DistMatrix &x,
           const DistMatrix &w)
 {
-    return funcMeshSliceOS(x, w, cfg.sliceCount, cfg.block);
+    return funcGemm(Algorithm::kMeshSlice, Dataflow::kOS, x, w,
+                    cfg.sliceCount, cfg.block);
 }
 
 /** X' = Y' W^T via the LS dataflow (Table 1, backward data). */
@@ -111,7 +112,8 @@ DistMatrix
 fcBackwardData(const DistBlockConfig &cfg, const DistMatrix &dy,
                const DistMatrix &w)
 {
-    return funcMeshSliceLS(dy, w, cfg.sliceCount, cfg.block);
+    return funcGemm(Algorithm::kMeshSlice, Dataflow::kLS, dy, w,
+                    cfg.sliceCount, cfg.block);
 }
 
 /** W' = X^T Y' via the RS dataflow (Table 1, backward weight). */
@@ -119,7 +121,8 @@ DistMatrix
 fcBackwardWeight(const DistBlockConfig &cfg, const DistMatrix &x,
                  const DistMatrix &dy)
 {
-    return funcMeshSliceRS(x, dy, cfg.sliceCount, cfg.block);
+    return funcGemm(Algorithm::kMeshSlice, Dataflow::kRS, x, dy,
+                    cfg.sliceCount, cfg.block);
 }
 
 } // namespace

@@ -158,15 +158,17 @@ buildPhase1(Algorithm algo, const TransformerConfig &model,
         layer.stationary = optimize_dataflow
                                ? chooseStationary(gemm.m, gemm.k, gemm.n)
                                : Stationary::kY;
-        // Cannon only implements the OS dataflow (Sec 2.3.2), and
-        // OneSided pulls into a stationary C tile, so every pass of
-        // either runs output-stationary with its computational shape.
-        if (algo == Algorithm::kCannon || algo == Algorithm::kOneSided) {
+        layer.passes = dataflowsForLayer(layer.stationary, gemm);
+        // An algorithm that cannot run every pass's dataflow (it runs
+        // OS only) runs every pass output-stationary with its
+        // Y-stationary computational shape.
+        const auto runs = [algo](const GemmPlan &p) {
+            return supportsDataflow(algo, p.dataflow);
+        };
+        if (!std::all_of(layer.passes.begin(), layer.passes.end(), runs)) {
             layer.passes = dataflowsForLayer(Stationary::kY, gemm);
             for (GemmPlan &p : layer.passes)
                 p.dataflow = Dataflow::kOS;
-        } else {
-            layer.passes = dataflowsForLayer(layer.stationary, gemm);
         }
         layers.push_back(std::move(layer));
     }
@@ -265,7 +267,8 @@ LlmAutotuner::rankShapes(Algorithm algo, const TransformerConfig &model,
     // non-dividing GeMM instead of evaluating all 12.
     std::vector<std::pair<int, int>> shapes;
     for (auto [rows, cols] : meshShapesOf(chips)) {
-        if (algo == Algorithm::kCannon && rows != cols)
+        if (!supportsMesh(algo, static_cast<int>(rows),
+                          static_cast<int>(cols)))
             continue;
         bool feasible = true;
         for (const FcLayerPlan &layer : layers) {

@@ -106,9 +106,10 @@ class LlmAutotuner
      * estimated block FC time, each returned as a complete plan
      * (tuned slice counts included). Entry 0 is the shape
      * `tuneForAlgorithm` picks. Deterministic order: estimated time,
-     * ties broken by lower row count. Cannon only considers square
-     * shapes. The fault-aware tuners re-rank this shortlist
-     * (`tuneRobustShortlist`, `tuneWithRecoveryShortlist`).
+     * ties broken by lower row count. Only shapes the algorithm runs on
+     * are considered (`supportsMesh`). The fault-aware tuners re-rank
+     * this shortlist (`tuneRobustShortlist`,
+     * `tuneWithRecoveryShortlist`).
      *
      * Every candidate shape is traced as a `"phase":"shape"` record:
      * shapes the divisibility pre-check prunes as `"feasible":false`,

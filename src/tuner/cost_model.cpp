@@ -234,14 +234,13 @@ CostModel::estimateGemmTime(Algorithm algo, const Gemm2DSpec &spec) const
     const FlowSide h = horizontalFlow(spec);
     const FlowSide v = verticalFlow(spec);
     const Bytes chips = spec.chips();
+    Gemm2DSpec eff = spec;
+    eff.sliceCount = effectiveSliceCount(algo, spec);
+    const int s = eff.sliceCount;
 
     switch (algo) {
       case Algorithm::kMeshSlice:
       case Algorithm::kCollective: {
-        Gemm2DSpec eff = spec;
-        if (algo == Algorithm::kCollective)
-            eff.sliceCount = 1;
-        const int s = eff.sliceCount;
         const Time t_h = collectiveTime(eff.cols,
                                         h.matrixBytes / (chips * s));
         const Time t_v = collectiveTime(eff.rows,
@@ -261,27 +260,22 @@ CostModel::estimateGemmTime(Algorithm algo, const Gemm2DSpec &spec) const
         return pre + (s - 1) * steady + t_c + post;
       }
       case Algorithm::kWang: {
-        const int s = spec.sliceCount;
-        // Per-link traffic decides the overlapped direction.
         const Bytes traffic_h =
             h.matrixBytes / chips * (spec.cols - 1);
         const Bytes traffic_v =
             v.matrixBytes / chips * (spec.rows - 1);
-        const bool ov_h = traffic_h >= traffic_v;
+        const bool ov_h = wangOverlapsHorizontal(spec);
         const Bytes ov_traffic = ov_h ? traffic_h : traffic_v;
         const Bytes bl_shard = (ov_h ? v : h).matrixBytes / chips;
         const int bl_ring = ov_h ? spec.rows : spec.cols;
         const Time t_block = collectiveTime(bl_ring, bl_shard);
         const Time t_shift = shiftTime(ov_traffic / s);
-        const Time t_c = computeTime(localSliceWork(spec));
+        const Time t_c = computeTime(localSliceWork(eff));
         const Time steady = std::max(t_shift, t_c);
         return t_block + t_shift + (s - 1) * steady + t_c;
       }
       case Algorithm::kSumma: {
-        const int p_iter = std::lcm(spec.rows, spec.cols);
-        const int s = std::min(spec.sliceCount, p_iter);
-        Gemm2DSpec eff = spec;
-        eff.sliceCount = s;
+        const int p_iter = summaIterations(spec.rows, spec.cols);
         const Time t_bh = broadcastTime(
             spec.cols,
             h.matrixBytes / (static_cast<Bytes>(spec.rows) * p_iter));
@@ -305,7 +299,6 @@ CostModel::estimateGemmTime(Algorithm algo, const Gemm2DSpec &spec) const
         // its column ring with shortest-path routing; averaged over a
         // ring's 2P directed links the per-link bytes come to
         // hopsSum(P)/2 * shard, hopsSum(P) = sum_d min(d, P-d).
-        const int s = std::max(1, spec.sliceCount);
         auto hops_sum = [](int p) {
             Bytes total = 0;
             for (int d = 1; d < p; ++d)
@@ -329,13 +322,13 @@ CostModel::estimateGemmTime(Algorithm algo, const Gemm2DSpec &spec) const
             std::max({link_bytes / params_.bw,
                       endpoint_bytes / nic_bw,
                       2.0 * endpoint_bytes / cfg_.hbmBandwidth});
-        const Time t_c = computeTime(localSliceWork(spec));
+        const Time t_c = computeTime(localSliceWork(eff));
         if (!cfg_.allowSendRecvOverlap)
             return s * (t_get + t_c);
         return t_get + (s - 1) * std::max(t_get, t_c) + t_c;
       }
       case Algorithm::kCannon: {
-        if (spec.rows != spec.cols)
+        if (!supportsMesh(algo, spec.rows, spec.cols))
             return 1e300; // infeasible configuration
         const int p = spec.rows;
         const Bytes e = spec.bytesPerElement;
@@ -382,9 +375,9 @@ std::pair<int, Time>
 CostModel::tuneSliceCount(Algorithm algo, const Gemm2DSpec &spec) const
 {
     const bool tracing = SearchTrace::global().enabled();
-    if (algo == Algorithm::kCollective || algo == Algorithm::kCannon) {
+    if (!tunesSliceCount(algo)) {
         Gemm2DSpec fixed = spec;
-        fixed.sliceCount = algo == Algorithm::kCannon ? spec.rows : 1;
+        fixed.sliceCount = effectiveSliceCount(algo, spec);
         const bool fits = fitsInMemory(cfg_, algo, fixed);
         const Time est =
             fits ? estimateGemmTime(algo, fixed) : Time{1e300};

@@ -481,12 +481,11 @@ replanAfterFailure(const CostModel &cost, Algorithm algo,
         cand.reshardBytes = reshardBytesModel(live_bytes, sv);
         cand.reshardTime = reshardTimeModel(cost.chip(), cand.reshardBytes,
                                             to.rows * to.cols);
-        // Cannon needs a square mesh and a one-line shrink never
-        // preserves squareness from a square start; the elastic runtime
+        // A one-line shrink never preserves squareness from a square
+        // start, so Cannon fits no survivor mesh; the elastic runtime
         // re-plans Cannon runs under a substitute 2D algorithm instead.
-        const bool algo_fits =
-            algo != Algorithm::kCannon || to.rows == to.cols;
-        if (algo_fits && meshDivides(algo, spec, to.rows, to.cols)) {
+        if (supportsMesh(algo, to.rows, to.cols) &&
+            meshDivides(algo, spec, to.rows, to.cols)) {
             cand.feasible = true;
             cand.spec = spec;
             cand.spec.rows = to.rows;

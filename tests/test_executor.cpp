@@ -277,6 +277,42 @@ TEST(ExecutorDeath, OneSidedRequiresOutputStationary)
                 testing::ExitedWithCode(1), "dataflow must be OS, got LS");
 }
 
+TEST(ExecutorDeath, CannonRequiresOutputStationary)
+{
+    // The timed Cannon ignores the dataflow, so LS/RS would silently
+    // time the OS schedule.
+    const ChipConfig cfg = tpuV4Config();
+    for (Dataflow df : {Dataflow::kLS, Dataflow::kRS})
+        EXPECT_EXIT(runOn(cfg, Algorithm::kCannon, testSpec(4, 4, 4, df)),
+                    testing::ExitedWithCode(1),
+                    std::string("dataflow must be OS, got ") +
+                        dataflowName(df));
+}
+
+TEST(ExecutorDeath, RejectsSliceCountsThatDropWork)
+{
+    // Each algorithm is held to the slice count it runs: Wang S=7 and
+    // SUMMA min(5, lcm(8, 4)) = 5 do not divide K = 12288, and Cannon
+    // runs P = 4 steps, which do not divide K = 1030.
+    const ChipConfig cfg = tpuV4Config();
+    Gemm2DSpec spec = testSpec(8, 4, 7);
+    spec.m = 65536;
+    spec.k = spec.n = 12288;
+    EXPECT_EXIT(runOn(cfg, Algorithm::kWang, spec),
+                testing::ExitedWithCode(1), "K=12288 is not divisible by "
+                                            "sliceCount=7");
+    spec.sliceCount = 5;
+    EXPECT_EXIT(runOn(cfg, Algorithm::kSumma, spec),
+                testing::ExitedWithCode(1), "K=12288 is not divisible by "
+                                            "sliceCount=5");
+    Gemm2DSpec cannon = testSpec(4, 4, 1);
+    cannon.m = cannon.n = 1024;
+    cannon.k = 1030;
+    EXPECT_EXIT(runOn(cfg, Algorithm::kCannon, cannon),
+                testing::ExitedWithCode(1), "K=1030 is not divisible by "
+                                            "sliceCount=4");
+}
+
 TEST(Executor, CannonPaysSkewPrologue)
 {
     const ChipConfig cfg = tpuV4Config();

@@ -7,13 +7,23 @@
  */
 #include <gtest/gtest.h>
 
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "gemm/slicing.hpp"
 
 namespace meshslice {
 namespace {
 
 constexpr double kTol = 2e-3; // float accumulation-order slack
+
+/** `funcGemm` on @p a and @p b sharded on @p mesh, gathered. */
+Matrix
+runGathered(Algorithm algo, Dataflow df, const Matrix &a, const Matrix &b,
+            MeshShape mesh, int s_count = 1, int block = 1)
+{
+    return funcGemm(algo, df, DistMatrix::scatter(a, mesh),
+                    DistMatrix::scatter(b, mesh), s_count, block)
+        .gather();
+}
 
 struct FuncCase
 {
@@ -49,11 +59,9 @@ TEST_P(FunctionalGemm, MeshSliceOSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 1);
     Matrix b = Matrix::random(kK, kN, 2);
     Matrix ref = Matrix::gemm(a, b);
-    DistMatrix c = funcMeshSliceOS(DistMatrix::scatter(a, mesh),
-                                   DistMatrix::scatter(b, mesh),
-                                   p.sliceCount, p.block);
-    EXPECT_TRUE(c.gather().allClose(ref, kTol))
-        << "max diff " << c.gather().maxAbsDiff(ref);
+    const Matrix c = runGathered(Algorithm::kMeshSlice, Dataflow::kOS, a,
+                                 b, mesh, p.sliceCount, p.block);
+    EXPECT_TRUE(c.allClose(ref, kTol)) << "max diff " << c.maxAbsDiff(ref);
 }
 
 TEST_P(FunctionalGemm, MeshSliceLSMatchesReference)
@@ -63,11 +71,9 @@ TEST_P(FunctionalGemm, MeshSliceLSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 3);
     Matrix b = Matrix::random(kN, kK, 4); // B is N x K; C = A B^T
     Matrix ref = Matrix::gemm(a, b.transpose());
-    DistMatrix c = funcMeshSliceLS(DistMatrix::scatter(a, mesh),
-                                   DistMatrix::scatter(b, mesh),
-                                   p.sliceCount, p.block);
-    EXPECT_TRUE(c.gather().allClose(ref, kTol))
-        << "max diff " << c.gather().maxAbsDiff(ref);
+    const Matrix c = runGathered(Algorithm::kMeshSlice, Dataflow::kLS, a,
+                                 b, mesh, p.sliceCount, p.block);
+    EXPECT_TRUE(c.allClose(ref, kTol)) << "max diff " << c.maxAbsDiff(ref);
 }
 
 TEST_P(FunctionalGemm, MeshSliceRSMatchesReference)
@@ -77,11 +83,9 @@ TEST_P(FunctionalGemm, MeshSliceRSMatchesReference)
     Matrix a = Matrix::random(kK, kM, 5); // A is K x M; C = A^T B
     Matrix b = Matrix::random(kK, kN, 6);
     Matrix ref = Matrix::gemm(a.transpose(), b);
-    DistMatrix c = funcMeshSliceRS(DistMatrix::scatter(a, mesh),
-                                   DistMatrix::scatter(b, mesh),
-                                   p.sliceCount, p.block);
-    EXPECT_TRUE(c.gather().allClose(ref, kTol))
-        << "max diff " << c.gather().maxAbsDiff(ref);
+    const Matrix c = runGathered(Algorithm::kMeshSlice, Dataflow::kRS, a,
+                                 b, mesh, p.sliceCount, p.block);
+    EXPECT_TRUE(c.allClose(ref, kTol)) << "max diff " << c.maxAbsDiff(ref);
 }
 
 TEST_P(FunctionalGemm, CollectiveAgreesWithMeshSlice)
@@ -92,11 +96,10 @@ TEST_P(FunctionalGemm, CollectiveAgreesWithMeshSlice)
     MeshShape mesh{p.meshRows, p.meshCols};
     Matrix a = Matrix::random(kM, kK, 7);
     Matrix b = Matrix::random(kK, kN, 8);
-    DistMatrix da = DistMatrix::scatter(a, mesh);
-    DistMatrix db = DistMatrix::scatter(b, mesh);
-    Matrix collective = funcCollectiveOS(da, db).gather();
-    Matrix meshslice =
-        funcMeshSliceOS(da, db, p.sliceCount, p.block).gather();
+    Matrix collective =
+        runGathered(Algorithm::kCollective, Dataflow::kOS, a, b, mesh);
+    Matrix meshslice = runGathered(Algorithm::kMeshSlice, Dataflow::kOS, a,
+                                   b, mesh, p.sliceCount, p.block);
     EXPECT_TRUE(collective.allClose(meshslice, kTol));
 }
 
@@ -134,9 +137,7 @@ TEST_P(BaselineGemm, CollectiveOSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 11);
     Matrix b = Matrix::random(kK, kN, 12);
     Matrix ref = Matrix::gemm(a, b);
-    Matrix got = funcCollectiveOS(DistMatrix::scatter(a, mesh),
-                                  DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kCollective, Dataflow::kOS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -146,9 +147,7 @@ TEST_P(BaselineGemm, CollectiveLSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 13);
     Matrix b = Matrix::random(kN, kK, 14);
     Matrix ref = Matrix::gemm(a, b.transpose());
-    Matrix got = funcCollectiveLS(DistMatrix::scatter(a, mesh),
-                                  DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kCollective, Dataflow::kLS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -158,9 +157,7 @@ TEST_P(BaselineGemm, CollectiveRSMatchesReference)
     Matrix a = Matrix::random(kK, kM, 15);
     Matrix b = Matrix::random(kK, kN, 16);
     Matrix ref = Matrix::gemm(a.transpose(), b);
-    Matrix got = funcCollectiveRS(DistMatrix::scatter(a, mesh),
-                                  DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kCollective, Dataflow::kRS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -170,9 +167,7 @@ TEST_P(BaselineGemm, SummaOSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 17);
     Matrix b = Matrix::random(kK, kN, 18);
     Matrix ref = Matrix::gemm(a, b);
-    Matrix got = funcSummaOS(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kSumma, Dataflow::kOS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -182,9 +177,7 @@ TEST_P(BaselineGemm, SummaLSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 19);
     Matrix b = Matrix::random(kN, kK, 20);
     Matrix ref = Matrix::gemm(a, b.transpose());
-    Matrix got = funcSummaLS(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kSumma, Dataflow::kLS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -194,9 +187,7 @@ TEST_P(BaselineGemm, SummaRSMatchesReference)
     Matrix a = Matrix::random(kK, kM, 21);
     Matrix b = Matrix::random(kK, kN, 22);
     Matrix ref = Matrix::gemm(a.transpose(), b);
-    Matrix got = funcSummaRS(DistMatrix::scatter(a, mesh),
-                             DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kSumma, Dataflow::kRS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -206,9 +197,27 @@ TEST_P(BaselineGemm, WangOSMatchesReference)
     Matrix a = Matrix::random(kM, kK, 23);
     Matrix b = Matrix::random(kK, kN, 24);
     Matrix ref = Matrix::gemm(a, b);
-    Matrix got = funcWangOS(DistMatrix::scatter(a, mesh),
-                            DistMatrix::scatter(b, mesh))
-                     .gather();
+    Matrix got = runGathered(Algorithm::kWang, Dataflow::kOS, a, b, mesh);
+    EXPECT_TRUE(got.allClose(ref, kTol));
+}
+
+TEST_P(BaselineGemm, WangLSMatchesReference)
+{
+    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
+    Matrix a = Matrix::random(kM, kK, 25);
+    Matrix b = Matrix::random(kN, kK, 26);
+    Matrix ref = Matrix::gemm(a, b.transpose());
+    Matrix got = runGathered(Algorithm::kWang, Dataflow::kLS, a, b, mesh);
+    EXPECT_TRUE(got.allClose(ref, kTol));
+}
+
+TEST_P(BaselineGemm, WangRSMatchesReference)
+{
+    MeshShape mesh{GetParam().meshRows, GetParam().meshCols};
+    Matrix a = Matrix::random(kK, kM, 27);
+    Matrix b = Matrix::random(kK, kN, 28);
+    Matrix ref = Matrix::gemm(a.transpose(), b);
+    Matrix got = runGathered(Algorithm::kWang, Dataflow::kRS, a, b, mesh);
     EXPECT_TRUE(got.allClose(ref, kTol));
 }
 
@@ -231,9 +240,8 @@ TEST(CannonGemm, MatchesReferenceOnSquareMeshes)
         Matrix a = Matrix::random(48, 96, 31);
         Matrix b = Matrix::random(96, 48, 32);
         Matrix ref = Matrix::gemm(a, b);
-        Matrix got = funcCannon(DistMatrix::scatter(a, mesh),
-                                DistMatrix::scatter(b, mesh))
-                         .gather();
+        Matrix got =
+            runGathered(Algorithm::kCannon, Dataflow::kOS, a, b, mesh);
         EXPECT_TRUE(got.allClose(ref, kTol)) << "P=" << p;
     }
 }
@@ -243,8 +251,7 @@ TEST(CannonGemmDeath, RejectsNonSquareMesh)
     MeshShape mesh{2, 4};
     Matrix a = Matrix::random(16, 16, 1);
     Matrix b = Matrix::random(16, 16, 2);
-    EXPECT_DEATH(funcCannon(DistMatrix::scatter(a, mesh),
-                            DistMatrix::scatter(b, mesh)),
+    EXPECT_DEATH(runGathered(Algorithm::kCannon, Dataflow::kOS, a, b, mesh),
                  "square");
 }
 
@@ -281,22 +288,28 @@ TEST(TwoPointFiveDDeath, RejectsBadDepth)
 
 TEST(OneDBaselines, OneDTPMatchesReference)
 {
+    // 1D TP is Collective OS on a 1 x P ring: X all-gathered, W and Y
+    // column-sharded.
     for (int chips : {1, 2, 4, 8}) {
         Matrix x = Matrix::random(32, 24, 41);
         Matrix w = Matrix::random(24, 16, 42);
         Matrix ref = Matrix::gemm(x, w);
-        Matrix got = Matrix::hcat(func1DTP(x, w, chips));
+        Matrix got = runGathered(Algorithm::kCollective, Dataflow::kOS, x,
+                                 w, MeshShape{1, chips});
         EXPECT_TRUE(got.allClose(ref, kTol)) << "chips=" << chips;
     }
 }
 
 TEST(OneDBaselines, FsdpMatchesReference)
 {
+    // FSDP is Collective OS on a P x 1 ring: X and Y row-sharded (the
+    // data), W all-gathered.
     for (int chips : {1, 2, 4, 8}) {
         Matrix x = Matrix::random(32, 24, 43);
         Matrix w = Matrix::random(24, 16, 44);
         Matrix ref = Matrix::gemm(x, w);
-        Matrix got = Matrix::vcat(funcFsdp(x, w, chips));
+        Matrix got = runGathered(Algorithm::kCollective, Dataflow::kOS, x,
+                                 w, MeshShape{chips, 1});
         EXPECT_TRUE(got.allClose(ref, kTol)) << "chips=" << chips;
     }
 }
@@ -323,18 +336,14 @@ TEST(FunctionalCrossCheck, AllDataflowsComputeSameLogicalGemm)
     Matrix w = Matrix::random(k, n, 61);
     Matrix ref = Matrix::gemm(x, w);
 
-    Matrix y_os = funcMeshSliceOS(DistMatrix::scatter(x, mesh),
-                                  DistMatrix::scatter(w, mesh), 2, 2)
-                      .gather();
+    Matrix y_os =
+        runGathered(Algorithm::kMeshSlice, Dataflow::kOS, x, w, mesh, 2, 2);
     // LS: Y = LS(X, W^T) where the right operand is stored N x K.
-    Matrix y_ls = funcMeshSliceLS(DistMatrix::scatter(x, mesh),
-                                  DistMatrix::scatter(w.transpose(), mesh),
-                                  2, 2)
-                      .gather();
+    Matrix y_ls = runGathered(Algorithm::kMeshSlice, Dataflow::kLS, x,
+                              w.transpose(), mesh, 2, 2);
     // RS: Y = RS(X^T, W) where the left operand is stored K x M.
-    Matrix y_rs = funcMeshSliceRS(DistMatrix::scatter(x.transpose(), mesh),
-                                  DistMatrix::scatter(w, mesh), 2, 2)
-                      .gather();
+    Matrix y_rs = runGathered(Algorithm::kMeshSlice, Dataflow::kRS,
+                              x.transpose(), w, mesh, 2, 2);
     EXPECT_TRUE(y_os.allClose(ref, kTol));
     EXPECT_TRUE(y_ls.allClose(ref, kTol));
     EXPECT_TRUE(y_rs.allClose(ref, kTol));

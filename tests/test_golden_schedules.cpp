@@ -31,7 +31,7 @@
 
 #include "core/dp3d.hpp"
 #include "core/executor.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "util/fingerprint.hpp"
 
 namespace meshslice {
@@ -54,10 +54,10 @@ casesFor(const std::string &cfg_name, const ChipConfig &cfg)
     const int meshes[][2] = {{4, 4}, {2, 3}};
     for (const auto &mesh : meshes) {
         for (Algorithm algo : all2DAlgorithms()) {
-            if (algo == Algorithm::kCannon && mesh[0] != mesh[1])
+            if (!supportsMesh(algo, mesh[0], mesh[1]))
                 continue;
             for (Dataflow df : {Dataflow::kOS, Dataflow::kLS, Dataflow::kRS}) {
-                if (algo == Algorithm::kOneSided && df != Dataflow::kOS)
+                if (!supportsDataflow(algo, df))
                     continue;
                 Gemm2DSpec spec;
                 spec.m = 6144;
@@ -169,39 +169,6 @@ digestOf(const Matrix &m)
         static_cast<size_t>(m.rows() * m.cols()) * sizeof(float)));
 }
 
-/** The functional 2D GeMM of @p algo for @p df at @p s slices. */
-DistMatrix
-runFunctional(Algorithm algo, Dataflow df, const DistMatrix &a,
-              const DistMatrix &b, int s, int block)
-{
-    switch (algo) {
-      case Algorithm::kMeshSlice:
-        return df == Dataflow::kOS   ? funcMeshSliceOS(a, b, s, block)
-               : df == Dataflow::kLS ? funcMeshSliceLS(a, b, s, block)
-                                     : funcMeshSliceRS(a, b, s, block);
-      case Algorithm::kCollective:
-        return df == Dataflow::kOS   ? funcCollectiveOS(a, b)
-               : df == Dataflow::kLS ? funcCollectiveLS(a, b)
-                                     : funcCollectiveRS(a, b);
-      case Algorithm::kSumma:
-        return df == Dataflow::kOS   ? funcSummaOS(a, b)
-               : df == Dataflow::kLS ? funcSummaLS(a, b)
-                                     : funcSummaRS(a, b);
-      case Algorithm::kWang:
-        return df == Dataflow::kOS   ? funcWangOS(a, b)
-               : df == Dataflow::kLS ? funcWangLS(a, b)
-                                     : funcWangRS(a, b);
-      case Algorithm::kCannon:
-        return funcCannon(a, b);
-      case Algorithm::kOneSided:
-        return funcOneSidedOS(a, b, s, block);
-      default:
-        break;
-    }
-    ADD_FAILURE() << "not a 2D algorithm: " << algorithmName(algo);
-    return {};
-}
-
 TEST(GoldenFunctional, OutputsMatchTheCommittedTable)
 {
     // Distinct dimensions, each a multiple of 48, so every sliced
@@ -214,12 +181,10 @@ TEST(GoldenFunctional, OutputsMatchTheCommittedTable)
     for (const auto &mesh : meshes) {
         const MeshShape shape{mesh[0], mesh[1]};
         for (Algorithm algo : all2DAlgorithms()) {
-            if (algo == Algorithm::kCannon && mesh[0] != mesh[1])
+            if (!supportsMesh(algo, mesh[0], mesh[1]))
                 continue;
             for (Dataflow df : {Dataflow::kOS, Dataflow::kLS, Dataflow::kRS}) {
-                if ((algo == Algorithm::kOneSided ||
-                     algo == Algorithm::kCannon) &&
-                    df != Dataflow::kOS)
+                if (!supportsDataflow(algo, df))
                     continue;
                 // OS: C = A B; LS: C = A B^T; RS: C = A^T B.
                 const Matrix a = df == Dataflow::kRS
@@ -238,10 +203,8 @@ TEST(GoldenFunctional, OutputsMatchTheCommittedTable)
                     spec.cols = mesh[1];
                     spec.sliceCount = s;
                     const Matrix c =
-                        runFunctional(algo, df,
-                                      DistMatrix::scatter(a, shape),
-                                      DistMatrix::scatter(b, shape), s,
-                                      block)
+                        funcGemm(algo, df, DistMatrix::scatter(a, shape),
+                                 DistMatrix::scatter(b, shape), s, block)
                             .gather();
                     actual.push_back(std::string(algorithmName(algo)) +
                                      " " + spec.str() + " " +
@@ -259,8 +222,18 @@ TEST(GoldenFunctional, OutputsMatchTheCommittedTable)
             digestOf(func25DGemm(DistMatrix::scatter(a, square),
                                  DistMatrix::scatter(b, square), depth)
                          .gather()));
-    actual.push_back("1DTP 4 " + digestOf(Matrix::hcat(func1DTP(a, b, 4))));
-    actual.push_back("FSDP 4 " + digestOf(Matrix::vcat(funcFsdp(a, b, 4))));
+    // The 1D baselines: Collective OS on a 1 x 4 (1D TP) and a 4 x 1
+    // (FSDP) ring.
+    for (const auto &[name, shape] :
+         {std::pair{"1DTP 4 ", MeshShape{1, 4}},
+          std::pair{"FSDP 4 ", MeshShape{4, 1}}})
+        actual.push_back(name +
+                         digestOf(funcGemm(Algorithm::kCollective,
+                                           Dataflow::kOS,
+                                           DistMatrix::scatter(a, shape),
+                                           DistMatrix::scatter(b, shape),
+                                           1, 1)
+                                      .gather()));
     expectMatchesTable("functional_outputs.txt", actual);
 }
 

@@ -21,7 +21,7 @@
 #include "core/executor.hpp"
 #include "core/fault_study.hpp"
 #include "core/recovery_study.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "net/onesided.hpp"
 #include "net/topology.hpp"
 #include "pipeline/pipeline_exec.hpp"
@@ -87,9 +87,10 @@ TEST(OneSidedFunctional, MatchesDenseReference)
     const Matrix a = Matrix::random(96, 64, 31);
     const Matrix b = Matrix::random(64, 80, 32);
     const Matrix ref = Matrix::gemm(a, b);
-    const DistMatrix c = funcOneSidedOS(DistMatrix::scatter(a, mesh),
-                                        DistMatrix::scatter(b, mesh),
-                                        /*s_count=*/4, /*block=*/2);
+    const DistMatrix c = funcGemm(Algorithm::kOneSided, Dataflow::kOS,
+                                  DistMatrix::scatter(a, mesh),
+                                  DistMatrix::scatter(b, mesh),
+                                  /*s_count=*/4, /*block=*/2);
     EXPECT_TRUE(c.gather().allClose(ref, kTol))
         << "max diff " << c.gather().maxAbsDiff(ref);
 }
@@ -106,8 +107,10 @@ TEST(OneSidedFunctional, BitIdenticalToMeshSlice)
     const DistMatrix b =
         DistMatrix::scatter(Matrix::random(64, 96, 42), mesh);
     for (const int s : {1, 2, 4}) {
-        const DistMatrix os = funcOneSidedOS(a, b, s, 2);
-        const DistMatrix ms = funcMeshSliceOS(a, b, s, 2);
+        const DistMatrix os =
+            funcGemm(Algorithm::kOneSided, Dataflow::kOS, a, b, s, 2);
+        const DistMatrix ms =
+            funcGemm(Algorithm::kMeshSlice, Dataflow::kOS, a, b, s, 2);
         EXPECT_EQ(os.gather().maxAbsDiff(ms.gather()), 0.0) << "S=" << s;
     }
 }

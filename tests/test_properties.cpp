@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/executor.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "sim/fluid.hpp"
 
 namespace meshslice {
@@ -159,9 +159,9 @@ TEST(FunctionalProperties, RandomizedMeshSliceSweep)
         Matrix a = Matrix::random(m, k, 1000 + trial);
         Matrix b = Matrix::random(k, n, 2000 + trial);
         Matrix ref = Matrix::gemm(a, b);
-        Matrix got = funcMeshSliceOS(DistMatrix::scatter(a, mesh),
-                                     DistMatrix::scatter(b, mesh), s,
-                                     block)
+        Matrix got = funcGemm(Algorithm::kMeshSlice, Dataflow::kOS,
+                              DistMatrix::scatter(a, mesh),
+                              DistMatrix::scatter(b, mesh), s, block)
                          .gather();
         EXPECT_TRUE(got.allClose(ref, 5e-3))
             << "trial " << trial << ": " << rows << "x" << cols << " S="
@@ -177,22 +177,26 @@ TEST(FunctionalProperties, WangVariantsMatchCollectiveDataflows)
     {
         Matrix a = Matrix::random(m, k, 1);
         Matrix b = Matrix::random(n, k, 2); // LS: B is N x K
-        Matrix ref = funcCollectiveLS(DistMatrix::scatter(a, mesh),
-                                      DistMatrix::scatter(b, mesh))
+        Matrix ref = funcGemm(Algorithm::kCollective, Dataflow::kLS,
+                              DistMatrix::scatter(a, mesh),
+                              DistMatrix::scatter(b, mesh), 1, 1)
                          .gather();
-        Matrix got = funcWangLS(DistMatrix::scatter(a, mesh),
-                                DistMatrix::scatter(b, mesh))
+        Matrix got = funcGemm(Algorithm::kWang, Dataflow::kLS,
+                              DistMatrix::scatter(a, mesh),
+                              DistMatrix::scatter(b, mesh), 1, 1)
                          .gather();
         EXPECT_TRUE(got.allClose(ref, 2e-3));
     }
     {
         Matrix a = Matrix::random(k, m, 3); // RS: A is K x M
         Matrix b = Matrix::random(k, n, 4);
-        Matrix ref = funcCollectiveRS(DistMatrix::scatter(a, mesh),
-                                      DistMatrix::scatter(b, mesh))
+        Matrix ref = funcGemm(Algorithm::kCollective, Dataflow::kRS,
+                              DistMatrix::scatter(a, mesh),
+                              DistMatrix::scatter(b, mesh), 1, 1)
                          .gather();
-        Matrix got = funcWangRS(DistMatrix::scatter(a, mesh),
-                                DistMatrix::scatter(b, mesh))
+        Matrix got = funcGemm(Algorithm::kWang, Dataflow::kRS,
+                              DistMatrix::scatter(a, mesh),
+                              DistMatrix::scatter(b, mesh), 1, 1)
                          .gather();
         EXPECT_TRUE(got.allClose(ref, 2e-3));
     }

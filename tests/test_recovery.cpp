@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/recovery_study.hpp"
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 #include "gemm/reshard.hpp"
 #include "gemm/ring_collectives.hpp"
 #include "net/collectives.hpp"
@@ -191,7 +191,8 @@ TEST(Reshard, GemmOnSurvivorMeshMatchesReference)
         const Matrix ref = Matrix::gemm(a, b);
         const DistMatrix a2 = reshard(DistMatrix::scatter(a, c.from), sv);
         const DistMatrix b2 = reshard(DistMatrix::scatter(b, c.from), sv);
-        const DistMatrix prod = funcMeshSliceOS(a2, b2, 2, 2);
+        const DistMatrix prod =
+            funcGemm(Algorithm::kMeshSlice, Dataflow::kOS, a2, b2, 2, 2);
         EXPECT_TRUE(prod.gather().allClose(ref, kTol))
             << "max diff " << prod.gather().maxAbsDiff(ref) << " on "
             << sv.to().rows << "x" << sv.to().cols;

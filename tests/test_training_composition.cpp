@@ -10,7 +10,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "gemm/functional_gemm.hpp"
+#include "core/functional.hpp"
 
 namespace meshslice {
 namespace {
@@ -35,23 +35,27 @@ class Table1Composition : public ::testing::Test
     Matrix dx_ref = Matrix::gemm(dy, w.transpose());
     Matrix dw_ref = Matrix::gemm(x.transpose(), dy);
 
-    DistMatrix
-    dist(const Matrix &m) const
+    /** MeshSlice @p df on @p a and @p b sharded on the mesh. */
+    Matrix
+    sliced(Dataflow df, const Matrix &a, const Matrix &b) const
     {
-        return DistMatrix::scatter(m, mesh);
+        return funcGemm(Algorithm::kMeshSlice, df,
+                        DistMatrix::scatter(a, mesh),
+                        DistMatrix::scatter(b, mesh), kS, kB)
+            .gather();
     }
 };
 
 TEST_F(Table1Composition, YStationaryRow)
 {
     // Y = OS(X, W); X' = LS(Y', W); W' = RS(X, Y').
-    Matrix y = funcMeshSliceOS(dist(x), dist(w), kS, kB).gather();
+    Matrix y = sliced(Dataflow::kOS, x, w);
     EXPECT_TRUE(y.allClose(y_ref, kTol));
 
-    Matrix dx = funcMeshSliceLS(dist(dy), dist(w), kS, kB).gather();
+    Matrix dx = sliced(Dataflow::kLS, dy, w);
     EXPECT_TRUE(dx.allClose(dx_ref, kTol));
 
-    Matrix dw = funcMeshSliceRS(dist(x), dist(dy), kS, kB).gather();
+    Matrix dw = sliced(Dataflow::kRS, x, dy);
     EXPECT_TRUE(dw.allClose(dw_ref, kTol));
 }
 
@@ -62,16 +66,16 @@ TEST_F(Table1Composition, XStationaryRow)
     Matrix wt = w.transpose();
 
     // Y = LS(X, W^T).
-    Matrix y = funcMeshSliceLS(dist(x), dist(wt), kS, kB).gather();
+    Matrix y = sliced(Dataflow::kLS, x, wt);
     EXPECT_TRUE(y.allClose(y_ref, kTol));
 
     // X' = OS(Y', W^T).
-    Matrix dx = funcMeshSliceOS(dist(dy), dist(wt), kS, kB).gather();
+    Matrix dx = sliced(Dataflow::kOS, dy, wt);
     EXPECT_TRUE(dx.allClose(dx_ref, kTol));
 
     // W'^T = RS(Y', X) — the gradient arrives already transposed,
     // matching the transposed weight storage.
-    Matrix dwt = funcMeshSliceRS(dist(dy), dist(x), kS, kB).gather();
+    Matrix dwt = sliced(Dataflow::kRS, dy, x);
     EXPECT_TRUE(dwt.allClose(dw_ref.transpose(), kTol));
 }
 
@@ -81,15 +85,15 @@ TEST_F(Table1Composition, WStationaryRow)
     Matrix xt = x.transpose();
 
     // Y = RS(X^T, W).
-    Matrix y = funcMeshSliceRS(dist(xt), dist(w), kS, kB).gather();
+    Matrix y = sliced(Dataflow::kRS, xt, w);
     EXPECT_TRUE(y.allClose(y_ref, kTol));
 
     // X'^T = LS(W, Y').
-    Matrix dxt = funcMeshSliceLS(dist(w), dist(dy), kS, kB).gather();
+    Matrix dxt = sliced(Dataflow::kLS, w, dy);
     EXPECT_TRUE(dxt.allClose(dx_ref.transpose(), kTol));
 
     // W' = OS(X^T, Y').
-    Matrix dw = funcMeshSliceOS(dist(xt), dist(dy), kS, kB).gather();
+    Matrix dw = sliced(Dataflow::kOS, xt, dy);
     EXPECT_TRUE(dw.allClose(dw_ref, kTol));
 }
 
@@ -97,11 +101,9 @@ TEST_F(Table1Composition, AllRowsAgreeWithEachOther)
 {
     // The three rows are different schedules for the same math: their
     // forward results must agree bit-for-bit-ish.
-    Matrix y_os = funcMeshSliceOS(dist(x), dist(w), kS, kB).gather();
-    Matrix y_ls =
-        funcMeshSliceLS(dist(x), dist(w.transpose()), kS, kB).gather();
-    Matrix y_rs =
-        funcMeshSliceRS(dist(x.transpose()), dist(w), kS, kB).gather();
+    Matrix y_os = sliced(Dataflow::kOS, x, w);
+    Matrix y_ls = sliced(Dataflow::kLS, x, w.transpose());
+    Matrix y_rs = sliced(Dataflow::kRS, x.transpose(), w);
     EXPECT_TRUE(y_os.allClose(y_ls, kTol));
     EXPECT_TRUE(y_os.allClose(y_rs, kTol));
 }
@@ -111,7 +113,7 @@ TEST_F(Table1Composition, GradientCheckAgainstFiniteDifference)
     // Spot-check dW numerically: dL/dW[i,j] with L = sum(Y * dY)
     // equals (X^T dY)[i,j].
     const double eps = 1e-3;
-    Matrix dw = funcMeshSliceRS(dist(x), dist(dy), kS, kB).gather();
+    Matrix dw = sliced(Dataflow::kRS, x, dy);
     for (auto [i, j] :
          {std::pair{0, 0}, {5, 3}, {95, 31}, {17, 12}}) {
         Matrix wp = w;
