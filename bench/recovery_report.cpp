@@ -261,15 +261,15 @@ main(int argc, char **argv)
     kill_scenario.kills.push_back(kill);
 
     const CollectiveRecoveryResult nominal = runCollectiveRecovery(
-        cfg, rr, rc, shard_bytes, nullptr, RingCollectiveKind::kAllGather,
+        cfg, rr, rc, shard_bytes, nullptr, CollKind::kAllGather,
         /*row_ring=*/true, /*index=*/1);
     const CollectiveRecoveryResult replay = runCollectiveRecovery(
-        cfg, rr, rc, shard_bytes, nullptr, RingCollectiveKind::kAllGather,
+        cfg, rr, rc, shard_bytes, nullptr, CollKind::kAllGather,
         true, 1);
     FaultScenario empty_scenario; // armed but perturbs nothing
     const CollectiveRecoveryResult empty_run = runCollectiveRecovery(
         cfg, rr, rc, shard_bytes, &empty_scenario,
-        RingCollectiveKind::kAllGather, true, 1);
+        CollKind::kAllGather, true, 1);
     const bool bit_identical =
         nominal.finalTime == replay.finalTime &&
         nominal.eventsProcessed == replay.eventsProcessed &&
@@ -280,7 +280,7 @@ main(int argc, char **argv)
 
     const CollectiveRecoveryResult recovered = runCollectiveRecovery(
         cfg, rr, rc, shard_bytes, &kill_scenario,
-        RingCollectiveKind::kAllGather, true, 1);
+        CollKind::kAllGather, true, 1);
     if (!recovered.retried)
         fatal("recovery_report: the kill scenario did not trigger a "
               "retry — chip %d is not on row ring 1 of a %dx%d mesh?",

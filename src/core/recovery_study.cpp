@@ -97,7 +97,7 @@ evaluateTrainingRun(const ChipConfig &cfg, const TrainingRunModel &run)
 CollectiveRecoveryResult
 runCollectiveRecovery(const ChipConfig &cfg, int rows, int cols,
                       Bytes shard_bytes, const FaultScenario *scenario,
-                      RingCollectiveKind kind, bool row_ring, int index)
+                      CollKind kind, bool row_ring, int index)
 {
     Cluster cluster(cfg, rows * cols);
     TorusMesh mesh(cluster, rows, cols);

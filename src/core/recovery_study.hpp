@@ -135,7 +135,7 @@ struct CollectiveRecoveryResult
 CollectiveRecoveryResult runCollectiveRecovery(
     const ChipConfig &cfg, int rows, int cols, Bytes shard_bytes,
     const FaultScenario *scenario,
-    RingCollectiveKind kind = RingCollectiveKind::kAllGather,
+    CollKind kind = CollKind::kAllGather,
     bool row_ring = true, int index = 0);
 
 /**

@@ -43,9 +43,6 @@ const char *dataflowName(Dataflow df);
 Dataflow dataflowFromName(std::string_view name,
                           const std::string &context);
 
-/** The collective a moving matrix needs. */
-enum class CollKind { kAllGather, kReduceScatter };
-
 /** The distributed GeMM algorithms evaluated in the paper (Sec 4.2/4.3),
  *  plus the one-sided sliced GeMM (Brock & Golin) added on top. */
 enum class Algorithm

@@ -774,52 +774,31 @@ ringReduceScatter(Cluster &cluster, const Ring &ring, Bytes shard_bytes,
                           "reducescatter", std::move(done));
 }
 
-void
-ringAllGatherRecoverable(Cluster &cluster, const Ring &ring,
-                         Bytes shard_bytes, int lane, CommDone done,
-                         CommFail fail)
-{
-    if (ring.size() <= 1 || shard_bytes <= 0) {
-        completeEmpty(cluster, std::move(done));
-        return;
-    }
-    new ShardCollectiveOp(cluster, ring, shard_bytes, 1.0, lane,
-                          "allgather", std::move(done), std::move(fail));
-}
-
-void
-ringReduceScatterRecoverable(Cluster &cluster, const Ring &ring,
-                             Bytes shard_bytes, int lane, CommDone done,
-                             CommFail fail)
-{
-    if (ring.size() <= 1 || shard_bytes <= 0) {
-        completeEmpty(cluster, std::move(done));
-        return;
-    }
-    new ShardCollectiveOp(cluster, ring, shard_bytes, 2.0, lane,
-                          "reducescatter", std::move(done),
-                          std::move(fail));
-}
-
 namespace {
 
+/** One fail-stop-aware attempt of `runRecoverableCollective`: a kill
+ *  it depends on reports a `CollectiveError` through @p fail. */
 void
-startShardCollective(Cluster &cluster, RingCollectiveKind kind,
-                     const Ring &ring, Bytes shard_bytes, int lane,
-                     CommDone done, CommFail fail)
+startShardCollective(Cluster &cluster, CollKind kind, const Ring &ring,
+                     Bytes shard_bytes, int lane, CommDone done,
+                     CommFail fail)
 {
-    if (kind == RingCollectiveKind::kAllGather)
-        ringAllGatherRecoverable(cluster, ring, shard_bytes, lane,
-                                 std::move(done), std::move(fail));
-    else
-        ringReduceScatterRecoverable(cluster, ring, shard_bytes, lane,
-                                     std::move(done), std::move(fail));
+    if (ring.size() <= 1 || shard_bytes <= 0) {
+        completeEmpty(cluster, std::move(done));
+        return;
+    }
+    // As in ringReduceScatter, the destination reads the partial sum
+    // back, doubling its HBM demand.
+    const bool reduce = kind == CollKind::kReduceScatter;
+    new ShardCollectiveOp(cluster, ring, shard_bytes, reduce ? 2.0 : 1.0,
+                          lane, reduce ? "reducescatter" : "allgather",
+                          std::move(done), std::move(fail));
 }
 
 } // namespace
 
 void
-runRecoverableCollective(TorusMesh &mesh, RingCollectiveKind kind,
+runRecoverableCollective(TorusMesh &mesh, CollKind kind,
                          bool row_ring, int index, Bytes shard_bytes,
                          int lane, RecoveryDone done)
 {

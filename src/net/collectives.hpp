@@ -126,30 +126,9 @@ void ringAllReduce(Cluster &cluster, const Ring &ring, Bytes total_bytes,
 void ringShift(Cluster &cluster, const Ring &ring, Bytes block_bytes,
                bool forward, int lane, CommDone done);
 
-/**
- * Fail-stop-aware AllGather: like `ringAllGather`, but when the fault
- * scenario **kills** a chip or link the op depends on, the op aborts
- * `detectionLatency` seconds after the kill — cancelling its in-flight
- * transfers and pending steps — and reports a `CollectiveError`
- * through @p fail instead of stranding flows until the watchdog. With
- * a null @p fail (or a scenario without kills) behaviour is identical
- * to `ringAllGather`, including bit-identical event sequences.
- */
-void ringAllGatherRecoverable(Cluster &cluster, const Ring &ring,
-                              Bytes shard_bytes, int lane, CommDone done,
-                              CommFail fail);
-
-/** Fail-stop-aware ReduceScatter (see `ringAllGatherRecoverable`). */
-void ringReduceScatterRecoverable(Cluster &cluster, const Ring &ring,
-                                  Bytes shard_bytes, int lane,
-                                  CommDone done, CommFail fail);
-
-/** Which shard collective `runRecoverableCollective` should run. */
-enum class RingCollectiveKind
-{
-    kAllGather,
-    kReduceScatter,
-};
+/** A shard collective: the one a moving GeMM matrix needs, or the one
+ *  `runRecoverableCollective` runs. */
+enum class CollKind { kAllGather, kReduceScatter };
 
 /** Result of `runRecoverableCollective`: stats of the attempt that
  *  succeeded, plus the failure (if any) that forced the retry. */
@@ -170,8 +149,14 @@ struct RecoveryOutcome
 using RecoveryDone = std::function<void(const RecoveryOutcome &)>;
 
 /**
- * Timeout/retry state machine around a recoverable shard collective
- * (the runtime's fail-stop recovery protocol):
+ * Timeout/retry state machine around a fail-stop-aware shard
+ * collective (the runtime's fail-stop recovery protocol). Each attempt
+ * is like `ringAllGather` / `ringReduceScatter`, but when the fault
+ * scenario **kills** a chip or link it depends on, it aborts
+ * `detectionLatency` seconds after the kill — cancelling its in-flight
+ * transfers and pending steps — with a `CollectiveError` instead of
+ * stranding flows until the watchdog. Without kills the event sequence
+ * is bit-identical to the plain collective.
  *
  *   attempt #1 on the mesh's row/col ring
  *     └─ CollectiveError after the detection timeout
@@ -183,7 +168,7 @@ using RecoveryDone = std::function<void(const RecoveryOutcome &)>;
  * @p row_ring selects `mesh.rowRing(index)` vs `mesh.colRing(index)`.
  * @p mesh must outlive the completion (rings are rebuilt through it).
  */
-void runRecoverableCollective(TorusMesh &mesh, RingCollectiveKind kind,
+void runRecoverableCollective(TorusMesh &mesh, CollKind kind,
                               bool row_ring, int index, Bytes shard_bytes,
                               int lane, RecoveryDone done);
 
