@@ -3,11 +3,14 @@
 
 Walks both documents and pairs up every leaf by its JSON path:
 
-  - throughput-like numeric leaves (key contains "per_sec" or
-    "throughput" — steps_per_sec, sim events/sec, the plan server's
-    plans_per_sec_cold/warm) are *gated*: the current value may not
-    fall more than --threshold (default 20%) below the baseline,
-    host-speed noise being the reason the bar is not tighter;
+  - throughput-like numeric leaves (leaf key contains "per_sec" or
+    "throughput" — steps_per_sec, sim events_per_sec, the plan
+    server's plans_per_sec_cold/warm) are *gated*: the current value
+    may not fall more than --threshold (default 20%) below the
+    baseline, host-speed noise being the reason the bar is not
+    tighter. Only the leaf's own key counts, not its section: a
+    `*_ms` time under a `sim_throughput` section is lower-is-better
+    and stays ungated (a list element takes its list's key);
   - boolean leaves that were true in the baseline (the cross_checks /
     identity_check sections: attribution identity, what-if validation,
     bit-identical-off, ...) must still be true — a check that
@@ -42,6 +45,12 @@ def flatten(doc, prefix=""):
             yield from flatten(val, f"{prefix}{i}.")
     else:
         yield prefix[:-1], doc
+
+
+def leaf_key(path):
+    """The key a leaf is stored under: its last non-index component."""
+    keys = [part for part in path.split(".") if not part.isdigit()]
+    return keys[-1] if keys else ""
 
 
 def load(path):
@@ -97,7 +106,7 @@ def main():
                 other_rows.append((float("inf"), path, b, c))
             continue
         delta = rel_delta(b, c)
-        if any(m in path for m in THROUGHPUT_MARKERS):
+        if any(m in leaf_key(path) for m in THROUGHPUT_MARKERS):
             gated_rows.append((delta, path, b, c))
             if delta < -args.threshold:
                 failures.append(
