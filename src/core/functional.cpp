@@ -46,9 +46,10 @@ gatherSlice(const DistMatrix &x, bool horizontal, int ring, int s_count,
 
 /**
  * One step of a sliced schedule: row rings gather A's panel unless A
- * is stationary (LS), column rings B's unless B is (RS), every chip
- * multiplies, and in LS (RS) each row's (column's) partial C, @p width
- * wide, is reduced and handed to @p scatter(c, horizontal, ring, part).
+ * is stationary (LS), column rings B's unless B is (RS), and every
+ * chip multiplies. OS accumulates into C; in LS (RS) each row's
+ * (column's) partial C, @p width wide, is reduced along its ring and
+ * handed to @p scatter(c, horizontal, ring, part).
  */
 template <typename Gather, typename Scatter>
 void
@@ -63,22 +64,19 @@ sliceStep(Dataflow df, const DistMatrix &a, const DistMatrix &b,
         a_panel.push_back(gather(a, true, i));
     for (int j = 0; j < mesh.cols && !rs; ++j)
         b_panel.push_back(gather(b, false, j));
-    std::vector<Matrix> c_part;
-    if (ls || rs)
-        c_part.assign(static_cast<size_t>(ls ? mesh.rows : mesh.cols),
-                      Matrix(ls ? a.shardRows() : width,
-                             ls ? width : b.shardCols()));
-    for (int i = 0; i < mesh.rows; ++i) {
-        for (int j = 0; j < mesh.cols; ++j) {
-            const size_t ui = static_cast<size_t>(i);
-            const size_t uj = static_cast<size_t>(j);
-            localGemm(df, ls ? a.shardAt(i, j) : a_panel[ui],
-                      rs ? b.shardAt(i, j) : b_panel[uj],
-                      ls || rs ? c_part[ls ? ui : uj] : c.shardAt(i, j));
+    for (int r = 0; r < (rs ? mesh.cols : mesh.rows); ++r) {
+        Matrix part(ls ? a.shardRows() : rs ? width : 0,
+                    ls ? width : rs ? b.shardCols() : 0);
+        for (int q = 0; q < (rs ? mesh.rows : mesh.cols); ++q) {
+            const int i = rs ? q : r, j = rs ? r : q;
+            localGemm(df,
+                      ls ? a.shardAt(i, j) : a_panel[static_cast<size_t>(i)],
+                      rs ? b.shardAt(i, j) : b_panel[static_cast<size_t>(j)],
+                      ls || rs ? part : c.shardAt(i, j));
         }
+        if (ls || rs)
+            scatter(c, ls, r, part);
     }
-    for (size_t r = 0; r < c_part.size(); ++r)
-        scatter(c, ls, static_cast<int>(r), c_part[r]);
 }
 
 /** MeshSlice (Fig 5), Collective and OneSided: one step per slice. */
