@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/abandon.hpp"
 #include "sim/fault.hpp"
 #include "util/logging.hpp"
 
@@ -71,6 +72,12 @@ class OneSidedGetOp
             if (prof.recoveryDep() >= 0)
                 profDeps_.push_back(prof.recoveryDep());
         }
+        // A get stranded by a phase abandonment is reclaimed by the
+        // elastic runtime's abandon sweep, as the ring collectives are.
+        if (AbandonRegistry *reg = AbandonRegistry::current()) {
+            abandonRegistry_ = reg;
+            abandonId_ = reg->track([this] { delete this; });
+        }
 
         const int n = ring_.size();
         const int fwd_hops = (dstPos_ - srcPos_ + n) % n;
@@ -111,6 +118,12 @@ class OneSidedGetOp
         }
         armFailStop(links);
         startFlow(srcChip(), std::move(links));
+    }
+
+    ~OneSidedGetOp()
+    {
+        if (abandonRegistry_ != nullptr)
+            abandonRegistry_->untrack(abandonId_);
     }
 
   private:
@@ -415,6 +428,9 @@ class OneSidedGetOp
     std::vector<int> profDeps_;
     bool profRecovery_ = false;
     int abortNode_ = -1;
+    /** Abandon-sweep bookkeeping (null outside elastic phases). */
+    AbandonRegistry *abandonRegistry_ = nullptr;
+    std::uint64_t abandonId_ = 0;
 };
 
 } // namespace

@@ -271,6 +271,33 @@ TEST(ElasticRecovery, CannonReplansOntoMeshSliceAndOneSidedAbsorbsKill)
     }
 }
 
+TEST(ElasticRecovery, OneSidedPhaseStoppedMidGetLeaksNothing)
+{
+    // On real hardware the kill lands while a step's gets are still in
+    // flight; the watchdog stops the phase and every orphaned get must
+    // be reclaimed by the phase's abandon sweep (the address-sanitizer
+    // leg reports a leak otherwise).
+    const ChipConfig cfg = tpuV4Config();
+    ElasticRunConfig run = smallRun(Algorithm::kOneSided);
+    run.spec.m = run.spec.k = run.spec.n = 384;
+    run.spec.sliceCount = 2;
+    run.steps = 3;
+    run.checkpointBytesPerChip = 500;
+    run.checkpointTargetBandwidth = 1e9;
+    run.checkpointInterval = 1e9;
+    const ElasticRunResult probe = runElastic(cfg, run);
+    run.haveScenario = true;
+    run.scenario.seed = 17;
+    run.scenario.detectionLatency = 0.5;
+    run.scenario.kills.push_back(
+        KillFault{"chip2.", 1.4 * probe.stepTimeFullMesh});
+    const ElasticRunResult r = runElastic(cfg, run);
+    ASSERT_TRUE(r.recovered);
+    EXPECT_TRUE(r.functionalOk);
+    EXPECT_EQ(r.finalSpec.chips(), 2);
+    expectWallConservation(r, run.restartTime);
+}
+
 // ---------------------------------------------------------------------
 // Thread-count invariance (satellite 3): pick, stats JSON and trace.
 
