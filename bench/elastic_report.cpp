@@ -90,19 +90,12 @@ main(int argc, char **argv)
     // parameter scales off the measured step time so the recovery
     // economics stay meaningful at any GeMM size.
     const Bytes live_bytes_per_chip =
-        static_cast<Bytes>(base.spec.bytesPerElement) *
-        (static_cast<Bytes>(base.spec.m) * base.spec.k +
-         static_cast<Bytes>(base.spec.k) * base.spec.n +
-         static_cast<Bytes>(base.spec.m) * base.spec.n) /
-        chips;
+        static_cast<Bytes>(liveStateBytes(base.spec)) / chips;
     const Rate ckpt_bw = 400e9; // shared 400 GB/s checkpoint target
-    // Closed-form checkpoint span (same model the runtime enacts):
-    // launch + bytes / min(hbm, target/chips) + sync.
+    // Closed-form checkpoint span (the model the runtime's analytic
+    // mirror uses).
     const Time t_ckpt =
-        cfg.launchOverhead +
-        static_cast<double>(live_bytes_per_chip) /
-            std::min(cfg.hbmBandwidth, ckpt_bw / chips) +
-        cfg.syncLatency;
+        checkpointModelCost(cfg, chips, live_bytes_per_chip, ckpt_bw);
 
     ElasticRunConfig rec = base;
     rec.checkpointBytesPerChip = live_bytes_per_chip;

@@ -281,18 +281,20 @@ main(int argc, char **argv)
     const CollectiveRecoveryResult recovered = runCollectiveRecovery(
         cfg, rr, rc, shard_bytes, &kill_scenario,
         CollKind::kAllGather, true, 1);
-    if (!recovered.retried)
+    if (!recovered.outcome.retried)
         fatal("recovery_report: the kill scenario did not trigger a "
               "retry — chip %d is not on row ring 1 of a %dx%d mesh?",
               dead_chip, rr, rc);
     std::cout << "kill/retry transaction (all-gather, row ring 1 of "
               << rr << "x" << rc << ", chip " << dead_chip
               << " killed):\n"
-              << "  nominal       " << Table::num(nominal.totalTime * 1e3, 3)
-              << " ms\n"
-              << "  with recovery " << Table::num(recovered.totalTime * 1e3, 3)
-              << " ms  (detected dead " << recovered.error.deadResource
-              << " at " << Table::num(recovered.error.detectedAt, 4)
+              << "  nominal       "
+              << Table::num(nominal.outcome.totalTime * 1e3, 3) << " ms\n"
+              << "  with recovery "
+              << Table::num(recovered.outcome.totalTime * 1e3, 3)
+              << " ms  (detected dead "
+              << recovered.outcome.failure.deadResource << " at "
+              << Table::num(recovered.outcome.failure.detectedAt, 4)
               << " s)\n"
               << "  fault-free replay bit-identical: "
               << (bit_identical ? "yes" : "NO") << "\n\n";
@@ -377,13 +379,14 @@ main(int argc, char **argv)
          << (discrete_matches ? "true" : "false") << ",\n";
     json << "  \"kill_retry\": {\"rows\": " << rr << ", \"cols\": " << rc
          << ", \"dead_chip\": " << dead_chip
-         << ", \"nominal_s\": " << jsonNumber(nominal.totalTime)
-         << ", \"recovered_s\": " << jsonNumber(recovered.totalTime)
-         << ", \"retried\": " << (recovered.retried ? "true" : "false")
+         << ", \"nominal_s\": " << jsonNumber(nominal.outcome.totalTime)
+         << ", \"recovered_s\": "
+         << jsonNumber(recovered.outcome.totalTime) << ", \"retried\": "
+         << (recovered.outcome.retried ? "true" : "false")
          << ", \"detected_at_s\": "
-         << jsonNumber(recovered.error.detectedAt)
+         << jsonNumber(recovered.outcome.failure.detectedAt)
          << ", \"dead_resource\": "
-         << jsonString(recovered.error.deadResource)
+         << jsonString(recovered.outcome.failure.deadResource)
          << ", \"fault_free_bit_identical\": "
          << (bit_identical ? "true" : "false") << "},\n";
     json << "  \"recovery_tuner\": {\"nominal_rows\": "

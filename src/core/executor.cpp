@@ -461,13 +461,8 @@ buildOneSided(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
             for (int c = 0; c < cols; ++c) {
                 const int chip = mesh.chipAt(r, c);
                 const size_t idx = static_cast<size_t>(r) * cols + c;
-                const Time kill = inj->earliestKillAfter(
-                    cluster.sim().now(),
-                    {cluster.coreOf(chip), cluster.hbmOf(chip)});
-                if (kill < 0.0)
-                    continue;
-                cluster.sim().schedule(
-                    kill + inj->detectionLatency(),
+                inj->watchKills(
+                    {cluster.coreOf(chip), cluster.hbmOf(chip)},
                     [st, &cluster, inj, chip, idx] {
                         OneSidedChip &cs = st->chips[idx];
                         cs.dead = true;

@@ -1,5 +1,6 @@
 #include "core/recovery_study.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hw/cluster.hpp"
@@ -16,6 +17,16 @@ checkpointWriteTime(const ChipConfig &cfg, Bytes bytes_per_chip)
               "(got %lld bytes per chip)",
               static_cast<long long>(bytes_per_chip));
     return static_cast<double>(bytes_per_chip) / cfg.hostDmaBandwidth;
+}
+
+Time
+checkpointModelCost(const ChipConfig &cfg, int chips, Bytes bytes_per_chip,
+                    Rate target_bw)
+{
+    const Rate rate = std::min(cfg.hbmBandwidth,
+                               target_bw / static_cast<double>(chips));
+    return cfg.launchOverhead +
+           static_cast<double>(bytes_per_chip) / rate + cfg.syncLatency;
 }
 
 namespace {
@@ -117,10 +128,7 @@ runCollectiveRecovery(const ChipConfig &cfg, int rows, int cols,
         mesh, kind, row_ring, index, shard_bytes,
         row_ring ? kLaneHorizontalComm : kLaneVerticalComm,
         [&](const RecoveryOutcome &out) {
-            result.stats = out.stats;
-            result.retried = out.retried;
-            result.error = out.error;
-            result.totalTime = out.totalTime;
+            result.outcome = out;
             finished = true;
         });
     result.finalTime = cluster.sim().run();
@@ -156,6 +164,10 @@ predictElasticWall(const ElasticPredictionInput &in)
     int committed_at_ckpt = 0; // steps safe in the last checkpoint
     bool faulted = false;
     const bool has_kill = in.killTime >= 0.0;
+    // Where a recovered run resumes: the kill's detection, the re-plan
+    // and the re-shard, back to back.
+    const Time resume_at = in.killTime + in.detectionLatency +
+                           in.replanTime + in.reshardTime;
 
     while (step < in.steps) {
         const Time t_step = faulted ? in.survivorStepTime : in.stepTime;
@@ -164,8 +176,7 @@ predictElasticWall(const ElasticPredictionInput &in)
             // preceded it — the runtime aborts whichever phase is
             // live). Recovery: detect, re-plan, re-shard + restore,
             // roll back to the last checkpoint.
-            wall = in.killTime + in.detectionLatency + in.replanTime +
-                   in.reshardTime;
+            wall = resume_at;
             out.redoneSteps = step - committed_at_ckpt;
             step = committed_at_ckpt;
             since_ckpt = 0.0;
@@ -181,8 +192,7 @@ predictElasticWall(const ElasticPredictionInput &in)
             const Time c = faulted ? in.survivorCheckpointCost
                                    : in.checkpointCost;
             if (!faulted && has_kill && in.killTime < wall + c) {
-                wall = in.killTime + in.detectionLatency + in.replanTime +
-                       in.reshardTime;
+                wall = resume_at;
                 out.redoneSteps = step - committed_at_ckpt;
                 step = committed_at_ckpt;
                 since_ckpt = 0.0;

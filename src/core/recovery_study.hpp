@@ -48,6 +48,13 @@ struct GoodputModel
  *  in parallel, limited by `cfg.hostDmaBandwidth`. */
 Time checkpointWriteTime(const ChipConfig &cfg, Bytes bytes_per_chip);
 
+/** Closed-form span of one timed checkpoint (`runCheckpoint`) when
+ *  nothing else contends: launch, then every chip streams
+ *  @p bytes_per_chip at min(HBM, @p target_bw / @p chips), then one
+ *  sync. */
+Time checkpointModelCost(const ChipConfig &cfg, int chips,
+                         Bytes bytes_per_chip, Rate target_bw);
+
 /**
  * Goodput at checkpoint interval @p tau (> 0): useful seconds per
  * expected wall-clock second,
@@ -112,15 +119,10 @@ struct CollectiveRecoveryResult
     Time finalTime = 0.0;
     /** Events executed — part of the bit-identity contract. */
     std::uint64_t eventsProcessed = 0;
-    /** Stats of the attempt that completed (the retry's, if any). */
-    CommStats stats;
-    /** Launch-to-completion wall clock of the whole transaction. */
-    Time totalTime = 0.0;
-    /** True when the collective aborted once and re-ran on a ring
-     *  rebuilt around the dead chip. */
-    bool retried = false;
-    /** The error that triggered the retry (valid iff `retried`). */
-    CollectiveError error;
+    /** The collective's outcome: the completed attempt's stats, the
+     *  failure that forced a retry (if any) and the transaction's
+     *  launch-to-completion wall clock. */
+    RecoveryOutcome outcome;
     /** Full stats-registry JSON (collective + resource accounting). */
     std::string statsJson;
 };

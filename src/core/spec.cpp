@@ -134,6 +134,16 @@ stationaryShardBytes(const Gemm2DSpec &spec)
     panic("stationaryShardBytes: bad dataflow");
 }
 
+double
+liveStateBytes(const Gemm2DSpec &spec)
+{
+    const double m = static_cast<double>(spec.m);
+    const double k = static_cast<double>(spec.k);
+    const double n = static_cast<double>(spec.n);
+    return static_cast<double>(spec.bytesPerElement) *
+           (m * k + k * n + m * n);
+}
+
 GemmWork
 localSliceWork(const Gemm2DSpec &spec)
 {

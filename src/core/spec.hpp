@@ -115,6 +115,11 @@ FlowSide verticalFlow(const Gemm2DSpec &spec);
 /** Bytes of the stationary matrix's per-chip shard. */
 Bytes stationaryShardBytes(const Gemm2DSpec &spec);
 
+/** Bytes of the step's three live operands (A, B and the accumulated
+ *  C) over the whole mesh: what a recovery re-shard migrates and an
+ *  elastic checkpoint holds. */
+double liveStateBytes(const Gemm2DSpec &spec);
+
 /** Local GeMM computed per chip in one of the S loop iterations. */
 GemmWork localSliceWork(const Gemm2DSpec &spec);
 

@@ -103,20 +103,6 @@ class Cluster
     FaultInjector *faults() const { return faults_; }
 
     /**
-     * A fail-stop failure observed by a collective (or synthesized by
-     * the elastic runtime's watchdog): which op saw it, which resource
-     * died, the owning chip (-1 for a link), and the simulated time
-     * detection completed.
-     */
-    struct Failure
-    {
-        std::string op;
-        std::string deadResource;
-        int deadChip = -1;
-        Time detectedAt = 0.0;
-    };
-
-    /**
      * Install a cluster-level fail-stop handler. When set, a ring
      * collective that completes its fail-stop teardown with no
      * per-operation recovery continuation does NOT `fatal()` — it
@@ -126,13 +112,13 @@ class Cluster
      * an unhandled kill aborts the process.
      */
     void
-    setFailStopHandler(std::function<void(const Failure &)> handler)
+    setFailStopHandler(std::function<void(const FailStop &)> handler)
     {
         failStopHandler_ = std::move(handler);
     }
 
     /** The installed handler, or an empty function. */
-    const std::function<void(const Failure &)> &
+    const std::function<void(const FailStop &)> &
     failStopHandler() const
     {
         return failStopHandler_;
@@ -199,7 +185,7 @@ class Cluster
     SpanRecorder profiler_;
     std::vector<ChipResources> chips_;
     FaultInjector *faults_ = nullptr;
-    std::function<void(const Failure &)> failStopHandler_;
+    std::function<void(const FailStop &)> failStopHandler_;
     Flops issuedFlops_ = 0.0;
     Bytes commBytesIssued_ = 0;
 };

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/abandon.hpp"
+#include "net/comm_op.hpp"
 #include "sim/fault.hpp"
 #include "sim/join.hpp"
 #include "util/logging.hpp"
@@ -96,42 +96,14 @@ failUnroutable(Cluster &cluster, const Ring &ring, const char *op)
  * each a sequence of synchronized steps, after a single launch delay;
  * reports assembled stats and self-deletes.
  */
-class RingOpBase
+class RingOpBase : public CommOp
 {
   public:
     RingOpBase(Cluster &cluster, const Ring &ring, int lane,
                const char *name, CommDone done)
-        : cluster_(cluster), ring_(ring), lane_(lane), name_(name),
-          done_(std::move(done)), begin_(cluster.sim().now())
+        : CommOp(cluster, std::move(done)), ring_(ring), lane_(lane),
+          name_(name)
     {
-        // Profiler snapshot: the op is constructed inside the task
-        // body (or a recovery scope), but records its span nodes from
-        // event callbacks later, so the ambient context is captured
-        // here. A retry op constructed inside a recovery scope marks
-        // every node as a recovery detour.
-        SpanRecorder &prof = cluster.profiler();
-        profEnabled_ = prof.enabled();
-        if (profEnabled_) {
-            profTask_ = prof.currentTask();
-            profDeps_ = prof.ambientDeps();
-            profRecovery_ = prof.inRecovery();
-            if (prof.recoveryDep() >= 0)
-                profDeps_.push_back(prof.recoveryDep());
-        }
-        // An op stranded by a phase abandonment (its remaining events
-        // cancelled by `Simulator::requestStop`) is reclaimed by the
-        // elastic runtime's abandon sweep. Free when no registry is
-        // installed (every non-elastic caller).
-        if (AbandonRegistry *reg = AbandonRegistry::current()) {
-            abandonRegistry_ = reg;
-            abandonId_ = reg->track([this] { delete this; });
-        }
-    }
-
-    virtual ~RingOpBase()
-    {
-        if (abandonRegistry_ != nullptr)
-            abandonRegistry_->untrack(abandonId_);
     }
 
   protected:
@@ -163,76 +135,55 @@ class RingOpBase
     }
 
     /**
-     * Arm the fail-stop abort watch: if the fault scenario kills any
-     * resource this op depends on (a ring chip's HBM or a link of an
-     * orientation in use), schedule an abort at kill time + the
-     * scenario's detection latency. Guarded by `hasKills()` so a
-     * kill-free run schedules nothing extra and stays bit-identical
-     * to a run without an injector. Call after `watchLinks_` is set.
+     * Arm the kill watch over every ring chip's HBM plus the links of
+     * the orientations in use (@p fwd, @p bwd).
      */
     void
-    armFailStopWatch()
+    watchRing(bool fwd, bool bwd)
     {
-        FaultInjector *inj = cluster_.faults();
-        if (!inj || !inj->hasKills())
-            return;
-        std::vector<ResourceId> watch;
-        watch.reserve(ring_.chips.size() + watchLinks_.size());
-        for (int chip : ring_.chips)
-            watch.push_back(cluster_.hbmOf(chip));
-        watch.insert(watch.end(), watchLinks_.begin(), watchLinks_.end());
-        const Time kill = inj->earliestKillAfter(cluster_.sim().now(),
-                                                 watch);
-        if (kill < 0.0)
-            return;
-        watchArmed_ = true;
-        abortEvent_ = cluster_.sim().schedule(
-            kill + inj->detectionLatency(), [this] { abortFailStop(); });
+        armKillWatch([&](std::vector<ResourceId> &watch) {
+            for (int chip : ring_.chips)
+                watch.push_back(cluster_.hbmOf(chip));
+            if (fwd)
+                watch.insert(watch.end(), ring_.fwd.begin(), ring_.fwd.end());
+            if (bwd)
+                watch.insert(watch.end(), ring_.bwd.begin(), ring_.bwd.end());
+        });
     }
 
     /**
      * The detection timeout fired: a resource this op depends on has
      * failed permanently. Tear down everything in flight (launch
      * event, pending step joins, sync waits, live transfers), then
-     * surface a typed `CollectiveError` through the failure handler —
-     * or `fatal()` naming the corpse when no handler is installed.
+     * surface a `FailStop` through the failure handler — or `fatal()`
+     * naming the corpse when no handler is installed.
      */
     void
-    abortFailStop()
+    onKillDetected() override
     {
-        FaultInjector *inj = cluster_.faults();
-        CollectiveError err;
-        err.op = name_;
-        err.detectedAt = cluster_.sim().now();
         // Prefer a dead chip: that is what the retry evicts. A dead
         // link at fwd[i]/bwd[i] is also cured by evicting chips[i]
         // (the detour ring drops fwd[i-1..i] and bwd[i..i+1]).
-        for (int pos = 0; pos < ring_.size() && err.deadRingPos < 0;
-             ++pos) {
-            const ResourceId hbm = cluster_.hbmOf(
-                ring_.chips[static_cast<size_t>(pos)]);
-            if (inj && inj->isKilled(hbm)) {
-                err.deadChip = ring_.chips[static_cast<size_t>(pos)];
-                err.deadRingPos = pos;
-                err.deadResource = cluster_.net().resourceName(hbm);
-            }
+        const int n = ring_.size();
+        std::vector<ResourceId> suspects;
+        suspects.reserve(3 * static_cast<size_t>(n));
+        for (int chip : ring_.chips)
+            suspects.push_back(cluster_.hbmOf(chip));
+        for (int i = 0; i < n; ++i) {
+            suspects.push_back(ring_.fwd[static_cast<size_t>(i)]);
+            suspects.push_back(ring_.bwd[static_cast<size_t>(i)]);
         }
-        for (int i = 0; i < ring_.size() && err.deadRingPos < 0; ++i) {
-            const ResourceId fwd = ring_.fwd[static_cast<size_t>(i)];
-            const ResourceId bwd = ring_.bwd[static_cast<size_t>(i)];
-            const ResourceId dead_link =
-                inj && inj->isKilled(fwd)
-                    ? fwd
-                    : (inj && inj->isKilled(bwd) ? bwd : ResourceId{-1});
-            if (dead_link >= 0) {
-                err.deadChip = ring_.chips[static_cast<size_t>(i)];
-                err.deadRingPos = i;
-                err.deadResource = cluster_.net().resourceName(dead_link);
-            }
-        }
-        if (err.deadRingPos < 0)
+        const int dead = cluster_.faults()->firstKilled(suspects);
+        if (dead < 0)
             panic("%s: fail-stop abort fired but no killed resource was "
                   "found in the ring", name_);
+        FailStop err;
+        err.op = name_;
+        err.detectedAt = cluster_.sim().now();
+        err.deadRingPos = dead < n ? dead : (dead - n) / 2;
+        err.deadChip = ring_.chips[static_cast<size_t>(err.deadRingPos)];
+        err.deadResource = cluster_.net().resourceName(
+            suspects[static_cast<size_t>(dead)]);
 
         cluster_.sim().cancel(launchEvent_);
         for (int chain = 0; chain < 2; ++chain) {
@@ -250,14 +201,14 @@ class RingOpBase
                                            "fault", ring_.chips[0], lane_,
                                            cluster_.sim().now());
         }
+        Cluster &cl = cluster_;
         if (!fail_) {
             // No per-op recovery continuation: if the cluster has a
-            // fail-stop handler (the elastic runtime), report the typed
+            // fail-stop handler (the elastic runtime), report the
             // failure and stop the phase — the runtime abandons this
             // cluster and executes the recovery transaction on a
             // survivor mesh. Otherwise the historical contract stands.
-            const auto &handler = cluster_.failStopHandler();
-            if (!handler)
+            if (!cl.failStopHandler())
                 fatal("%s: %s failed permanently (kill detected at %g s) "
                       "and the collective cannot complete; no recovery "
                       "handler installed — use the recoverable variant to "
@@ -266,15 +217,9 @@ class RingOpBase
                       "revise the fault scenario",
                       name_, err.deadResource.c_str(), err.detectedAt,
                       err.deadChip);
-            Cluster &cl = cluster_;
-            Cluster::Failure failure;
-            failure.op = name_;
-            failure.deadResource = err.deadResource;
-            failure.deadChip = err.deadChip;
-            failure.detectedAt = err.detectedAt;
             delete this;
             cl.sim().requestStop();
-            cl.failStopHandler()(failure);
+            cl.failStopHandler()(err);
             return;
         }
         // Record the failed attempt as a recovery detour rooted at an
@@ -282,7 +227,6 @@ class RingOpBase
         // recovery scope: the retry op it constructs inherits both the
         // original task scope (so its exits land where the first
         // attempt's would have) and the detour dependency.
-        Cluster &cl = cluster_;
         const bool prof = profEnabled_;
         const int prof_task = profTask_;
         int abort_node = -1;
@@ -408,7 +352,7 @@ class RingOpBase
             {Demand{link, 1.0}, Demand{cluster_.hbmOf(src), 1.0},
              Demand{cluster_.hbmOf(dst), dst_hbm_demand}},
             std::move(on_done));
-        if (watchArmed_)
+        if (watchingKills())
             startedFlows_.push_back(fid); // abort cancels these
     }
 
@@ -416,8 +360,7 @@ class RingOpBase
     finish()
     {
         // The op completed before any watched kill could strand it.
-        if (watchArmed_)
-            cluster_.sim().cancel(abortEvent_);
+        disarmKillWatch();
         stats_.total = cluster_.sim().now() - begin_;
         stats_.sync = cluster_.config().syncLatency * stats_.syncCount;
         stats_.transfer = stats_.total - stats_.launch - stats_.sync;
@@ -465,46 +408,23 @@ class RingOpBase
             for (int node : exits)
                 prof.addTaskExit(profTask_, node);
         }
-        Cluster &cl = cluster_;
-        const bool prof_chain = profEnabled_ && !exits.empty();
-        const int prof_task = profTask_;
-        CommDone done = std::move(done_);
-        CommStats stats = stats_;
-        delete this;
-        // Run the continuation inside a chain scope so a follow-on op
-        // constructed in the callback (e.g. AllReduce's AG after RdS)
-        // depends on this op's final nodes.
-        if (prof_chain)
-            cl.profiler().beginChain(prof_task, std::move(exits));
-        done(stats);
-        if (prof_chain)
-            cl.profiler().endChain();
+        complete(stats_, std::move(exits));
     }
 
-    Cluster &cluster_;
     const Ring ring_; // copy: caller's Ring may be a temporary
     int lane_;
     const char *name_;
-    CommDone done_;
     /** Failure continuation; null = unrecoverable (fatal on abort). */
     CommFail fail_;
-    Time begin_;
     CommStats stats_;
     int activeChains_ = 0;
-    /** Orientation links in use, for the fail-stop watch (subclass). */
-    std::vector<ResourceId> watchLinks_;
-    /** True once `armFailStopWatch` scheduled an abort. */
-    bool watchArmed_ = false;
     EventId launchEvent_;
-    EventId abortEvent_;
     /** Per-chain pending step join / sync event, for abort teardown. */
     Join *chainJoin_[2] = {nullptr, nullptr};
     EventId chainSync_[2];
-    /** Every flow this op started (only tracked when watch armed). */
+    /** Every flow this op started (only tracked while kills are
+     *  watched). */
     std::vector<FlowId> startedFlows_;
-    /** Abandon-sweep bookkeeping (null outside elastic phases). */
-    AbandonRegistry *abandonRegistry_ = nullptr;
-    std::uint64_t abandonId_ = 0;
 
     // --- critical-path profiler state (inert when disabled) ---
 
@@ -514,18 +434,6 @@ class RingOpBase
     {
         return ring_.chips.empty() ? -1 : ring_.chips[0];
     }
-    /** Category override for ops constructed inside a recovery scope
-     *  (their nodes are recorded after the scope closed). */
-    SpanCategory
-    profCat(SpanCategory cat) const
-    {
-        return profRecovery_ ? SpanCategory::kRecovery : cat;
-    }
-
-    bool profEnabled_ = false;
-    int profTask_ = -1;          ///< ambient task scope at construction
-    std::vector<int> profDeps_;  ///< entry deps (incl. recovery root)
-    bool profRecovery_ = false;
     int profLaunchNode_ = -1;
     /** Latest recorded node per chain (next step's dependency). */
     int profChainPrev_[2] = {-1, -1};
@@ -557,25 +465,18 @@ class ShardCollectiveOp : public RingOpBase
         const bool bwd_ok = chainUsable(cluster, ring, false);
         if (!fwd_ok && !bwd_ok) {
             // When the ring is unroutable because of a *kill* and a
-            // recovery handler is installed, surface the typed error
-            // after the detection latency instead of a fatal: the
-            // caller will rebuild the ring around the corpse. A
+            // recovery handler is installed, surface the failure after
+            // the detection latency instead of a fatal: the caller
+            // will rebuild the ring around the corpse. A
             // both-directions capacity window stays fatal (it is a
             // transient the caller should have waited out).
             FaultInjector *inj = cluster.faults();
             if (fail_ && inj && inj->hasKills()) {
-                bool link_killed = false;
-                for (const std::vector<ResourceId> *links :
-                     {&ring.fwd, &ring.bwd})
-                    for (ResourceId id : *links)
-                        if (inj->isKilled(id))
-                            link_killed = true;
-                if (link_killed) {
-                    watchArmed_ = true;
-                    abortEvent_ = cluster.sim().schedule(
-                        cluster.sim().now() + inj->detectionLatency(),
-                        [this] { abortFailStop(); });
-                    return; // nothing launches; abort path owns us
+                std::vector<ResourceId> links = ring.fwd;
+                links.insert(links.end(), ring.bwd.begin(), ring.bwd.end());
+                if (inj->firstKilled(links) >= 0) {
+                    watchRing(true, true);
+                    return; // nothing launches; the abort path owns us
                 }
             }
             failUnroutable(cluster, ring, name);
@@ -590,15 +491,9 @@ class ShardCollectiveOp : public RingOpBase
         }
         stats_.syncCount = stepsPerChain_[0];
         stats_.bytesPerLink = shard_ * stepsPerChain_[0];
-        // Fail-stop watch over the orientations actually in use (plus
-        // every ring chip's HBM, added by armFailStopWatch itself).
-        if (stepsPerChain_[1] > 0 || chainForward_[0])
-            watchLinks_.insert(watchLinks_.end(), ring.fwd.begin(),
-                               ring.fwd.end());
-        if (stepsPerChain_[1] > 0 || !chainForward_[0])
-            watchLinks_.insert(watchLinks_.end(), ring.bwd.begin(),
-                               ring.bwd.end());
-        armFailStopWatch();
+        // Fail-stop watch over the orientations actually in use.
+        watchRing(stepsPerChain_[1] > 0 || chainForward_[0],
+                  stepsPerChain_[1] > 0 || !chainForward_[0]);
         launch(stepsPerChain_[1] > 0 ? 2 : 1);
     }
 
@@ -777,7 +672,7 @@ ringReduceScatter(Cluster &cluster, const Ring &ring, Bytes shard_bytes,
 namespace {
 
 /** One fail-stop-aware attempt of `runRecoverableCollective`: a kill
- *  it depends on reports a `CollectiveError` through @p fail. */
+ *  it depends on reports a `FailStop` through @p fail. */
 void
 startShardCollective(Cluster &cluster, CollKind kind, const Ring &ring,
                      Bytes shard_bytes, int lane, CommDone done,
@@ -813,7 +708,7 @@ runRecoverableCollective(TorusMesh &mesh, CollKind kind,
         done(out);
     };
     CommFail first_fail = [mesh_p, kind, row_ring, index, shard_bytes,
-                           lane, begin, done](const CollectiveError &err) {
+                           lane, begin, done](const FailStop &err) {
         Cluster &cl = mesh_p->cluster();
         if (err.deadRingPos < 0)
             panic("runRecoverableCollective: error without a ring "
@@ -832,7 +727,7 @@ runRecoverableCollective(TorusMesh &mesh, CollKind kind,
             RecoveryOutcome out;
             out.stats = stats;
             out.retried = true;
-            out.error = err;
+            out.failure = err;
             out.totalTime = mesh_p->cluster().sim().now() - begin;
             done(out);
         };
@@ -843,7 +738,7 @@ runRecoverableCollective(TorusMesh &mesh, CollKind kind,
         // rebuilt around and the fresh one on the rebuilt ring — with
         // their ring positions, so the operator can line the pair up
         // against the fault scenario without replaying the run.
-        CommFail retry_fail = [err](const CollectiveError &err2) {
+        CommFail retry_fail = [err](const FailStop &err2) {
             fatal("%s: retry on the rebuilt ring also hit a dead "
                   "resource — first failure %s (ring position %d, chip "
                   "%d, detected at %g s), second failure %s (rebuilt-"

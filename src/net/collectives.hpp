@@ -53,34 +53,8 @@ struct CommStats
 
 using CommDone = std::function<void(const CommStats &)>;
 
-/**
- * Typed description of a fail-stop failure a collective ran into: a
- * chip or link in its ring was **killed** (permanent failure from the
- * fault scenario) and the op aborted after the scenario's detection
- * latency instead of completing. Carries everything a recovery layer
- * needs to rebuild the ring and retry.
- */
-struct CollectiveError
-{
-    /** Collective that aborted ("allgather", "reducescatter", ...). */
-    std::string op;
-    /** Name of the dead resource ("chip5.hbm", "link.E.b0.r1.c2"). */
-    std::string deadResource;
-    /** Dead chip id, or -1 when only a link died. */
-    int deadChip = -1;
-    /**
-     * Ring position to evict for the retry: pass it to
-     * `TorusMesh::rowRingWithout` / `colRingWithout` as the failed
-     * column / row. Always >= 0 for errors surfaced by the
-     * recoverable collectives.
-     */
-    int deadRingPos = -1;
-    /** Simulated time the failure was detected (kill + detection). */
-    Time detectedAt = 0.0;
-};
-
 /** Failure continuation of a recoverable collective. */
-using CommFail = std::function<void(const CollectiveError &)>;
+using CommFail = std::function<void(const FailStop &)>;
 
 /**
  * AllGather on @p ring: every chip contributes @p shard_bytes and ends
@@ -139,8 +113,9 @@ struct RecoveryOutcome
     /** True when the first attempt aborted and the op re-ran on a
      *  ring rebuilt around the dead chip. */
     bool retried = false;
-    /** The error of the aborted first attempt (valid iff `retried`). */
-    CollectiveError error;
+    /** The failure of the aborted first attempt (valid iff
+     *  `retried`). */
+    FailStop failure;
     /** Wall-clock from the first launch to final completion — includes
      *  the failed attempt, the detection latency, and the retry. */
     Time totalTime = 0.0;
@@ -154,12 +129,12 @@ using RecoveryDone = std::function<void(const RecoveryOutcome &)>;
  * is like `ringAllGather` / `ringReduceScatter`, but when the fault
  * scenario **kills** a chip or link it depends on, it aborts
  * `detectionLatency` seconds after the kill — cancelling its in-flight
- * transfers and pending steps — with a `CollectiveError` instead of
+ * transfers and pending steps — with a `FailStop` instead of
  * stranding flows until the watchdog. Without kills the event sequence
  * is bit-identical to the plain collective.
  *
  *   attempt #1 on the mesh's row/col ring
- *     └─ CollectiveError after the detection timeout
+ *     └─ FailStop after the detection timeout
  *          └─ rebuild the ring without the dead position
  *             (`rowRingWithout` / `colRingWithout` detour rings)
  *               └─ attempt #2 — a second failure is fatal (named

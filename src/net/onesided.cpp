@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/abandon.hpp"
+#include "net/comm_op.hpp"
 #include "sim/fault.hpp"
 #include "util/logging.hpp"
 
@@ -51,34 +51,15 @@ allAvailable(Cluster &cluster, const std::vector<ResourceId> &links)
  * (source or path failure) or writes the transfer off (destination
  * died — its whole tile is gone; completing keeps the graph draining).
  */
-class OneSidedGetOp
+class OneSidedGetOp : public CommOp
 {
   public:
     OneSidedGetOp(OneSidedComm &comm, const Ring &ring, int src_pos,
                   int dst_pos, Bytes bytes, int lane, CommDone done)
-        : comm_(comm), cluster_(comm.mesh().cluster()), ring_(ring),
-          srcPos_(src_pos), dstPos_(dst_pos), bytes_(bytes), lane_(lane),
-          done_(std::move(done)), begin_(cluster_.sim().now())
+        : CommOp(comm.mesh().cluster(), std::move(done)), comm_(comm),
+          ring_(ring), srcPos_(src_pos), dstPos_(dst_pos), bytes_(bytes),
+          lane_(lane)
     {
-        // Profiler snapshot (same pattern as the collectives): the op
-        // is constructed inside a task body or chain scope but records
-        // its nodes from event callbacks later.
-        SpanRecorder &prof = cluster_.profiler();
-        profEnabled_ = prof.enabled();
-        if (profEnabled_) {
-            profTask_ = prof.currentTask();
-            profDeps_ = prof.ambientDeps();
-            profRecovery_ = prof.inRecovery();
-            if (prof.recoveryDep() >= 0)
-                profDeps_.push_back(prof.recoveryDep());
-        }
-        // A get stranded by a phase abandonment is reclaimed by the
-        // elastic runtime's abandon sweep, as the ring collectives are.
-        if (AbandonRegistry *reg = AbandonRegistry::current()) {
-            abandonRegistry_ = reg;
-            abandonId_ = reg->track([this] { delete this; });
-        }
-
         const int n = ring_.size();
         const int fwd_hops = (dstPos_ - srcPos_ + n) % n;
         const int bwd_hops = n - fwd_hops;
@@ -108,7 +89,7 @@ class OneSidedGetOp
                 StatsRegistry &st = cluster_.stats();
                 if (st.enabled())
                     st.add("onesided/get/writeoff", 1.0);
-                finish(CommStats{}, {});
+                complete(CommStats{}, {});
             });
             return;
         }
@@ -116,45 +97,25 @@ class OneSidedGetOp
             redirectToReplica();
             return;
         }
-        armFailStop(links);
+        watchAttempt(srcChip(), links);
         startFlow(srcChip(), std::move(links));
-    }
-
-    ~OneSidedGetOp()
-    {
-        if (abandonRegistry_ != nullptr)
-            abandonRegistry_->untrack(abandonId_);
     }
 
   private:
     int srcChip() const { return ring_.chips[static_cast<size_t>(srcPos_)]; }
     int dstChip() const { return ring_.chips[static_cast<size_t>(dstPos_)]; }
 
-    SpanCategory
-    profCat(SpanCategory cat) const
-    {
-        return profRecovery_ ? SpanCategory::kRecovery : cat;
-    }
-
-    /** Schedule the abort for the earliest kill among the resources the
-     *  current attempt depends on (guarded by hasKills, so kill-free
-     *  runs stay bit-identical to runs without an injector). */
+    /** Kill watch over what one attempt depends on: both endpoints'
+     *  HBM and the routed @p links (a retry's detour resource is
+     *  registered post-arm, so it cannot die). */
     void
-    armFailStop(const std::vector<ResourceId> &links)
+    watchAttempt(int src_chip, const std::vector<ResourceId> &links)
     {
-        FaultInjector *inj = cluster_.faults();
-        if (!inj || !inj->hasKills())
-            return;
-        std::vector<ResourceId> watch{cluster_.hbmOf(srcChip()),
-                                      cluster_.hbmOf(dstChip())};
-        watch.insert(watch.end(), links.begin(), links.end());
-        const Time kill =
-            inj->earliestKillAfter(cluster_.sim().now(), watch);
-        if (kill < 0.0)
-            return;
-        watchArmed_ = true;
-        abortEvent_ = cluster_.sim().schedule(
-            kill + inj->detectionLatency(), [this] { abortFailStop(); });
+        armKillWatch([&](std::vector<ResourceId> &watch) {
+            watch.push_back(cluster_.hbmOf(src_chip));
+            watch.push_back(cluster_.hbmOf(dstChip()));
+            watch.insert(watch.end(), links.begin(), links.end());
+        });
     }
 
     void
@@ -176,17 +137,14 @@ class OneSidedGetOp
         cluster_.noteCommBytes(bytes_);
         flow_ = cluster_.net().startFlow(
             static_cast<double>(bytes_), std::move(demands),
-            [this] { complete(); });
+            [this] { landed(); });
     }
 
     /** The attempt's flow finished: assemble stats and self-delete. */
     void
-    complete()
+    landed()
     {
-        if (watchArmed_) {
-            cluster_.sim().cancel(abortEvent_);
-            watchArmed_ = false;
-        }
+        disarmKillWatch();
         CommStats stats;
         stats.total = cluster_.sim().now() - begin_;
         stats.transfer = stats.total;
@@ -226,25 +184,7 @@ class OneSidedGetOp
             prof.addTaskExit(profTask_, node);
             exits.push_back(node);
         }
-        finish(stats, std::move(exits));
-    }
-
-    /** Call `done` inside a chain scope on the final node(s) so the
-     *  continuation (e.g. the compute fed by this get's join) records
-     *  its dependency on the get. */
-    void
-    finish(const CommStats &stats, std::vector<int> exits)
-    {
-        Cluster &cl = cluster_;
-        const bool prof_chain = profEnabled_ && !exits.empty();
-        const int prof_task = profTask_;
-        CommDone done = std::move(done_);
-        delete this;
-        if (prof_chain)
-            cl.profiler().beginChain(prof_task, std::move(exits));
-        done(stats);
-        if (prof_chain)
-            cl.profiler().endChain();
+        complete(stats, std::move(exits));
     }
 
     /**
@@ -256,36 +196,32 @@ class OneSidedGetOp
      * dead source's slice from its ring-neighbour replica.
      */
     void
-    abortFailStop()
+    onKillDetected() override
     {
-        FaultInjector *inj = cluster_.faults();
-        watchArmed_ = false;
         const ResourceId src_hbm = cluster_.hbmOf(curSrc_);
         const ResourceId dst_hbm = cluster_.hbmOf(dstChip());
-        ResourceId corpse = -1;
-        int corpse_chip = -1;
-        if (curSrc_ != dstChip() && inj->isKilled(src_hbm)) {
-            corpse = src_hbm;
-            corpse_chip = curSrc_;
-        } else if (inj->isKilled(dst_hbm)) {
-            corpse = dst_hbm;
-            corpse_chip = dstChip();
-        } else {
-            const int n = ring_.size();
-            for (size_t i = 0; i < links_.size() && corpse < 0; ++i)
-                if (inj->isKilled(links_[i])) {
-                    corpse = links_[i];
-                    // fwd[p]/bwd[p] belong to the chip at position p.
-                    int p = srcPos_;
-                    for (size_t h = 0; h < i; ++h)
-                        p = routeForward() ? (p + 1) % n
-                                           : (p - 1 + n) % n;
-                    corpse_chip = ring_.chips[static_cast<size_t>(p)];
-                }
-        }
-        if (corpse < 0)
+        // Source first (unless the replica is local), then the
+        // destination, then the route in path order.
+        std::vector<ResourceId> suspects;
+        if (curSrc_ != dstChip())
+            suspects.push_back(src_hbm);
+        suspects.push_back(dst_hbm);
+        const size_t first_link = suspects.size();
+        suspects.insert(suspects.end(), links_.begin(), links_.end());
+        const int dead = cluster_.faults()->firstKilled(suspects);
+        if (dead < 0)
             panic("onesided get: fail-stop abort fired but no killed "
                   "resource was found on the route");
+        const ResourceId corpse = suspects[static_cast<size_t>(dead)];
+        int corpse_chip = corpse == src_hbm ? curSrc_ : dstChip();
+        if (static_cast<size_t>(dead) >= first_link) {
+            // fwd[p]/bwd[p] belong to the chip at position p.
+            const int n = ring_.size();
+            int p = srcPos_;
+            for (size_t h = first_link; h < static_cast<size_t>(dead); ++h)
+                p = routeForward() ? (p + 1) % n : (p - 1 + n) % n;
+            corpse_chip = ring_.chips[static_cast<size_t>(p)];
+        }
         // First detection broadcasts membership: gets issued from here
         // on skip their own detection window for this corpse.
         if (corpse == src_hbm || corpse == dst_hbm)
@@ -325,7 +261,7 @@ class OneSidedGetOp
                 cluster_.profiler().addTaskExit(profTask_, abortNode_);
                 exits.push_back(abortNode_);
             }
-            finish(stats, std::move(exits));
+            complete(stats, std::move(exits));
             return;
         }
 
@@ -336,19 +272,8 @@ class OneSidedGetOp
         // around the failure.
         retried_ = true;
         retryBegin_ = cluster_.sim().now();
-        int retry_src = srcChip();
-        if (corpse == src_hbm) {
-            const int n = ring_.size();
-            int pos = (srcPos_ + 1) % n;
-            if (pos == dstPos_)
-                pos = (srcPos_ - 1 + n) % n;
-            // On a 2-ring the only survivor is the destination itself:
-            // the replica is local and the "get" is an HBM-side re-read.
-            retry_src = ring_.chips[static_cast<size_t>(pos)];
-        }
-        const ResourceId detour = comm_.detourAround(corpse_chip);
-        armRetryFailStop(retry_src);
-        startFlow(retry_src, {detour});
+        retryOverDetour(corpse == src_hbm ? replicaChip() : srcChip(),
+                        corpse_chip);
     }
 
     /** The source was already a known corpse when this get was issued:
@@ -364,34 +289,31 @@ class OneSidedGetOp
         StatsRegistry &st = cluster_.stats();
         if (st.enabled())
             st.add("onesided/get/redirect", 1.0);
-        const int corpse_chip = srcChip();
+        retryOverDetour(replicaChip(), srcChip());
+    }
+
+    /** The source's ring-neighbour replica: the chip that would have
+     *  forwarded its slice in a ring collective. On a 2-ring the only
+     *  survivor is the destination itself: the replica is local and
+     *  the "get" is an HBM-side re-read. */
+    int
+    replicaChip() const
+    {
         const int n = ring_.size();
         int pos = (srcPos_ + 1) % n;
         if (pos == dstPos_)
             pos = (srcPos_ - 1 + n) % n;
-        // On a 2-ring the only survivor is the destination itself: the
-        // replica is local and the "get" is an HBM-side re-read.
-        const int retry_src = ring_.chips[static_cast<size_t>(pos)];
-        const ResourceId detour = comm_.detourAround(corpse_chip);
-        armRetryFailStop(retry_src);
-        startFlow(retry_src, {detour});
+        return ring_.chips[static_cast<size_t>(pos)];
     }
 
-    /** Second-kill watch over the retry's endpoints (the detour
-     *  resource itself is registered post-arm, so it cannot die). */
+    /** The one retry: read from @p retry_src over the shared detour
+     *  around @p corpse_chip, watching the retry's endpoints. */
     void
-    armRetryFailStop(int retry_src)
+    retryOverDetour(int retry_src, int corpse_chip)
     {
-        FaultInjector *inj = cluster_.faults();
-        std::vector<ResourceId> watch{cluster_.hbmOf(retry_src),
-                                      cluster_.hbmOf(dstChip())};
-        const Time kill =
-            inj->earliestKillAfter(cluster_.sim().now(), watch);
-        if (kill < 0.0)
-            return;
-        watchArmed_ = true;
-        abortEvent_ = cluster_.sim().schedule(
-            kill + inj->detectionLatency(), [this] { abortFailStop(); });
+        const ResourceId detour = comm_.detourAround(corpse_chip);
+        watchAttempt(retry_src, {});
+        startFlow(retry_src, {detour});
     }
 
     /** Orientation of `links_` (true = fwd). Only valid when the path
@@ -404,14 +326,11 @@ class OneSidedGetOp
     }
 
     OneSidedComm &comm_;
-    Cluster &cluster_;
     const Ring ring_; // copy: caller's Ring may be a temporary
     int srcPos_;
     int dstPos_;
     Bytes bytes_;
     int lane_;
-    CommDone done_;
-    Time begin_;
     Time retryBegin_ = 0.0;
     /** Source chip of the current attempt (the replica's after a
      *  dead-source retry). */
@@ -419,18 +338,8 @@ class OneSidedGetOp
     /** Route of the current attempt ({detour} on the retry leg). */
     std::vector<ResourceId> links_;
     FlowId flow_ = -1;
-    bool watchArmed_ = false;
-    EventId abortEvent_;
     bool retried_ = false;
-
-    bool profEnabled_ = false;
-    int profTask_ = -1;
-    std::vector<int> profDeps_;
-    bool profRecovery_ = false;
     int abortNode_ = -1;
-    /** Abandon-sweep bookkeeping (null outside elastic phases). */
-    AbandonRegistry *abandonRegistry_ = nullptr;
-    std::uint64_t abandonId_ = 0;
 };
 
 } // namespace

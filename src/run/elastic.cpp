@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,34 +27,6 @@ namespace {
  *  so the result is bit-exact across shard layouts and re-shards. */
 constexpr float kElasticLr = 0.5f;
 
-/** Linear chip id of a `"chip<i>."` kill pattern; fatal on anything
- *  else — the elastic runtime recovers from whole-chip fail-stops
- *  only (a link kill retires no chip and has no survivor geometry). */
-int
-chipOfKillPattern(const std::string &pattern, int chips)
-{
-    const std::string prefix = "chip";
-    bool ok = pattern.size() > prefix.size() &&
-              pattern.compare(0, prefix.size(), prefix) == 0;
-    size_t i = prefix.size();
-    int chip = 0;
-    bool digits = false;
-    while (ok && i < pattern.size() && pattern[i] >= '0' &&
-           pattern[i] <= '9') {
-        chip = chip * 10 + (pattern[i] - '0');
-        digits = true;
-        ++i;
-    }
-    if (!ok || !digits || i != pattern.size() - 1 || pattern[i] != '.')
-        fatal("runElastic: kill pattern \"%s\" is not a whole-chip kill "
-              "(\"chip<i>.\") — the elastic runtime recovers from chip "
-              "fail-stops only", pattern.c_str());
-    if (chip < 0 || chip >= chips)
-        fatal("runElastic: kill pattern \"%s\" addresses a chip outside "
-              "the %d-chip cluster", pattern.c_str(), chips);
-    return chip;
-}
-
 /** m, k and n all divide both axes of @p shape — the precondition for
  *  exact operand re-shard plans and functional scatter. */
 bool
@@ -64,25 +37,13 @@ fullyDivides(const Gemm2DSpec &spec, MeshShape shape)
            spec.n % shape.rows == 0 && spec.n % shape.cols == 0;
 }
 
-/** Closed-form checkpoint span matching `runCheckpoint` when nothing
- *  else contends: per-chip rate = min(HBM, target/chips). */
-Time
-checkpointModelCost(const ChipConfig &cfg, int chips, Bytes bytes_per_chip,
-                    Rate target_bw)
-{
-    const Rate rate = std::min(cfg.hbmBandwidth,
-                               target_bw / static_cast<double>(chips));
-    return cfg.launchOverhead +
-           static_cast<double>(bytes_per_chip) / rate + cfg.syncLatency;
-}
-
 /** Outcome of one phase simulation (step / checkpoint / re-shard). */
 struct PhaseOut
 {
-    Time span = 0.0; ///< committed span, or kill + detection if failed
+    Time span = 0.0; ///< committed span, or the detection if failed
     std::uint64_t events = 0;
     bool failed = false;
-    Cluster::Failure failure;
+    FailStop failure;
     double cat[kSpanCategoryCount] = {0, 0, 0, 0, 0, 0, 0};
 };
 
@@ -97,67 +58,62 @@ foldProfile(Cluster &cluster, PhaseOut &out)
         out.cat[i] = attr.byCategory[i];
 }
 
-/** The single kill of @p sliced, or a negative time when none. */
-Time
-killTimeOf(const FaultScenario *sliced)
-{
-    if (sliced == nullptr || sliced->kills.empty())
-        return -1.0;
-    return sliced->kills.front().at;
-}
-
 /**
  * Classify a finished phase: a kill that fired before the phase's
- * measured end consumed it (abort paths measure exactly
- * kill + detection; a schedule that absorbed the kill — OneSided —
- * completed but its corpse-resident results are lost). The recovery
- * transaction starts at kill + detection either way.
+ * measured end consumed it (abort paths measure exactly the
+ * detection; a schedule that absorbed the kill — OneSided — completed
+ * but its corpse-resident results are lost). The recovery transaction
+ * starts at the detection either way.
  */
 void
-classifyKill(const FaultScenario *sliced, int chips, Time measured,
-             bool handler_failed, const Cluster::Failure &handler_failure,
-             PhaseOut &out)
+classifyKill(const FaultScenario *sliced, Time measured,
+             const std::optional<FailStop> &detected, PhaseOut &out)
 {
-    const Time kill_at = killTimeOf(sliced);
-    const bool killed =
-        handler_failed || (kill_at >= 0.0 && kill_at < measured);
-    if (!killed) {
+    const Time kill_at = sliced != nullptr && !sliced->kills.empty()
+                             ? sliced->kills.front().at
+                             : -1.0;
+    if (!(kill_at >= 0.0 && kill_at < measured)) {
         out.span = measured;
         return;
     }
+    if (!detected)
+        panic("runElastic: the kill at %g s fired inside the phase but "
+              "was never detected", kill_at);
     out.failed = true;
-    out.span = kill_at + sliced->detectionLatency;
-    if (handler_failed) {
-        out.failure = handler_failure;
-        if (out.failure.deadChip < 0)
-            out.failure.deadChip =
-                chipOfKillPattern(sliced->kills.front().pattern, chips);
-    } else {
-        out.failure.op = "elastic.watchdog";
-        out.failure.deadResource = sliced->kills.front().pattern;
-        out.failure.deadChip =
-            chipOfKillPattern(sliced->kills.front().pattern, chips);
-        out.failure.detectedAt = out.span;
-    }
+    out.failure = *detected;
+    out.span = detected->detectedAt;
 }
 
 /**
- * Arm the runtime's own detection watchdog: a kill the schedule
- * absorbs (OneSided) or parks on (a compute-only tail with no
- * collective fail-stop watch live) would otherwise drain to the
- * quiescence abort. Fires at kill + detection; a no-op when the
- * simulator already stopped (a collective's abort won the race —
- * deterministic: same time, lower sequence number wins).
+ * Arm the runtime's own detection watchdog over the killed chip: a
+ * kill the schedule absorbs (OneSided) or parks on (a compute-only
+ * tail with no collective fail-stop watch live) would otherwise drain
+ * to the quiescence abort. At the detection it records the failure —
+ * unless a collective's abort already reported one through the
+ * cluster's fail-stop handler — and stops the phase.
  */
 void
-armElasticWatchdog(Cluster &cluster, const FaultScenario &sliced)
+armElasticWatchdog(Cluster &cluster, FaultInjector &injector,
+                   std::optional<FailStop> &detected)
 {
-    if (sliced.kills.empty())
+    if (!injector.hasKills())
         return;
-    const Time at =
-        sliced.kills.front().at + sliced.detectionLatency;
+    const int chip =
+        readChipPattern(injector.scenario().kills.front().pattern).chip;
+    const std::vector<ResourceId> watched{cluster.coreOf(chip),
+                                          cluster.hbmOf(chip)};
     Cluster *cl = &cluster;
-    cluster.sim().scheduleAfter(at, [cl] {
+    injector.watchKills(watched, [cl, &injector, watched, chip,
+                                  &detected] {
+        if (!detected) {
+            FailStop f;
+            f.op = "elastic.watchdog";
+            f.deadResource = cl->net().resourceName(watched[
+                static_cast<size_t>(injector.firstKilled(watched))]);
+            f.deadChip = chip;
+            f.detectedAt = cl->sim().now();
+            detected = std::move(f);
+        }
         if (!cl->sim().stopRequested())
             cl->sim().requestStop();
     });
@@ -182,36 +138,31 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
         cluster.enableProfiler(true);
     FaultInjector injector(cluster.sim(), cluster.net(),
                            sliced ? *sliced : FaultScenario{});
-    bool handler_failed = false;
-    Cluster::Failure handler_failure;
-    cluster.setFailStopHandler([&](const Cluster::Failure &f) {
-        if (!handler_failed) {
-            handler_failed = true;
-            handler_failure = f;
-        }
+    std::optional<FailStop> detected;
+    cluster.setFailStopHandler([&](const FailStop &f) {
+        if (!detected)
+            detected = f;
     });
+    auto arm = [&] {
+        if (sliced) {
+            injector.arm();
+            cluster.attachFaults(&injector);
+            armElasticWatchdog(cluster, injector, detected);
+        }
+    };
     GemmRunResult res;
     if (is_1d) {
         RingNetwork ring(cluster);
-        if (sliced) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-            armElasticWatchdog(cluster, *sliced);
-        }
+        arm();
         res = runGemm1D(ring, to1DSpec(spec, algo), algo);
     } else {
         TorusMesh mesh(cluster, spec.rows, spec.cols);
-        if (sliced) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-            armElasticWatchdog(cluster, *sliced);
-        }
+        arm();
         GemmExecutor executor(mesh);
         res = executor.run(algo, spec);
     }
     out.events = cluster.sim().eventsProcessed();
-    classifyKill(sliced, spec.chips(), res.time, handler_failed,
-                 handler_failure, out);
+    classifyKill(sliced, res.time, detected, out);
     foldProfile(cluster, out);
     return out;
 }
@@ -257,30 +208,27 @@ runCheckpointPhase(const ChipConfig &cfg, int chips,
 {
     PhaseOut out;
     FaultScenario filtered;
-    bool armed = false;
     if (sliced) {
         filtered = *sliced;
-        std::vector<CapacityFault> chip_faults;
-        for (const CapacityFault &f : filtered.faults)
-            if (f.pattern.compare(0, 4, "chip") == 0)
-                chip_faults.push_back(f);
-        filtered.faults = std::move(chip_faults);
-        armed = !filtered.empty();
+        std::erase_if(filtered.faults, [](const CapacityFault &f) {
+            return !readChipPattern(f.pattern).chipAddressed;
+        });
     }
+    const bool armed = !filtered.empty();
     Cluster cluster(cfg, chips);
     AbandonRegistry abandoned;
     ScopedAbandonRegistry abandonScope(abandoned);
     if (profile)
         cluster.enableProfiler(true);
     FaultInjector injector(cluster.sim(), cluster.net(), filtered);
+    std::optional<FailStop> detected;
     if (armed) {
         injector.arm();
         cluster.attachFaults(&injector);
+        armElasticWatchdog(cluster, injector, detected);
     }
     bool done = false;
     Time span = 0.0;
-    if (armed)
-        armElasticWatchdog(cluster, filtered);
     runCheckpoint(cluster, spec, [&](Time t) {
         done = true;
         span = t;
@@ -290,10 +238,10 @@ runCheckpointPhase(const ChipConfig &cfg, int chips,
         if (!cluster.sim().stopRequested())
             panic("runElastic: checkpoint phase did not drain");
         // The watchdog stopped a checkpoint parked on a corpse.
-        span = killTimeOf(sliced) + sliced->detectionLatency;
+        span = cluster.sim().now();
     }
     out.events = cluster.sim().eventsProcessed();
-    classifyKill(sliced, chips, span, false, Cluster::Failure{}, out);
+    classifyKill(sliced, span, detected, out);
     foldProfile(cluster, out);
     return out;
 }
@@ -463,7 +411,26 @@ validateElasticConfig(const ElasticRunConfig &run, int chips0)
                 fatal("runElastic: fail-stop recovery is not implemented "
                       "for pipeline step bodies (stage retirement needs "
                       "a schedule re-plan) — use a kill-free scenario");
-            chipOfKillPattern(run.scenario.kills.front().pattern, chips0);
+            const std::string &kill = run.scenario.kills.front().pattern;
+            const ChipPattern dead = readChipPattern(kill);
+            if (dead.chip < 0 || !dead.resource.empty())
+                fatal("runElastic: kill pattern \"%s\" is not a whole-chip "
+                      "kill (\"chip<i>.\") — the elastic runtime recovers "
+                      "from chip fail-stops only", kill.c_str());
+            if (dead.chip >= chips0)
+                fatal("runElastic: kill pattern \"%s\" addresses a chip "
+                      "outside the %d-chip cluster", kill.c_str(), chips0);
+            // The shrink renumbers the survivors, which only works for
+            // a pattern that names one chip ("chip1" also hits chip10+).
+            for (const CapacityFault &f : run.scenario.faults) {
+                const ChipPattern addr = readChipPattern(f.pattern);
+                if (addr.chipAddressed && addr.chip < 0)
+                    fatal("runElastic: fault pattern \"%s\" names several "
+                          "chips — a recovery shrink renumbers the "
+                          "survivors, so a chip-addressed pattern must name "
+                          "exactly one chip (\"chip<i>.\")",
+                          f.pattern.c_str());
+            }
             if (!(run.scenario.detectionLatency > 0.0))
                 fatal("runElastic: fail-stop recovery requires a "
                       "strictly positive detection latency");
@@ -512,11 +479,6 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
 
     const bool ckpt_on = run.checkpointBytesPerChip > 0 &&
                          run.checkpointTargetBandwidth > 0.0;
-    const double live_bytes =
-        static_cast<double>(run.spec.bytesPerElement) *
-        (static_cast<double>(run.spec.m) * run.spec.k +
-         static_cast<double>(run.spec.k) * run.spec.n +
-         static_cast<double>(run.spec.m) * run.spec.n);
 
     // Checkpoint interval: explicit, or the Young–Daly optimum of this
     // cluster's recovery economics.
@@ -538,7 +500,8 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             const std::vector<SurvivorMesh> opts = survivorOptionsForChip(
                 MeshShape{run.spec.rows, run.spec.cols}, 0);
             m.reshardTime = reshardTimeModel(
-                cfg, reshardBytesModel(live_bytes, opts.front()),
+                cfg,
+                reshardBytesModel(liveStateBytes(run.spec), opts.front()),
                 opts.front().to().chips());
             interval = evaluateTrainingRun(cfg, m).optimalInterval;
         }
@@ -588,7 +551,7 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             sliced = sliceScenarioForPhase(live, wall, step_seed);
             sp = &sliced;
         }
-        const PhaseOut out =
+        PhaseOut out =
             run.pipeline.enabled
                 ? runPipelineStepPhase(cfg, spec_cur, run.pipeline, sp,
                                        run.profile)
@@ -634,36 +597,32 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
                 for (int i = 0; i < kSpanCategoryCount; ++i)
                     result.pathSeconds[i] += cout.cat[i];
                 if (cout.failed) {
-                    goto recovery; // NOLINT: single recovery funnel
+                    out = cout; // the recovery below handles it
+                } else {
+                    wall += cout.span;
+                    ++result.checkpoints;
+                    useful_since_ckpt = 0.0;
+                    last_ckpt_step = step;
+                    if (run.functionalState)
+                        fs.ckptW = fs.w;
                 }
-                wall += cout.span;
-                ++result.checkpoints;
-                useful_since_ckpt = 0.0;
-                last_ckpt_step = step;
-                if (run.functionalState)
-                    fs.ckptW = fs.w;
             }
-            continue;
+            if (!out.failed)
+                continue;
         }
 
-      recovery: {
         // The recovery transaction. Exactly one per run: the scenario
         // carries at most one kill, and a second fail-stop would have
         // no kill left to be attributed to.
         if (result.recovered)
             fatal("runElastic: a second fail-stop was observed — the "
                   "elastic runtime recovers from one kill per run");
-        const ElasticPhase &aborted = result.phases.back();
-        const int dead = aborted.kind == ElasticPhase::Kind::kStep
-                             ? out.failure.deadChip
-                             : chipOfKillPattern(
-                                   live.kills.front().pattern,
-                                   spec_cur.chips());
+        const int dead = out.failure.deadChip;
         result.recovered = true;
         result.deadChip = dead;
         result.redoneSteps = step - last_ckpt_step;
         result.detectionSpan = run.scenario.detectionLatency;
-        wall += aborted.span; // local kill time + detection
+        wall += out.span; // the kill's detection, phase-local
 
         // Incremental re-plan: phase 1/2 (calibration, shape sweep)
         // are reused — only the survivor ranking is redone. Cannon
@@ -741,7 +700,6 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
         result.finalAlgo = algo_cur;
         step = last_ckpt_step;
         useful_since_ckpt = 0.0;
-      }
     }
 
     result.wall = wall;

@@ -1,7 +1,6 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -57,16 +56,25 @@ rejectUnknownKeys(const JsonValue &obj, std::initializer_list<const char *>
 
 void
 validateWindow(double factor, Time start, Time duration, const char *what,
-               const std::string &who)
+               const std::string &who, const std::string &ctx)
 {
     if (!(factor >= 0.0 && factor <= 1.0))
-        fatal("FaultScenario: %s %s has factor %g outside [0, 1]", what,
-              who.c_str(), factor);
+        fatal("FaultScenario: %s %s has factor %g outside [0, 1] in %s",
+              what, who.c_str(), factor, ctx.c_str());
     if (!(start >= 0.0) || !std::isfinite(start))
-        fatal("FaultScenario: %s %s has negative or non-finite start %g s",
-              what, who.c_str(), start);
+        fatal("FaultScenario: %s %s has negative or non-finite start %g s "
+              "in %s", what, who.c_str(), start, ctx.c_str());
     if (std::isnan(duration))
-        fatal("FaultScenario: %s %s has NaN duration", what, who.c_str());
+        fatal("FaultScenario: %s %s has NaN duration in %s", what,
+              who.c_str(), ctx.c_str());
+}
+
+/** Substring matching: two patterns can hit the same resource only
+ *  when one contains the other. */
+bool
+patternsCollide(const std::string &a, const std::string &b)
+{
+    return a.find(b) != std::string::npos || b.find(a) != std::string::npos;
 }
 
 } // namespace
@@ -74,28 +82,50 @@ validateWindow(double factor, Time start, Time duration, const char *what,
 void
 validateScenario(const FaultScenario &scenario, const std::string &context)
 {
+    const char *ctx = context.c_str();
+    if (scenario.maxLaunchJitter < 0.0 ||
+        !std::isfinite(scenario.maxLaunchJitter))
+        fatal("FaultScenario: \"max_launch_jitter_s\" must be finite and "
+              ">= 0 in %s (got %g)", ctx, scenario.maxLaunchJitter);
     if (scenario.detectionLatency < 0.0 ||
         !std::isfinite(scenario.detectionLatency))
         fatal("FaultScenario: \"detection_latency_s\" must be finite and "
-              ">= 0 in %s (got %g)", context.c_str(),
-              scenario.detectionLatency);
-    // Two kills can hit the same resource only when one pattern
-    // contains the other (substring matching). For such a pair the
-    // later kill is meaningless at best: either the resource was dead
-    // long enough that the runtime already noticed (a "second kill of
-    // a corpse"), or the second kill lands inside the first one's
-    // detection window, which would make detection-latency accounting
-    // ambiguous. Both are scenario bugs worth failing loudly on.
+              ">= 0 in %s (got %g)", ctx, scenario.detectionLatency);
+    for (const CapacityFault &f : scenario.faults) {
+        if (f.pattern.empty())
+            fatal("FaultScenario: fault pattern must be non-empty in %s "
+                  "(an empty pattern matches everything, which is never "
+                  "what you want)", ctx);
+        validateWindow(f.factor, f.start, f.duration, "fault",
+                       "\"" + f.pattern + "\"", context);
+    }
+    for (const StragglerFault &s : scenario.stragglers) {
+        if (s.chip < 0)
+            fatal("FaultScenario: straggler chip index %d is negative in %s",
+                  s.chip, ctx);
+        const std::string who = strprintf("chip %d", s.chip);
+        validateWindow(s.computeFactor, s.start, s.duration, "straggler",
+                       who, context);
+        validateWindow(s.hbmFactor, s.start, s.duration, "straggler", who,
+                       context);
+    }
+    for (const KillFault &k : scenario.kills) {
+        if (k.pattern.empty())
+            fatal("FaultScenario: kill pattern must be non-empty in %s", ctx);
+        if (!(k.at >= 0.0) || !std::isfinite(k.at))
+            fatal("FaultScenario: kill \"%s\" has negative or non-finite "
+                  "at_s %g in %s", k.pattern.c_str(), k.at, ctx);
+    }
+    // For a colliding kill pair the later kill is meaningless at best:
+    // either the resource was dead long enough that the runtime already
+    // noticed (a "second kill of a corpse"), or the second kill lands
+    // inside the first one's detection window, which would make
+    // detection-latency accounting ambiguous.
     for (size_t i = 0; i < scenario.kills.size(); ++i) {
         for (size_t j = 0; j < scenario.kills.size(); ++j) {
-            if (i == j)
-                continue;
             const KillFault &first = scenario.kills[i];
             const KillFault &second = scenario.kills[j];
-            const bool patterns_collide =
-                first.pattern.find(second.pattern) != std::string::npos ||
-                second.pattern.find(first.pattern) != std::string::npos;
-            if (!patterns_collide)
+            if (i == j || !patternsCollide(first.pattern, second.pattern))
                 continue;
             // Break the symmetric pair deterministically: report with
             // `first` as the earlier kill (ties by index).
@@ -109,16 +139,58 @@ validateScenario(const FaultScenario &scenario, const std::string &context)
                       "failure cannot be re-detected while the first "
                       "detection is still in flight",
                       j, second.pattern.c_str(), second.at, i, first.at,
-                      first.at + scenario.detectionLatency,
-                      context.c_str());
+                      first.at + scenario.detectionLatency, ctx);
             fatal("FaultScenario: kill #%zu (pattern \"%s\", at %g s) "
                   "kills a resource kill #%zu (pattern \"%s\", at %g s) "
                   "already took down in %s — a fail-stop resource dies "
                   "exactly once",
                   j, second.pattern.c_str(), second.at, i,
-                  first.pattern.c_str(), first.at, context.c_str());
+                  first.pattern.c_str(), first.at, ctx);
         }
     }
+    // A capacity window that multiplied into a dead resource's factor
+    // would make the "robust" numbers meaningless.
+    for (size_t ki = 0; ki < scenario.kills.size(); ++ki) {
+        const KillFault &k = scenario.kills[ki];
+        for (size_t fi = 0; fi < scenario.faults.size(); ++fi) {
+            const CapacityFault &f = scenario.faults[fi];
+            // Kill is active on [at, inf); window on [start, end).
+            if (!patternsCollide(k.pattern, f.pattern) ||
+                (f.duration >= 0.0 && f.start + f.duration <= k.at))
+                continue;
+            fatal("FaultScenario: kill #%zu (pattern \"%s\", at %g s) "
+                  "overlaps capacity fault #%zu (pattern \"%s\", window "
+                  "[%g s, %s)) in %s — a capacity window on a killed "
+                  "resource is contradictory; shorten the window or drop "
+                  "the kill",
+                  ki, k.pattern.c_str(), k.at, fi, f.pattern.c_str(),
+                  f.start,
+                  f.duration < 0.0
+                      ? "inf"
+                      : strprintf("%g s", f.start + f.duration).c_str(),
+                  ctx);
+        }
+    }
+}
+
+ChipPattern
+readChipPattern(const std::string &pattern)
+{
+    ChipPattern out;
+    out.chipAddressed = pattern.rfind("chip", 0) == 0;
+    if (!out.chipAddressed)
+        return out;
+    // Exactly one chip: an id without a leading zero (no resource is
+    // named "chip01."), closed by the dot that ends it.
+    const size_t dot = pattern.find_first_not_of("0123456789", 4);
+    if (dot == std::string::npos || pattern[dot] != '.')
+        return out;
+    const size_t digits = dot - 4;
+    if (digits == 0 || digits > 9 || (digits > 1 && pattern[4] == '0'))
+        return out;
+    out.chip = std::stoi(pattern.substr(4, digits));
+    out.resource = pattern.substr(dot + 1);
+    return out;
 }
 
 std::uint64_t
@@ -188,20 +260,6 @@ remapScenarioChips(const FaultScenario &scenario,
         fatal("remapScenarioChips: %zu kill(s) remain in the scenario — "
               "the elastic runtime consumes the kill before remapping "
               "onto the survivor mesh", scenario.kills.size());
-    // "chip<i>." prefix -> old chip id, or -1 for non-chip patterns.
-    auto chip_of = [](const std::string &pattern) -> int {
-        if (pattern.rfind("chip", 0) != 0)
-            return -1;
-        size_t pos = 4;
-        if (pos >= pattern.size() ||
-            !std::isdigit(static_cast<unsigned char>(pattern[pos])))
-            return -1;
-        int chip = 0;
-        while (pos < pattern.size() &&
-               std::isdigit(static_cast<unsigned char>(pattern[pos])))
-            chip = chip * 10 + (pattern[pos++] - '0');
-        return chip;
-    };
     auto renumber = [&](int old_chip) -> int {
         if (old_chip < 0 || old_chip >= static_cast<int>(old_to_new.size()))
             fatal("remapScenarioChips: chip %d outside the old mesh "
@@ -213,16 +271,18 @@ remapScenarioChips(const FaultScenario &scenario,
     out.maxLaunchJitter = scenario.maxLaunchJitter;
     out.detectionLatency = scenario.detectionLatency;
     for (const CapacityFault &f : scenario.faults) {
-        const int old_chip = chip_of(f.pattern);
-        if (old_chip < 0)
+        const ChipPattern addr = readChipPattern(f.pattern);
+        if (!addr.chipAddressed)
             continue; // link names are renumbered on the survivor mesh
-        const int new_chip = renumber(old_chip);
+        if (addr.chip < 0)
+            fatal("remapScenarioChips: fault pattern \"%s\" names several "
+                  "chips and cannot be renumbered onto the survivor mesh",
+                  f.pattern.c_str());
+        const int new_chip = renumber(addr.chip);
         if (new_chip < 0)
             continue; // addressed a retired chip
         CapacityFault g = f;
-        const std::string old_prefix = strprintf("chip%d", old_chip);
-        g.pattern = strprintf("chip%d", new_chip) +
-                    f.pattern.substr(old_prefix.size());
+        g.pattern = strprintf("chip%d.", new_chip) + addr.resource;
         out.faults.push_back(std::move(g));
     }
     for (const StragglerFault &s : scenario.stragglers) {
@@ -309,10 +369,6 @@ FaultScenario::fromJson(const std::string &text, const std::string &context)
     scenario.seed = static_cast<std::uint64_t>(seed);
     scenario.maxLaunchJitter =
         requireNumber(root, "max_launch_jitter_s", 0.0, context);
-    if (scenario.maxLaunchJitter < 0.0 ||
-        !std::isfinite(scenario.maxLaunchJitter))
-        fatal("FaultScenario: \"max_launch_jitter_s\" must be finite and "
-              ">= 0 in %s", context.c_str());
 
     if (const JsonValue *arr = root.find("faults")) {
         if (arr->kind != JsonValue::kArray)
@@ -330,12 +386,6 @@ FaultScenario::fromJson(const std::string &text, const std::string &context)
             f.factor = requireNumber(entry, "factor", 1.0, context);
             f.start = requireNumber(entry, "start_s", 0.0, context);
             f.duration = requireNumber(entry, "duration_s", -1.0, context);
-            validateWindow(f.factor, f.start, f.duration, "fault",
-                           "\"" + f.pattern + "\"");
-            if (f.pattern.empty())
-                fatal("FaultScenario: fault pattern must be non-empty "
-                      "in %s (an empty pattern matches everything, which "
-                      "is never what you want)", context.c_str());
             scenario.faults.push_back(std::move(f));
         }
     }
@@ -363,10 +413,6 @@ FaultScenario::fromJson(const std::string &text, const std::string &context)
             s.hbmFactor = requireNumber(entry, "hbm_factor", 1.0, context);
             s.start = requireNumber(entry, "start_s", 0.0, context);
             s.duration = requireNumber(entry, "duration_s", -1.0, context);
-            validateWindow(s.computeFactor, s.start, s.duration, "straggler",
-                           strprintf("chip %d", s.chip));
-            validateWindow(s.hbmFactor, s.start, s.duration, "straggler",
-                           strprintf("chip %d", s.chip));
             scenario.stragglers.push_back(s);
         }
     }
@@ -384,13 +430,6 @@ FaultScenario::fromJson(const std::string &text, const std::string &context)
             KillFault k;
             k.pattern = requireString(entry, "pattern", context);
             k.at = requireNumber(entry, "at_s", 0.0, context);
-            if (k.pattern.empty())
-                fatal("FaultScenario: kill pattern must be non-empty "
-                      "in %s", context.c_str());
-            if (!(k.at >= 0.0) || !std::isfinite(k.at))
-                fatal("FaultScenario: kill \"%s\" has negative or "
-                      "non-finite at_s %g in %s", k.pattern.c_str(), k.at,
-                      context.c_str());
             scenario.kills.push_back(std::move(k));
         }
     }
@@ -398,43 +437,6 @@ FaultScenario::fromJson(const std::string &text, const std::string &context)
     scenario.detectionLatency =
         requireNumber(root, "detection_latency_s",
                       scenario.detectionLatency, context);
-    if (scenario.detectionLatency < 0.0 ||
-        !std::isfinite(scenario.detectionLatency))
-        fatal("FaultScenario: \"detection_latency_s\" must be finite and "
-              ">= 0 in %s", context.c_str());
-
-    // A kill and a capacity window aimed at (an overlapping set of)
-    // resources with intersecting times is almost certainly a scenario
-    // bug: the capacity window used to silently multiply into the dead
-    // resource's factor, which makes the "robust" numbers meaningless.
-    // Patterns are substring matches, so two patterns can hit the same
-    // resource only if one contains the other.
-    for (size_t ki = 0; ki < scenario.kills.size(); ++ki) {
-        const KillFault &k = scenario.kills[ki];
-        for (size_t fi = 0; fi < scenario.faults.size(); ++fi) {
-            const CapacityFault &f = scenario.faults[fi];
-            const bool patterns_collide =
-                k.pattern.find(f.pattern) != std::string::npos ||
-                f.pattern.find(k.pattern) != std::string::npos;
-            if (!patterns_collide)
-                continue;
-            // Kill is active on [at, inf); window on [start, end).
-            const bool times_overlap =
-                f.duration < 0.0 || f.start + f.duration > k.at;
-            if (times_overlap)
-                fatal("FaultScenario: kill #%zu (pattern \"%s\", at %g s) "
-                      "overlaps capacity fault #%zu (pattern \"%s\", "
-                      "window [%g s, %s)) in %s — a capacity window on a "
-                      "killed resource is contradictory; shorten the "
-                      "window or drop the kill",
-                      ki, k.pattern.c_str(), k.at, fi, f.pattern.c_str(),
-                      f.start,
-                      f.duration < 0.0
-                          ? "inf"
-                          : strprintf("%g s", f.start + f.duration).c_str(),
-                      context.c_str());
-        }
-    }
     validateScenario(scenario, context);
     return scenario;
 }
@@ -467,14 +469,10 @@ FaultInjector::arm()
         panic("FaultInjector: arm() called twice");
     armed_ = true;
 
-    // Expand stragglers into plain capacity faults on the chip's two
-    // resources, then validate everything (programmatic scenarios skip
-    // the JSON-side checks).
+    validateScenario(scenario_, "<programmatic scenario>");
+    // Stragglers are plain capacity faults on the chip's two resources.
     std::vector<CapacityFault> expanded = scenario_.faults;
     for (const StragglerFault &s : scenario_.stragglers) {
-        if (s.chip < 0)
-            fatal("FaultInjector: straggler chip index %d is negative",
-                  s.chip);
         CapacityFault core;
         core.pattern = strprintf("chip%d.core", s.chip);
         core.factor = s.computeFactor;
@@ -486,25 +484,11 @@ FaultInjector::arm()
         expanded.push_back(std::move(core));
         expanded.push_back(std::move(hbm));
     }
-    for (const CapacityFault &f : expanded) {
-        if (f.pattern.empty())
-            fatal("FaultInjector: fault pattern must be non-empty");
-        validateWindow(f.factor, f.start, f.duration, "fault",
-                       "\"" + f.pattern + "\"");
-    }
-    if (scenario_.maxLaunchJitter < 0.0)
-        fatal("FaultInjector: maxLaunchJitter must be >= 0");
-    validateScenario(scenario_, "<programmatic scenario>");
 
     // Resolve kills first: the capacity-window `apply` below consults
     // `killAt_` so a window boundary can never resurrect a corpse.
     const size_t resource_count = net_.resourceCount();
     for (const KillFault &k : scenario_.kills) {
-        if (k.pattern.empty())
-            fatal("FaultInjector: kill pattern must be non-empty");
-        if (!(k.at >= 0.0) || !std::isfinite(k.at))
-            fatal("FaultInjector: kill \"%s\" has negative or non-finite "
-                  "time %g", k.pattern.c_str(), k.at);
         bool matched_kill = false;
         for (size_t r = 0; r < resource_count; ++r) {
             const ResourceId id = static_cast<ResourceId>(r);
@@ -633,28 +617,33 @@ FaultInjector::isKilled(ResourceId id) const
     return it != killAt_.end() && sim_.now() >= it->second;
 }
 
-Time
-FaultInjector::killTime(ResourceId id) const
+EventId
+FaultInjector::watchKills(const std::vector<ResourceId> &resources,
+                          Simulator::Callback fire)
 {
-    auto it = killAt_.find(id);
-    return it == killAt_.end() ? -1.0 : it->second;
-}
-
-Time
-FaultInjector::earliestKillAfter(
-    Time after, const std::vector<ResourceId> &resources) const
-{
-    Time best = -1.0;
+    Time first = -1.0;
     for (ResourceId id : resources) {
         auto it = killAt_.find(id);
         if (it == killAt_.end())
             continue;
-        // A kill already in effect is still relevant now.
-        const Time t = std::max(it->second, after);
-        if (best < 0.0 || t < best)
-            best = t;
+        // A kill already in effect is detected from now on.
+        const Time t = std::max(it->second, sim_.now());
+        if (first < 0.0 || t < first)
+            first = t;
     }
-    return best;
+    if (first < 0.0)
+        return EventId{};
+    return sim_.schedule(first + scenario_.detectionLatency,
+                         std::move(fire));
+}
+
+int
+FaultInjector::firstKilled(const std::vector<ResourceId> &resources) const
+{
+    for (size_t i = 0; i < resources.size(); ++i)
+        if (isKilled(resources[i]))
+            return static_cast<int>(i);
+    return -1;
 }
 
 Time

@@ -121,10 +121,10 @@ struct FaultScenario
     std::string toJson() const;
 
     /**
-     * Parse the JSON emitted by `toJson` (all keys optional). Calls
-     * `fatal()` with position information on malformed input or
-     * out-of-range values. @p context names the source in errors
-     * (e.g. a file path).
+     * Parse the JSON emitted by `toJson` (all keys optional). Checks
+     * syntax, types and unknown keys, then hands the scenario to
+     * `validateScenario`; either calls `fatal()` naming @p context
+     * (e.g. a file path) on malformed input.
      */
     static FaultScenario fromJson(const std::string &text,
                                   const std::string &context = "<string>");
@@ -134,17 +134,39 @@ struct FaultScenario
 };
 
 /**
- * Malformed-scenario checks shared by `fromJson` and `FaultInjector::
- * arm()`: negative `detectionLatency`, a second kill of an already-dead
- * resource (two kills with colliding patterns where the later one fires
- * at or after the earlier one's detection window), and a kill whose
- * `at` lies inside another kill's detection window on the same
- * resource. Each violation is a `fatal()` naming the offending kill
- * indices. Patterns are substring matches, so two kills can hit the
- * same resource only when one pattern contains the other.
+ * Every semantic check of a scenario, in one place: capacity and
+ * straggler windows (factor in [0, 1], finite non-negative start, no
+ * NaN duration), non-empty fault and kill patterns, non-negative
+ * straggler chips, finite non-negative kill times, launch jitter and
+ * detection latency, and the two contradictions — a kill whose pattern
+ * collides with another kill's (a second kill of a corpse, or one
+ * inside the first's detection window) or with a capacity window that
+ * is still open at the kill. Patterns are substring matches, so two
+ * patterns collide when one contains the other. Each violation is a
+ * `fatal()` naming the offending entries and @p context.
+ * `FaultScenario::fromJson` checks only syntax, types and unknown keys
+ * before calling this; `FaultInjector::arm()` calls it before resolving
+ * patterns, so a scenario fails the same way whichever door it enters.
  */
 void validateScenario(const FaultScenario &scenario,
                       const std::string &context);
+
+/** How a fault pattern addresses chips (`readChipPattern`). */
+struct ChipPattern
+{
+    /** The pattern starts with "chip": it can only match chip
+     *  resources (core, HBM, NIC), never a link. */
+    bool chipAddressed = false;
+    /** The one chip a `"chip<i>."` pattern names, or -1 when the
+     *  pattern is not chip-addressed or can match several chips
+     *  (`"chip1"` also matches chip10-chip19). */
+    int chip = -1;
+    /** Text after `"chip<i>."` ("" = every resource of the chip). */
+    std::string resource;
+};
+
+/** The one reader of chip-addressed fault patterns. */
+ChipPattern readChipPattern(const std::string &pattern);
 
 /**
  * The deterministic jitter seed of phase @p phase of an elastic run
@@ -170,12 +192,33 @@ FaultScenario sliceScenarioForPhase(const FaultScenario &scenario,
  * ids) after a mesh shrink: @p old_to_new maps old linear chip ids to
  * survivor ids (-1 = retired). Entries addressing retired chips are
  * dropped; link-pattern capacity faults are dropped too (survivor
- * links are renumbered, so old link names are meaningless). Kills must
- * already be consumed (the elastic runtime handles one kill per run);
- * a remaining kill is fatal.
+ * links are renumbered, so old link names are meaningless). A
+ * chip-addressed pattern that names several chips is fatal: it cannot
+ * be renumbered. Kills must already be consumed (the elastic runtime
+ * handles one kill per run); a remaining kill is fatal.
  */
 FaultScenario remapScenarioChips(const FaultScenario &scenario,
                                  const std::vector<int> &old_to_new);
+
+/**
+ * One fail-stop failure as the runtime observed it: which op (or
+ * watch) detected it, the dead resource, the chip that owns it (-1 for
+ * a link), the ring position a retry evicts (-1 outside ring
+ * collectives; pass it to `TorusMesh::rowRingWithout` /
+ * `colRingWithout`), and the simulated time detection completed — the
+ * kill time plus the scenario's detection latency, or the watching
+ * op's launch plus the latency if it launched into a corpse. Ring
+ * collectives, the cluster's fail-stop handler, the recoverable
+ * collective and the elastic runtime all pass this one record.
+ */
+struct FailStop
+{
+    std::string op;
+    std::string deadResource;
+    int deadChip = -1;
+    int deadRingPos = -1;
+    Time detectedAt = 0.0;
+};
 
 /**
  * Applies a `FaultScenario` to a live `FluidNetwork`.
@@ -192,11 +235,12 @@ class FaultInjector
     FaultInjector(Simulator &sim, FluidNetwork &net, FaultScenario scenario);
 
     /**
-     * Resolve patterns and schedule all capacity events. Call exactly
-     * once, after every resource is registered and before `run()`.
-     * A pattern matching no resource is a fatal error (most likely a
-     * typo in the scenario, and silently ignoring it would make a
-     * "robust" result meaningless).
+     * Validate the scenario (`validateScenario`), resolve patterns and
+     * schedule all capacity events. Call exactly once, after every
+     * resource is registered and before `run()`. A pattern matching no
+     * resource is a fatal error (most likely a typo in the scenario,
+     * and silently ignoring it would make a "robust" result
+     * meaningless).
      */
     void arm();
 
@@ -213,29 +257,29 @@ class FaultInjector
     /** Number of (resource, window) pairs scheduled by `arm()`. */
     int armedWindowCount() const { return armedWindows_; }
 
-    /** True iff the scenario has at least one kill event. Collectives
-     *  guard all fail-stop bookkeeping behind this so a kill-free run
-     *  stays bit-identical to a run with no injector at all. */
+    /** True iff the scenario has at least one kill event. Every kill
+     *  watch checks this first, so a kill-free run allocates and
+     *  schedules nothing and stays bit-identical to a run with no
+     *  injector at all. */
     bool hasKills() const { return !scenario_.kills.empty(); }
 
     /** True iff @p id is permanently dead at the current sim time. */
     bool isKilled(ResourceId id) const;
 
-    /** Kill time of @p id, or a negative value if it is never killed. */
-    Time killTime(ResourceId id) const;
-
     /**
-     * Earliest kill time `t` with `t >= after` among @p resources
-     * (a kill at or before `after` that already happened also counts:
-     * the failure is *still in effect*, so the earliest relevant time
-     * is `after` itself). Returns a negative value when none of the
-     * resources is ever killed.
+     * The kill watch: when the first of @p resources to die is
+     * detected — at max(its kill time, now) + the detection latency,
+     * since a kill already in effect is detected from now — run
+     * @p fire. Returns the scheduled event (cancel it when the watcher
+     * finishes first), or an invalid id when none of the resources is
+     * ever killed.
      */
-    Time earliestKillAfter(Time after,
-                           const std::vector<ResourceId> &resources) const;
+    EventId watchKills(const std::vector<ResourceId> &resources,
+                       Simulator::Callback fire);
 
-    /** The scenario's failure-detection latency (seconds). */
-    Time detectionLatency() const { return scenario_.detectionLatency; }
+    /** Index of the first resource of @p resources that is dead now
+     *  (the corpse lookup of an aborting watcher), or -1. */
+    int firstKilled(const std::vector<ResourceId> &resources) const;
 
   private:
     Simulator &sim_;

@@ -464,11 +464,7 @@ replanAfterFailure(const CostModel &cost, Algorithm algo,
 
     // Live state that must migrate: all three operands (A, B and the
     // accumulated C) are resident `DistMatrix` shards.
-    const double live_bytes =
-        static_cast<double>(spec.bytesPerElement) *
-        (static_cast<double>(spec.m) * static_cast<double>(spec.k) +
-         static_cast<double>(spec.k) * static_cast<double>(spec.n) +
-         static_cast<double>(spec.m) * static_cast<double>(spec.n));
+    const double live_bytes = liveStateBytes(spec);
 
     ReplanResult result;
     const std::vector<SurvivorMesh> options =

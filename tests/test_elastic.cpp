@@ -398,6 +398,24 @@ TEST(ElasticDeathTest, LinkKillIsRejectedAsNonChipFailure)
     EXPECT_DEATH(runElastic(cfg, run), "not a whole-chip kill");
 }
 
+TEST(ElasticDeathTest, PatternNamingSeveralChipsIsRejectedUpFront)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // "chip1" also matches chip10-chip19, so once a shrink renumbers
+    // the survivors it cannot follow one chip: the run must refuse it
+    // before its first step, not misread it after the kill.
+    const ChipConfig cfg = simpleConfig();
+    ElasticRunConfig run = smallRun();
+    run.checkpointBytesPerChip = 100;
+    run.checkpointTargetBandwidth = 1e9;
+    run.checkpointInterval = 1e9;
+    run.haveScenario = true;
+    run.scenario.faults.push_back(CapacityFault{"chip1", 0.5, 0.0, -1.0});
+    run.scenario.kills.push_back(KillFault{"chip2.", 1.0});
+    EXPECT_DEATH(runElastic(cfg, run),
+                 "fault pattern \"chip1\" names several chips");
+}
+
 // ---------------------------------------------------------------------
 // Chaos soak (the tentpole harness): seeded fuzz across all eight
 // algorithms + one pipeline schedule, asserting global invariants.

@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/executor.hpp"
 #include "core/fault_study.hpp"
@@ -352,6 +355,155 @@ TEST(FaultScenarioJsonDeathTest, MalformedInputsAreFatal)
                      "t"),
                  "factor");
     EXPECT_DEATH(FaultScenario::fromJson("{\"seed\":-3}", "t"), "seed");
+}
+
+/** Arm @p s on a bare network holding two chips' resources and a link. */
+void
+armOnTinyNetwork(const FaultScenario &s)
+{
+    Simulator sim;
+    FluidNetwork net(sim);
+    for (const char *name :
+         {"chip0.core", "chip0.hbm", "chip1.core", "chip1.hbm", "link.x"})
+        net.addResource(name, 1.0);
+    FaultInjector injector(sim, net, s);
+    injector.arm();
+}
+
+/** One malformed scenario and the message rejecting it (a regex whose
+ *  source context is either door's). */
+struct MalformedScenario
+{
+    const char *what;
+    FaultScenario scenario;
+    std::string message;
+};
+
+std::vector<MalformedScenario>
+malformedScenarios()
+{
+    const std::string in = " in (parity test|<programmatic scenario>)";
+    std::vector<MalformedScenario> table;
+    auto add = [&](const char *what, std::string message) {
+        table.push_back({what, FaultScenario{}, std::move(message)});
+        return &table.back().scenario;
+    };
+    add("negative jitter",
+        "FaultScenario: \"max_launch_jitter_s\" must be finite and >= 0" +
+            in + " \\(got -0\\.001\\)")
+        ->maxLaunchJitter = -1e-3;
+    add("negative detection latency",
+        "FaultScenario: \"detection_latency_s\" must be finite and >= 0" +
+            in + " \\(got -0\\.5\\)")
+        ->detectionLatency = -0.5;
+    add("factor above one",
+        "FaultScenario: fault \"link\\.x\" has factor 1\\.5 outside "
+        "\\[0, 1\\]" + in)
+        ->faults.push_back(CapacityFault{"link.x", 1.5, 0.0, -1.0});
+    add("negative window start",
+        "FaultScenario: fault \"link\\.x\" has negative or non-finite "
+        "start -1 s" + in)
+        ->faults.push_back(CapacityFault{"link.x", 0.5, -1.0, -1.0});
+    add("empty fault pattern",
+        "FaultScenario: fault pattern must be non-empty" + in)
+        ->faults.push_back(CapacityFault{"", 0.5, 0.0, -1.0});
+    add("straggler factor above one",
+        "FaultScenario: straggler chip 0 has factor 2 outside \\[0, 1\\]" +
+            in)
+        ->stragglers.push_back(StragglerFault{0, 2.0, 1.0, 0.0, -1.0});
+    add("empty kill pattern",
+        "FaultScenario: kill pattern must be non-empty" + in)
+        ->kills.push_back(KillFault{"", 1.0});
+    add("negative kill time",
+        "FaultScenario: kill \"chip1\\.hbm\" has negative or non-finite "
+        "at_s -1" + in)
+        ->kills.push_back(KillFault{"chip1.hbm", -1.0});
+    FaultScenario *twice = add(
+        "second kill of a corpse",
+        "FaultScenario: kill #1 \\(pattern \"chip1\\.hbm\", at 3 s\\) kills "
+        "a resource kill #0 \\(pattern \"chip1\\.\", at 1 s\\) already took "
+        "down" + in);
+    twice->kills.push_back(KillFault{"chip1.", 1.0});
+    twice->kills.push_back(KillFault{"chip1.hbm", 3.0});
+    FaultScenario *inside = add(
+        "kill inside a detection window",
+        "FaultScenario: kill #1 \\(pattern \"chip1\\.hbm\", at 1\\.25 s\\) "
+        "lies inside kill #0's detection window \\[1 s, 1\\.5 s\\) on the "
+        "same resource" + in);
+    inside->kills.push_back(KillFault{"chip1.", 1.0});
+    inside->kills.push_back(KillFault{"chip1.hbm", 1.25});
+    FaultScenario *overlap = add(
+        "kill under a capacity window",
+        "FaultScenario: kill #0 \\(pattern \"chip1\\.hbm\", at 0\\.0001 s\\) "
+        "overlaps capacity fault #0 \\(pattern \"chip1\\.hbm\", window "
+        "\\[0 s, inf\\)\\)" + in);
+    overlap->faults.push_back(CapacityFault{"chip1.hbm", 0.5, 0.0, -1.0});
+    overlap->kills.push_back(KillFault{"chip1.hbm", 1e-4});
+    return table;
+}
+
+TEST(FaultScenarioDeathTest, JsonAndArmRejectMalformedScenariosAlike)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const MalformedScenario &bad : malformedScenarios()) {
+        SCOPED_TRACE(bad.what);
+        const std::string json = bad.scenario.toJson();
+        EXPECT_DEATH(FaultScenario::fromJson(json, "parity test"),
+                     bad.message);
+        EXPECT_DEATH(armOnTinyNetwork(bad.scenario), bad.message);
+    }
+}
+
+TEST(FaultScenarioDeathTest, ArmRejectsAnInfiniteJitter)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    FaultScenario s;
+    s.maxLaunchJitter = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(armOnTinyNetwork(s),
+                 "\"max_launch_jitter_s\" must be finite and >= 0 in "
+                 "<programmatic scenario>");
+}
+
+TEST(ChipPattern, ReadsExactlyOneChipOrNone)
+{
+    const ChipPattern whole = readChipPattern("chip12.");
+    EXPECT_TRUE(whole.chipAddressed);
+    EXPECT_EQ(whole.chip, 12);
+    EXPECT_EQ(whole.resource, "");
+    const ChipPattern hbm = readChipPattern("chip3.hbm");
+    EXPECT_EQ(hbm.chip, 3);
+    EXPECT_EQ(hbm.resource, "hbm");
+    // "chip1" also matches chip10-chip19; "chip" every chip; no chip
+    // resource is named "chip01.".
+    for (const char *several : {"chip1", "chip", "chip01.", "chip.hbm"}) {
+        const ChipPattern p = readChipPattern(several);
+        EXPECT_TRUE(p.chipAddressed) << several;
+        EXPECT_EQ(p.chip, -1) << several;
+    }
+    EXPECT_FALSE(readChipPattern("link.E.b0.r0.c1").chipAddressed);
+    EXPECT_FALSE(readChipPattern("hbm").chipAddressed);
+}
+
+TEST(ChipPattern, RemapRenumbersChipPatternsAndDropsLinks)
+{
+    FaultScenario s;
+    s.faults.push_back(CapacityFault{"chip5.hbm", 0.5, 0.0, -1.0});
+    s.faults.push_back(CapacityFault{"chip1.", 0.5, 0.0, -1.0});
+    s.faults.push_back(CapacityFault{"link.E", 0.5, 0.0, -1.0});
+    // Six chips; chip 1 retires, the rest shift down.
+    const FaultScenario out =
+        remapScenarioChips(s, {0, -1, 1, 2, 3, 4});
+    ASSERT_EQ(out.faults.size(), 1u);
+    EXPECT_EQ(out.faults[0].pattern, "chip4.hbm");
+}
+
+TEST(ChipPatternDeathTest, RemapRejectsAPatternNamingSeveralChips)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    FaultScenario s;
+    s.faults.push_back(CapacityFault{"chip1", 0.5, 0.0, -1.0});
+    EXPECT_DEATH(remapScenarioChips(s, {0, 1, 2, 3}),
+                 "fault pattern \"chip1\" names several chips");
 }
 
 // ---------------------------------------------------------------------

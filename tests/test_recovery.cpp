@@ -315,16 +315,16 @@ TEST(RecoveryStudy, KilledChipTriggersExactlyOneRetry)
         runCollectiveRecovery(cfg, 2, 4, MiB(8), nullptr);
     const CollectiveRecoveryResult recovered =
         runCollectiveRecovery(cfg, 2, 4, MiB(8), &kill);
-    EXPECT_FALSE(nominal.retried);
-    ASSERT_TRUE(recovered.retried);
-    EXPECT_EQ(recovered.error.deadChip, 1);
-    EXPECT_EQ(recovered.error.deadResource, "chip1.hbm");
-    EXPECT_GE(recovered.error.detectedAt,
+    EXPECT_FALSE(nominal.outcome.retried);
+    ASSERT_TRUE(recovered.outcome.retried);
+    EXPECT_EQ(recovered.outcome.failure.deadChip, 1);
+    EXPECT_EQ(recovered.outcome.failure.deadResource, "chip1.hbm");
+    EXPECT_GE(recovered.outcome.failure.detectedAt,
               kill.kills[0].at + kill.detectionLatency - 1e-12);
     // The transaction pays at least the detection latency on top of a
     // fault-free run.
-    EXPECT_GT(recovered.totalTime,
-              nominal.totalTime + kill.detectionLatency - 1e-12);
+    EXPECT_GT(recovered.outcome.totalTime,
+              nominal.outcome.totalTime + kill.detectionLatency - 1e-12);
 }
 
 TEST(RecoveryStudy, FaultFreeRecoveryRunIsBitIdentical)
@@ -364,7 +364,7 @@ TEST(RecoveryStudy, RecoveryRunInvariantUnderThreadCount)
     EXPECT_EQ(serial.finalTime, threaded.finalTime);
     EXPECT_EQ(serial.eventsProcessed, threaded.eventsProcessed);
     EXPECT_EQ(serial.statsJson, threaded.statsJson);
-    EXPECT_EQ(serial.retried, threaded.retried);
+    EXPECT_EQ(serial.outcome.retried, threaded.outcome.retried);
 }
 
 TEST(RecoveryStudy, KillScenarioJsonRoundTrips)
