@@ -128,6 +128,35 @@ if [ -n "$recovery_bin" ]; then
         check_file "$f"
     done
     check_jsonl recovery_search.jsonl
+    # The recovery report embeds its own acceptance checks (goodput
+    # monotone in MTBF, the Young-Daly optimum within the sweep's
+    # resolution, the simulated re-shard matching its model, the kill
+    # retried, the fault-free replay bit-identical); every one must
+    # hold.
+    if "$python3" - BENCH_recovery.json <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+checks = {}
+for path in ("goodput_sweep.monotone_nonincreasing",
+             "young_daly_check.within_resolution",
+             "plan_reshard_matches_model", "kill_retry.retried",
+             "kill_retry.fault_free_bit_identical"):
+    node = doc
+    for key in path.split("."):
+        node = node.get(key) if isinstance(node, dict) else None
+    checks[path] = node
+bad = [k for k, v in checks.items() if v is not True]
+if bad:
+    sys.exit("BENCH_recovery.json checks failed: %s" % ", ".join(bad))
+EOF
+    then
+        echo "ok   BENCH_recovery.json checks"
+    else
+        echo "FAIL BENCH_recovery.json checks"
+        status=1
+    fi
 fi
 
 if [ -n "$pipeline_bin" ]; then
