@@ -29,6 +29,12 @@
  *    every collective's host launch overhead. With
  *    `maxLaunchJitter == 0` the PRNG is never consulted, so an empty
  *    scenario is bit-identical to running with no injector at all.
+ *
+ * The fail-stop rules every layer above shares are defined here once:
+ * the scenario checks (`validateScenario`), the chip-pattern reader
+ * (`readChipPattern`), the failure record (`FailStop`), and the kill
+ * watch with its corpse lookup (`FaultInjector::watchKills`,
+ * `FaultInjector::firstKilled`).
  */
 #ifndef MESHSLICE_SIM_FAULT_HPP_
 #define MESHSLICE_SIM_FAULT_HPP_
