@@ -44,8 +44,8 @@ class CommOp
 
   protected:
     CommOp(Cluster &cluster, CommDone done)
-        : cluster_(cluster), done_(std::move(done)),
-          begin_(cluster.sim().now())
+        : cluster_(cluster), begin_(cluster.sim().now()),
+          done_(std::move(done))
     {
         SpanRecorder &prof = cluster.profiler();
         profEnabled_ = prof.enabled();
@@ -130,7 +130,6 @@ class CommOp
     }
 
     Cluster &cluster_;
-    CommDone done_;
     Time begin_;
 
     bool profEnabled_ = false;
@@ -139,6 +138,7 @@ class CommOp
     bool profRecovery_ = false;
 
   private:
+    CommDone done_;
     AbandonRegistry *abandonRegistry_ = nullptr;
     std::uint64_t abandonId_ = 0;
     EventId killWatch_;
