@@ -102,28 +102,6 @@ class Cluster
     /** The attached injector, or nullptr (the fault-free fast path). */
     FaultInjector *faults() const { return faults_; }
 
-    /**
-     * Install a cluster-level fail-stop handler. When set, a ring
-     * collective that completes its fail-stop teardown with no
-     * per-operation recovery continuation does NOT `fatal()` — it
-     * reports the failure here instead, and the handler (the elastic
-     * runtime) is expected to stop the simulator and run the recovery
-     * transaction. Without a handler the historical behaviour stands:
-     * an unhandled kill aborts the process.
-     */
-    void
-    setFailStopHandler(std::function<void(const FailStop &)> handler)
-    {
-        failStopHandler_ = std::move(handler);
-    }
-
-    /** The installed handler, or an empty function. */
-    const std::function<void(const FailStop &)> &
-    failStopHandler() const
-    {
-        return failStopHandler_;
-    }
-
     /** Register a directed link resource (used by topology builders). */
     ResourceId addLink(const std::string &name);
 
@@ -185,7 +163,6 @@ class Cluster
     SpanRecorder profiler_;
     std::vector<ChipResources> chips_;
     FaultInjector *faults_ = nullptr;
-    std::function<void(const FailStop &)> failStopHandler_;
     Flops issuedFlops_ = 0.0;
     Bytes commBytesIssued_ = 0;
 };

@@ -155,8 +155,8 @@ class RingOpBase : public CommOp
      * The detection timeout fired: a resource this op depends on has
      * failed permanently. Tear down everything in flight (launch
      * event, pending step joins, sync waits, live transfers), then
-     * surface a `FailStop` through the failure handler — or `fatal()`
-     * naming the corpse when no handler is installed.
+     * surface a `FailStop` through the recoverable variant's failure
+     * continuation — or `fatal()` naming the corpse when there is none.
      */
     void
     onKillDetected() override
@@ -201,27 +201,16 @@ class RingOpBase : public CommOp
                                            "fault", ring_.chips[0], lane_,
                                            cluster_.sim().now());
         }
+        if (!fail_)
+            fatal("%s: %s failed permanently (kill detected at %g s) "
+                  "and the collective cannot complete; no recovery "
+                  "handler installed — use the recoverable variant to "
+                  "retry on a ring rebuilt without chip %d "
+                  "(TorusMesh::rowRingWithout/colRingWithout), or "
+                  "revise the fault scenario",
+                  name_, err.deadResource.c_str(), err.detectedAt,
+                  err.deadChip);
         Cluster &cl = cluster_;
-        if (!fail_) {
-            // No per-op recovery continuation: if the cluster has a
-            // fail-stop handler (the elastic runtime), report the
-            // failure and stop the phase — the runtime abandons this
-            // cluster and executes the recovery transaction on a
-            // survivor mesh. Otherwise the historical contract stands.
-            if (!cl.failStopHandler())
-                fatal("%s: %s failed permanently (kill detected at %g s) "
-                      "and the collective cannot complete; no recovery "
-                      "handler installed — use the recoverable variant to "
-                      "retry on a ring rebuilt without chip %d "
-                      "(TorusMesh::rowRingWithout/colRingWithout), or "
-                      "revise the fault scenario",
-                      name_, err.deadResource.c_str(), err.detectedAt,
-                      err.deadChip);
-            delete this;
-            cl.sim().requestStop();
-            cl.failStopHandler()(err);
-            return;
-        }
         // Record the failed attempt as a recovery detour rooted at an
         // abort marker, then run the failure continuation inside a
         // recovery scope: the retry op it constructs inherits both the

@@ -88,9 +88,11 @@ classifyKill(const FaultScenario *sliced, Time measured,
  * Arm the runtime's own detection watchdog over the killed chip: a
  * kill the schedule absorbs (OneSided) or parks on (a compute-only
  * tail with no collective fail-stop watch live) would otherwise drain
- * to the quiescence abort. At the detection it records the failure —
- * unless a collective's abort already reported one through the
- * cluster's fail-stop handler — and stops the phase.
+ * to the quiescence abort. It is armed before any op exists, so it
+ * fires before any op's own watch on the same kill (those fire at
+ * max(kill, launch) + detection, in scheduling order): at the
+ * detection it records the failure and stops the phase, and no ring
+ * op ever aborts inside an elastic phase.
  */
 void
 armElasticWatchdog(Cluster &cluster, FaultInjector &injector,
@@ -105,17 +107,14 @@ armElasticWatchdog(Cluster &cluster, FaultInjector &injector,
     Cluster *cl = &cluster;
     injector.watchKills(watched, [cl, &injector, watched, chip,
                                   &detected] {
-        if (!detected) {
-            FailStop f;
-            f.op = "elastic.watchdog";
-            f.deadResource = cl->net().resourceName(watched[
-                static_cast<size_t>(injector.firstKilled(watched))]);
-            f.deadChip = chip;
-            f.detectedAt = cl->sim().now();
-            detected = std::move(f);
-        }
-        if (!cl->sim().stopRequested())
-            cl->sim().requestStop();
+        FailStop f;
+        f.op = "elastic.watchdog";
+        f.deadResource = cl->net().resourceName(
+            watched[static_cast<size_t>(injector.firstKilled(watched))]);
+        f.deadChip = chip;
+        f.detectedAt = cl->sim().now();
+        detected = std::move(f);
+        cl->sim().requestStop();
     });
 }
 
@@ -139,10 +138,6 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
     FaultInjector injector(cluster.sim(), cluster.net(),
                            sliced ? *sliced : FaultScenario{});
     std::optional<FailStop> detected;
-    cluster.setFailStopHandler([&](const FailStop &f) {
-        if (!detected)
-            detected = f;
-    });
     auto arm = [&] {
         if (sliced) {
             injector.arm();

@@ -214,8 +214,8 @@ FaultScenario remapScenarioChips(const FaultScenario &scenario,
  * `colRingWithout`), and the simulated time detection completed — the
  * kill time plus the scenario's detection latency, or the watching
  * op's launch plus the latency if it launched into a corpse. Ring
- * collectives, the cluster's fail-stop handler, the recoverable
- * collective and the elastic runtime all pass this one record.
+ * collectives, the recoverable collective and the elastic runtime's
+ * watchdog all pass this one record.
  */
 struct FailStop
 {

@@ -89,7 +89,7 @@ class Simulator
 
     /**
      * Ask the event loop to stop before executing the next event. Used
-     * by the elastic runtime's fail-stop handler to abandon a phase
+     * by the elastic runtime's detection watchdog to abandon a phase
      * mid-flight: pending events stay queued (they are simply never
      * run), and the quiescence watchdog is skipped — a stopped run is
      * an abandonment, not a completion, so stalled work is expected.
