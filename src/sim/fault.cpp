@@ -224,6 +224,22 @@ sliceWindow(Time start, Time &w_start, Time &w_duration)
     return true;
 }
 
+/**
+ * Pull a shifted window's end back onto the shifted kill @p kill_at
+ * when the shift rounded it past: window and kill shift by the phase
+ * start one rounding each, so a window that validated as ending by the
+ * kill can end an ulp after it.
+ */
+void
+endByKill(CapacityFault &f, Time kill_at)
+{
+    if (f.start + f.duration <= kill_at)
+        return;
+    f.duration = std::max(0.0, kill_at - f.start);
+    while (f.duration > 0.0 && f.start + f.duration > kill_at)
+        f.duration = std::nextafter(f.duration, 0.0);
+}
+
 } // namespace
 
 FaultScenario
@@ -237,18 +253,26 @@ sliceScenarioForPhase(const FaultScenario &scenario, Time start,
     out.seed = phase_seed;
     out.maxLaunchJitter = scenario.maxLaunchJitter;
     out.detectionLatency = scenario.detectionLatency;
-    for (CapacityFault f : scenario.faults)
-        if (sliceWindow(start, f.start, f.duration))
-            out.faults.push_back(std::move(f));
-    for (StragglerFault s : scenario.stragglers)
-        if (sliceWindow(start, s.start, s.duration))
-            out.stragglers.push_back(s);
     for (KillFault k : scenario.kills) {
         // A kill is permanent: one that predates the phase is still in
         // effect, so it becomes a kill at local t=0.
         k.at = std::max(0.0, k.at - start);
         out.kills.push_back(std::move(k));
     }
+    for (CapacityFault f : scenario.faults) {
+        const Time end = f.start + f.duration;
+        if (!sliceWindow(start, f.start, f.duration))
+            continue;
+        // Keep the kill-vs-capacity check's verdict across the shift.
+        for (size_t i = 0; i < out.kills.size(); ++i)
+            if (f.duration >= 0.0 && end <= scenario.kills[i].at &&
+                patternsCollide(f.pattern, out.kills[i].pattern))
+                endByKill(f, out.kills[i].at);
+        out.faults.push_back(std::move(f));
+    }
+    for (StragglerFault s : scenario.stragglers)
+        if (sliceWindow(start, s.start, s.duration))
+            out.stragglers.push_back(s);
     return out;
 }
 

@@ -186,7 +186,10 @@ std::uint64_t derivePhaseSeed(std::uint64_t seed, std::uint64_t phase);
  * by `-start` (a window already in progress is clamped to start at 0
  * with its remaining duration; a fully elapsed window is dropped), and
  * kill times clamp to `max(0, at - start)` — a chip that died before
- * the phase began is still dead *at* phase start. The elastic runtime
+ * the phase began is still dead *at* phase start. A window that ends
+ * by a colliding kill still does after the shift (its end is pulled
+ * back onto the kill if rounding pushed it past), so a scenario that
+ * passed `validateScenario` keeps passing it. The elastic runtime
  * runs every phase on a fresh cluster at local t=0; this is the
  * scenario each phase's injector arms.
  */

@@ -298,6 +298,38 @@ TEST(ElasticRecovery, OneSidedPhaseStoppedMidGetLeaksNothing)
     expectWallConservation(r, run.restartTime);
 }
 
+TEST(ElasticRecovery, WindowEndingAtTheKillSurvivesPhaseSlicing)
+{
+    // A capacity window on the killed chip may end exactly at the
+    // kill. Every phase shifts both by its start, and the two shifts
+    // round on their own: this window starts at the kill K and lasts
+    // half an ulp of K, so it ends at K globally (the sum rounds to
+    // even) but an ulp past the shifted kill in any phase starting in
+    // (0, K/2]. Slicing must keep it ending by the kill, or the second
+    // step's injector rejects the scenario mid-run.
+    const ChipConfig cfg = simpleConfig();
+    ElasticRunConfig run = smallRun();
+    run.steps = 5;
+    run.checkpointBytesPerChip = 500;
+    run.checkpointTargetBandwidth = 1e9;
+    run.checkpointInterval = 1e9;
+    const Time t_step = runElastic(cfg, run).stepTimeFullMesh;
+    // A power of two in [2 t_step, 4 t_step): step 2 starts by K/2 and
+    // the kill lands inside the run.
+    const Time kill_at = std::exp2(std::ceil(std::log2(2.0 * t_step)));
+    run.haveScenario = true;
+    run.scenario.seed = 5;
+    run.scenario.detectionLatency = 0.5;
+    run.scenario.faults.push_back(CapacityFault{
+        "chip1.hbm", 0.5, kill_at, std::ldexp(kill_at, -53)});
+    run.scenario.kills.push_back(KillFault{"chip1.", kill_at});
+    const ElasticRunResult r = runElastic(cfg, run);
+    ASSERT_TRUE(r.recovered);
+    EXPECT_EQ(r.deadChip, 1);
+    EXPECT_TRUE(r.functionalOk);
+    expectWallConservation(r, run.restartTime);
+}
+
 // ---------------------------------------------------------------------
 // Thread-count invariance (satellite 3): pick, stats JSON and trace.
 
