@@ -299,8 +299,8 @@ remapScenarioChips(const FaultScenario &scenario,
         if (!addr.chipAddressed)
             continue; // link names are renumbered on the survivor mesh
         if (addr.chip < 0)
-            fatal("remapScenarioChips: fault pattern \"%s\" names several "
-                  "chips and cannot be renumbered onto the survivor mesh",
+            panic("remapScenarioChips: fault pattern \"%s\" names several "
+                  "chips; runElastic rejects it before its first step",
                   f.pattern.c_str());
         const int new_chip = renumber(addr.chip);
         if (new_chip < 0)

@@ -201,10 +201,11 @@ FaultScenario sliceScenarioForPhase(const FaultScenario &scenario,
  * ids) after a mesh shrink: @p old_to_new maps old linear chip ids to
  * survivor ids (-1 = retired). Entries addressing retired chips are
  * dropped; link-pattern capacity faults are dropped too (survivor
- * links are renumbered, so old link names are meaningless). A
- * chip-addressed pattern that names several chips is fatal: it cannot
- * be renumbered. Kills must already be consumed (the elastic runtime
- * handles one kill per run); a remaining kill is fatal.
+ * links are renumbered, so old link names are meaningless). Every
+ * chip-addressed pattern must name exactly one chip (`runElastic`
+ * rejects any other before its first step). Kills must already be
+ * consumed (the elastic runtime handles one kill per run); a
+ * remaining kill is fatal.
  */
 FaultScenario remapScenarioChips(const FaultScenario &scenario,
                                  const std::vector<int> &old_to_new);

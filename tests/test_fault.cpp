@@ -497,15 +497,6 @@ TEST(ChipPattern, RemapRenumbersChipPatternsAndDropsLinks)
     EXPECT_EQ(out.faults[0].pattern, "chip4.hbm");
 }
 
-TEST(ChipPatternDeathTest, RemapRejectsAPatternNamingSeveralChips)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    FaultScenario s;
-    s.faults.push_back(CapacityFault{"chip1", 0.5, 0.0, -1.0});
-    EXPECT_DEATH(remapScenarioChips(s, {0, 1, 2, 3}),
-                 "fault pattern \"chip1\" names several chips");
-}
-
 // ---------------------------------------------------------------------
 // Detour rings around a failed chip.
 
