@@ -6,7 +6,11 @@
  * algorithm and dataflow on 4x4 and 2x3 at S=2, the 1D rings, 2.5D and
  * MeshSlice+DP) under the default `ChipConfig` and with each
  * overlap/ICI switch turned off, and prints the time and both
- * directions' `CommStats::total` in hex-float.
+ * directions' `CommStats::total` in hex-float. A last block runs
+ * MeshSlice (OS, LS, RS) and Collective OS at S=8 on the 32x4 mesh a
+ * 256-chip GPT-3 plan picks, under the default `ChipConfig`: MeshSlice
+ * RS there picks ~28 oversubscribed resources per rate recompute,
+ * where the 4x4 and 2x3 waterfills pick a few at most.
  *
  * `golden/functional_outputs.txt`: each case runs one functional GeMM
  * (a 2D algorithm and dataflow on 4x4 and 2x3 at S=1 and S=2, 2.5D at
@@ -117,6 +121,35 @@ casesFor(const std::string &cfg_name, const ChipConfig &cfg)
     return out;
 }
 
+/** The default configuration's cases on the 32x4 mesh. */
+std::vector<std::string>
+largeMeshCases(const ChipConfig &cfg)
+{
+    std::vector<std::string> out;
+    const std::pair<Algorithm, Dataflow> cases[] = {
+        {Algorithm::kMeshSlice, Dataflow::kOS},
+        {Algorithm::kMeshSlice, Dataflow::kLS},
+        {Algorithm::kMeshSlice, Dataflow::kRS},
+        {Algorithm::kCollective, Dataflow::kOS}};
+    for (const auto &[algo, df] : cases) {
+        Gemm2DSpec spec;
+        spec.m = 65536;
+        spec.k = 12288;
+        spec.n = 12288;
+        spec.dataflow = df;
+        spec.rows = 32;
+        spec.cols = 4;
+        spec.sliceCount = 8;
+        Cluster cluster(cfg, spec.chips());
+        TorusMesh torus(cluster, spec.rows, spec.cols);
+        const GemmRunResult r = GemmExecutor(torus).run(algo, spec);
+        out.push_back(line("default " + std::string(algorithmName(algo)) +
+                               " " + spec.str(),
+                           r.time, r.horizontal, r.vertical));
+    }
+    return out;
+}
+
 /**
  * Compare @p actual with the committed table `golden/<file>` line by
  * line, after writing it to `$MESHSLICE_GOLDEN_OUT/<file>` if set.
@@ -157,6 +190,8 @@ TEST(GoldenSchedules, SimulatedTimesMatchTheCommittedTable)
     for (const auto &[name, cfg] : configs)
         for (std::string &l : casesFor(name, cfg))
             actual.push_back(std::move(l));
+    for (std::string &l : largeMeshCases(tpuV4Config()))
+        actual.push_back(std::move(l));
     expectMatchesTable("schedule_times.txt", actual);
 }
 
