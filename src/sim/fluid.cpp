@@ -392,10 +392,6 @@ FluidNetwork::recompute()
                 .emplace_back(i, d.perUnit);
         }
     }
-    // The waterfill scans members in increasing resource id (matching
-    // a full-resource scan, so tie-breaks — and therefore rates — agree
-    // with the reference waterfill in tests/test_fluid.cpp).
-    std::sort(memberIds_.begin(), memberIds_.end());
 
     // Settle accounting for every resource whose load may change:
     // whatever the previous assignment loaded plus this round's
@@ -408,65 +404,80 @@ FluidNetwork::recompute()
         settleResource(resources_[static_cast<size_t>(r)]);
 
     // Saturate-and-waterfill: repeatedly pick the most oversubscribed
-    // resource and cut its heaviest consumers to an equal consumption
-    // level that exactly fills the capacity. Rates only decrease, so each
-    // resource needs processing at most once.
-    memberProcessed_.assign(memberIds_.size(), 0);
-    std::vector<std::pair<double, size_t>> consumption; // (c_f, idx)
-    for (;;) {
-        ResourceId worst = -1;
-        std::int32_t worst_slot = -1;
-        double worst_ratio = 1.0 + kOverloadEps;
-        for (size_t m = 0; m < memberIds_.size(); ++m) {
-            if (memberProcessed_[m])
-                continue;
-            const ResourceId r = memberIds_[m];
-            const auto &on_r =
-                memberLists_[static_cast<size_t>(
-                    memberSlot_[static_cast<size_t>(r)])];
-            double load = 0.0;
-            for (const auto &[i, d] : on_r)
-                load += d * scratchRate_[i];
-            double ratio =
-                load / resources_[static_cast<size_t>(r)].capacity;
-            if (ratio > worst_ratio) {
-                worst_ratio = ratio;
-                worst = r;
-                worst_slot = static_cast<std::int32_t>(m);
+    // resource (lowest id on ties) and cut its heaviest consumers to an
+    // equal consumption level that exactly fills the capacity. Rates
+    // only decrease, so each resource needs processing at most once.
+    //
+    // The picks come from a lazy max-heap of (ratio, resource) keys
+    // (see fluid.hpp for why its picks are the id-ordered scan's): a
+    // popped key that still equals its resource's recomputed ratio is
+    // the pick; a stale one goes back with its new ratio while that
+    // still oversubscribes.
+    auto ratio_of = [this](ResourceId r) {
+        double load = 0.0;
+        for (const auto &[i, d] : memberLists_[static_cast<size_t>(
+                 memberSlot_[static_cast<size_t>(r)])])
+            load += d * scratchRate_[i];
+        return load / resources_[static_cast<size_t>(r)].capacity;
+    };
+    // Heap order: a is below b when b has the higher ratio, or the
+    // same ratio and the lower id.
+    auto below_in_heap = [](const std::pair<double, ResourceId> &a,
+                            const std::pair<double, ResourceId> &b) {
+        return a.first < b.first ||
+               (a.first == b.first && a.second > b.second);
+    };
+    const double overloaded = 1.0 + kOverloadEps;
+    overloadHeap_.clear();
+    for (ResourceId r : memberIds_) {
+        const double ratio = ratio_of(r);
+        if (ratio > overloaded)
+            overloadHeap_.emplace_back(ratio, r);
+    }
+    std::make_heap(overloadHeap_.begin(), overloadHeap_.end(),
+                   below_in_heap);
+    while (!overloadHeap_.empty()) {
+        std::pop_heap(overloadHeap_.begin(), overloadHeap_.end(),
+                      below_in_heap);
+        const auto [key, worst] = overloadHeap_.back();
+        overloadHeap_.pop_back();
+        const double ratio = ratio_of(worst);
+        if (ratio != key) {
+            if (ratio > overloaded) {
+                overloadHeap_.emplace_back(ratio, worst);
+                std::push_heap(overloadHeap_.begin(), overloadHeap_.end(),
+                               below_in_heap);
             }
+            continue;
         }
-        if (worst < 0)
-            break;
-        memberProcessed_[static_cast<size_t>(worst_slot)] = 1;
 
         // Water-fill consumptions on `worst` to its capacity.
         const auto &flows_on_r = memberLists_[static_cast<size_t>(
             memberSlot_[static_cast<size_t>(worst)])];
-        consumption.clear();
-        consumption.reserve(flows_on_r.size());
+        consumption_.clear();
         for (size_t k = 0; k < flows_on_r.size(); ++k)
-            consumption.emplace_back(
+            consumption_.emplace_back(
                 flows_on_r[k].second * scratchRate_[flows_on_r[k].first],
                 k);
-        std::sort(consumption.begin(), consumption.end());
+        std::sort(consumption_.begin(), consumption_.end());
 
         double cap = resources_[static_cast<size_t>(worst)].capacity;
         double below = 0.0; // sum of consumptions kept as-is
-        size_t cn = consumption.size();
+        size_t cn = consumption_.size();
         double level = 0.0;
         for (size_t k = 0; k < cn; ++k) {
-            // Remaining flows all cut to `level`; is consumption[k] kept?
+            // Remaining flows all cut to `level`; is consumption_[k] kept?
             double candidate =
                 (cap - below) / static_cast<double>(cn - k);
-            if (consumption[k].first <= candidate) {
-                below += consumption[k].first;
+            if (consumption_[k].first <= candidate) {
+                below += consumption_[k].first;
                 level = candidate; // provisional, refined each iteration
             } else {
                 level = candidate;
                 break;
             }
         }
-        for (const auto &[c, k] : consumption) {
+        for (const auto &[c, k] : consumption_) {
             if (c > level) {
                 size_t i = flows_on_r[k].first;
                 double d = flows_on_r[k].second;

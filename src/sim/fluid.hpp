@@ -33,6 +33,20 @@
  * resources that current flows actually demand. This turns the
  * per-event cost from O(all resources) into O(active members) — the
  * difference between a 100-chip and a 100k-chip torus being simulable.
+ *
+ * The waterfill's pick comes from a lazy max-heap of those member
+ * resources, keyed by oversubscription ratio (load over capacity,
+ * highest first, lowest resource id on ties) and built once per
+ * recompute. Rates only fall during a waterfill, and IEEE multiply,
+ * add and divide are monotone, so with loads summed in a fixed member
+ * order a key is an upper bound on its resource's current ratio. A
+ * popped key that still equals the recomputed ratio is therefore the
+ * most oversubscribed resource, lowest id on ties: the pick of a full
+ * scan in increasing resource id. A stale key goes back with its new
+ * ratio while that still oversubscribes. Picks, rates, completion
+ * times and event counts are bit-identical to that scan, while a pick
+ * costs the popped resources' member lists plus heap operations
+ * instead of a rescan of every unprocessed member.
  */
 #ifndef MESHSLICE_SIM_FLUID_HPP_
 #define MESHSLICE_SIM_FLUID_HPP_
@@ -279,7 +293,11 @@ class FluidNetwork
     std::vector<std::int32_t> memberSlot_;
     std::vector<std::uint64_t> resourceEpoch_;
     std::uint64_t epoch_ = 0;
-    std::vector<char> memberProcessed_;
+    /** Waterfill pick heap: (oversubscription ratio, resource) keys of
+     *  members not yet processed, highest ratio then lowest id first. */
+    std::vector<std::pair<double, ResourceId>> overloadHeap_;
+    /** (consumption, member list index) on the resource being filled. */
+    std::vector<std::pair<double, std::size_t>> consumption_;
     /** Resources carrying nonzero load from the previous assignment. */
     std::vector<ResourceId> loadedIds_;
 };

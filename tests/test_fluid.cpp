@@ -2,8 +2,8 @@
  * @file
  * Tests of the fluid resource-sharing network: solo rates, fair
  * sharing, water-filling (work conservation), accounting, the
- * NIC-vs-core HBM contention scenario the TPU model depends on, and a
- * property test of the incremental waterfill against a plain
+ * NIC-vs-core HBM contention scenario the TPU model depends on, and
+ * property tests of the incremental waterfill against a plain
  * full-scan reference.
  */
 #include <gtest/gtest.h>
@@ -275,6 +275,98 @@ TEST(FluidProperty, RatesMatchTheReferenceWaterfill)
                     demands.push_back({ids[static_cast<size_t>(d)],
                                        uniform(0.25, 4.0)});
                 // Sized so that nothing completes within the check.
+                const FlowId id = net.startFlow(1e15, demands, [] {});
+                active[id] = demands;
+            }
+            sim.runUntil(sim.now() + 1e-6);
+
+            std::vector<std::vector<Demand>> flows;
+            for (const auto &entry : active)
+                flows.push_back(entry.second);
+            const std::vector<double> expected =
+                referenceRates(capacity, flows);
+            size_t i = 0;
+            for (const auto &entry : active) {
+                const double got = net.flowRate(entry.first);
+                EXPECT_NEAR(got, expected[i], 1e-12 * expected[i])
+                    << "trial " << trial << " round " << round
+                    << " flow " << entry.first;
+                ++i;
+            }
+        }
+    }
+}
+
+/**
+ * The same check where the waterfill's pick order matters most: 64-256
+ * resources and up to 256 flows of up to six demands, so one recompute
+ * picks many resources and many of their earlier ratios go stale, with
+ * capacities changed between rounds. Even trials make the top ratio a
+ * tie that the lowest id must break: one power-of-two capacity and a
+ * coefficient of 1 everywhere, and at most two flows per resource, so
+ * every rate is an integer and every load and ratio is exact in any
+ * summation order (the reference sums in flow order, the simulator in
+ * member order).
+ */
+TEST(FluidProperty, RatesMatchTheReferenceWaterfillWithTiesAndAtScale)
+{
+    std::mt19937_64 rng(20261018);
+    auto uniform = [&rng](double lo, double hi) {
+        return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    auto below = [&rng](int n) {
+        return static_cast<int>(rng() % static_cast<unsigned>(n));
+    };
+    for (int trial = 0; trial < 8; ++trial) {
+        const bool ties = trial % 2 == 0;
+        const int per_resource = ties ? 2 : 256;
+        Simulator sim;
+        FluidNetwork net(sim);
+        std::vector<double> capacity(static_cast<size_t>(64 + below(193)));
+        for (double &c : capacity) {
+            c = ties ? 8.0 : uniform(1.0, 100.0);
+            net.addResource("r", c);
+        }
+        std::vector<int> users(capacity.size(), 0);
+        std::map<FlowId, std::vector<Demand>> active;
+        for (int round = 0; round < 3; ++round) {
+            if (round > 0) {
+                for (auto it = active.begin(); it != active.end();) {
+                    if (below(3) == 0) {
+                        net.cancelFlow(it->first);
+                        for (const Demand &d : it->second)
+                            --users[static_cast<size_t>(d.resource)];
+                        it = active.erase(it);
+                    } else {
+                        ++it;
+                    }
+                }
+                const double tied = round == 1 ? 4.0 : 16.0;
+                for (size_t r = 0; r < capacity.size(); ++r) {
+                    if (below(4) != 0)
+                        continue;
+                    capacity[r] = ties ? tied : uniform(1.0, 100.0);
+                    net.setCapacity(static_cast<ResourceId>(r), capacity[r]);
+                }
+            }
+            const int count =
+                1 + below(256 - static_cast<int>(active.size()));
+            for (int f = 0; f < count; ++f) {
+                std::vector<ResourceId> ids;
+                for (size_t r = 0; r < capacity.size(); ++r)
+                    if (users[r] < per_resource)
+                        ids.push_back(static_cast<ResourceId>(r));
+                std::shuffle(ids.begin(), ids.end(), rng);
+                const size_t width =
+                    std::min(static_cast<size_t>(1 + below(6)), ids.size());
+                if (width == 0)
+                    break;
+                std::vector<Demand> demands;
+                for (size_t d = 0; d < width; ++d) {
+                    demands.push_back(
+                        {ids[d], ties ? 1.0 : uniform(0.25, 4.0)});
+                    ++users[static_cast<size_t>(ids[d])];
+                }
                 const FlowId id = net.startFlow(1e15, demands, [] {});
                 active[id] = demands;
             }
