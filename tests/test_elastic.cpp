@@ -371,7 +371,6 @@ TEST(ElasticRun, ResultIsInvariantToThreadCount)
 
 TEST(ElasticDeathTest, NegativeDetectionLatencyIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     FaultScenario s;
     s.detectionLatency = -0.5;
     EXPECT_DEATH(validateScenario(s, "unit test"),
@@ -381,7 +380,6 @@ TEST(ElasticDeathTest, NegativeDetectionLatencyIsFatal)
 
 TEST(ElasticDeathTest, SecondKillOfDeadResourceIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     FaultScenario s;
     s.detectionLatency = 0.5;
     s.kills.push_back(KillFault{"chip1.hbm", 1.0});
@@ -393,7 +391,6 @@ TEST(ElasticDeathTest, SecondKillOfDeadResourceIsFatal)
 
 TEST(ElasticDeathTest, KillInsideAnotherKillsDetectionWindowIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     FaultScenario s;
     s.detectionLatency = 2.0;
     s.kills.push_back(KillFault{"chip1.", 1.0});
@@ -404,7 +401,6 @@ TEST(ElasticDeathTest, KillInsideAnotherKillsDetectionWindowIsFatal)
 
 TEST(ElasticDeathTest, KillWithoutDetectionLatencyIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ChipConfig cfg = simpleConfig();
     ElasticRunConfig run = smallRun();
     run.checkpointBytesPerChip = 100;
@@ -419,7 +415,6 @@ TEST(ElasticDeathTest, KillWithoutDetectionLatencyIsFatal)
 
 TEST(ElasticDeathTest, LinkKillIsRejectedAsNonChipFailure)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ChipConfig cfg = simpleConfig();
     ElasticRunConfig run = smallRun();
     run.checkpointBytesPerChip = 100;
@@ -432,7 +427,6 @@ TEST(ElasticDeathTest, LinkKillIsRejectedAsNonChipFailure)
 
 TEST(ElasticDeathTest, PatternNamingSeveralChipsIsRejectedUpFront)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // "chip1" also matches chip10-chip19, so once a shrink renumbers
     // the survivors it cannot follow one chip: the run must refuse it
     // before its first step, not misread it after the kill.

@@ -355,7 +355,6 @@ TEST(PlanEngineTest, CalibrationMemoizationIsConcurrencySafe)
 
 TEST(PlanEngineDeathTest, NoDividingMeshShapeIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const PlanQuery q = planQueryFromJson(
         "{\"model\":\"gpt3\",\"chips\":7}", tpuV4Config(), "q.json");
     EXPECT_EXIT(PlanEngine().plan(q), testing::ExitedWithCode(1),
@@ -364,7 +363,6 @@ TEST(PlanEngineDeathTest, NoDividingMeshShapeIsFatal)
 
 TEST(PlanEngineDeathTest, NoSliceCountFittingHbmIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const PlanQuery q = planQueryFromJson(
         "{\"model\":\"gpt3\",\"chips\":4,\"train\":{\"batch\":4096}}",
         tpuV4Config(), "q.json");
@@ -374,7 +372,6 @@ TEST(PlanEngineDeathTest, NoSliceCountFittingHbmIsFatal)
 
 TEST(PlanEngineDeathTest, EmptyCachedShortlistIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const std::string path = tempPath("plan_cache_empty_shortlist.json");
     const PlanKey key = planKeyOf(tinyQuery(7));
     PlanCache cache(8, nullptr);
@@ -391,7 +388,6 @@ TEST(PlanEngineDeathTest, EmptyCachedShortlistIsFatal)
 
 TEST(PlanEngineDeathTest, ZeroBatchIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // Weak scaling gives one chip a batch of 0 sequences.
     const PlanQuery q = planQueryFromJson(
         "{\"model\":\"gpt3\",\"chips\":1}", tpuV4Config(), "q.json");

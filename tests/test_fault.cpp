@@ -154,7 +154,6 @@ TEST(FaultInjection, ExpiringFaultWindowRestoresNominalCost)
 
 TEST(FaultInjectionDeathTest, BothDirectionsDeadIsFatalNotAHang)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ChipConfig cfg = simpleConfig();
     EXPECT_DEATH(
         {
@@ -169,7 +168,6 @@ TEST(FaultInjectionDeathTest, BothDirectionsDeadIsFatalNotAHang)
 
 TEST(FaultInjectionDeathTest, UnmatchedPatternIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ChipConfig cfg = simpleConfig();
     EXPECT_DEATH(FaultedRing(cfg, 4, linkDownScenario("link.bogus")),
                  "matche[sd] no resource");
@@ -304,7 +302,6 @@ TEST(FaultInjection, ConservationHoldsUnderTimeVaryingCapacity)
 
 TEST(FaultInjectionDeathTest, WatchdogAbortsOnPermanentlyParkedFlow)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(
         {
             Simulator sim;
@@ -346,7 +343,6 @@ TEST(FaultScenarioJson, RoundTripPreservesEverything)
 
 TEST(FaultScenarioJsonDeathTest, MalformedInputsAreFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(FaultScenario::fromJson("{", "t"), "t");
     EXPECT_DEATH(FaultScenario::fromJson("[]", "t"), "t");
     EXPECT_DEATH(FaultScenario::fromJson("{\"sed\":1}", "t"), "sed");
@@ -444,7 +440,6 @@ malformedScenarios()
 
 TEST(FaultScenarioDeathTest, JsonAndArmRejectMalformedScenariosAlike)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     for (const MalformedScenario &bad : malformedScenarios()) {
         SCOPED_TRACE(bad.what);
         const std::string json = bad.scenario.toJson();
@@ -456,7 +451,6 @@ TEST(FaultScenarioDeathTest, JsonAndArmRejectMalformedScenariosAlike)
 
 TEST(FaultScenarioDeathTest, ArmRejectsAnInfiniteJitter)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     FaultScenario s;
     s.maxLaunchJitter = std::numeric_limits<double>::infinity();
     EXPECT_DEATH(armOnTinyNetwork(s),
@@ -532,7 +526,6 @@ TEST(DetourRing, RowRingWithoutSkipsChipAndAddsDetourLinks)
 
 TEST(DetourRingDeathTest, SingleRowMeshCannotDetour)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ChipConfig cfg = tpuV4Config();
     Cluster cluster(cfg, 4);
     TorusMesh mesh(cluster, 1, 4);
@@ -588,7 +581,6 @@ TEST(RobustTuner, PickedObjectiveNeverWorseThanNominalCandidate)
 
 TEST(ValidationDeathTest, SpecShapesAreChecked)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Gemm2DSpec spec = studySpec();
     spec.m = 0;
     EXPECT_DEATH(validateSpec(spec), "positive");
@@ -608,7 +600,6 @@ TEST(ValidationDeathTest, SpecShapesAreChecked)
 
 TEST(ValidationDeathTest, ChipConfigIsChecked)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ChipConfig cfg = tpuV4Config();
     cfg.peakFlops = 0.0;
     EXPECT_DEATH(validateChipConfig(cfg), "peakFlops");

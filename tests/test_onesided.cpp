@@ -308,7 +308,6 @@ TEST(OneSidedRecovery, StragglerHurtsLessThanCollectives)
 
 TEST(OneSidedDeathTest, SecondKillDuringRetryExhaustsTheBudget)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // Slow links (100 B/s) so the first retry is still in flight when
     // the second kill's detection fires.
     const ChipConfig cfg = simpleConfig();
@@ -328,7 +327,6 @@ TEST(OneSidedDeathTest, SecondKillDuringRetryExhaustsTheBudget)
 
 TEST(CollectiveDeathTest, SecondKillAuditNamesBothCorpses)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // The audit trail of an exhausted retry budget must identify the
     // original corpse AND the one that killed the rebuilt ring, with
     // their ring positions — "a dead resource" is not actionable.

@@ -458,7 +458,6 @@ TEST(RecoveryStudy, DegradedReduceScatterMatchesFunctionalSteps)
 
 TEST(RecoveryDeathTest, NonRecoverableCollectiveNamesTheDeadChip)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     // Slow hand-arithmetic hardware (43 s per AG) so the collective is
     // still in flight when the 0.5 s detection timeout fires.
     const ChipConfig cfg = simpleConfig();
@@ -475,7 +474,6 @@ TEST(RecoveryDeathTest, NonRecoverableCollectiveNamesTheDeadChip)
 
 TEST(RecoveryDeathTest, SecondKillExhaustsTheRetryBudget)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ChipConfig cfg = tpuV4Config();
     FaultScenario two;
     two.kills.push_back(KillFault{"chip1.hbm", 1e-4});
@@ -487,7 +485,6 @@ TEST(RecoveryDeathTest, SecondKillExhaustsTheRetryBudget)
 
 TEST(RecoveryDeathTest, KillPatternMatchingNoResourceIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ChipConfig cfg = tpuV4Config();
     FaultScenario bogus;
     bogus.kills.push_back(KillFault{"chip99.bogus", 0.0});
@@ -497,7 +494,6 @@ TEST(RecoveryDeathTest, KillPatternMatchingNoResourceIsFatal)
 
 TEST(RecoveryDeathTest, SurvivorMeshRejectsAmbiguousRetirement)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     SurvivorMesh both;
     both.from = {4, 4};
     both.failedRow = 1;
@@ -508,7 +504,6 @@ TEST(RecoveryDeathTest, SurvivorMeshRejectsAmbiguousRetirement)
 
 TEST(RecoveryDeathTest, SurvivorMeshRejectsEmptySurvivorSet)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     SurvivorMesh none;
     none.from = {1, 4};
     none.failedRow = 0;
@@ -517,7 +512,6 @@ TEST(RecoveryDeathTest, SurvivorMeshRejectsEmptySurvivorSet)
 
 TEST(RecoveryDeathTest, KillOverlappingCapacityFaultIsRejected)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     FaultScenario s;
     s.kills.push_back(KillFault{"link.CW.1", 1.0});
     s.faults.push_back(CapacityFault{"link.CW.1", 0.5, 0.0, -1.0});

@@ -5,7 +5,10 @@
 # Release build — including the smoke run of the sim-throughput
 # microbenchmark, whose BENCH_kernels.json must carry a valid
 # sim_throughput section (thread-count-invariant robust picks are
-# checked inside it). Every
+# checked inside it). After ctest, the release leg also runs the whole
+# `ms_tests` suite once as a single process: ctest gives every test a
+# process of its own, which hides failures that depend on test order or
+# on a death test forking a process whose thread pool is running. Every
 # ctest pass also runs the `sim-throughput-smoke`- and
 # `profiler-smoke`-labelled tests, so the concurrent-candidate path
 # and the critical-path recorder execute under both sanitizers. The
@@ -54,6 +57,9 @@ for config in $configs; do
       release)
         if build_and_test release \
                -DCMAKE_BUILD_TYPE=Release -DMESHSLICE_SANITIZE=; then
+            echo "=== [release] ms_tests as one process ==="
+            "$root/release/tests/ms_tests" --gtest_brief=1 ||
+                failures+=("release/ms_tests-one-process")
             echo "=== [release] check-json (BENCH_*.json artifacts) ==="
             cmake --build "$root/release" --target check-json ||
                 failures+=("release/check-json")
