@@ -44,9 +44,8 @@
  * most oversubscribed resource, lowest id on ties: the pick of a full
  * scan in increasing resource id. A stale key goes back with its new
  * ratio while that still oversubscribes. Picks, rates, completion
- * times and event counts are bit-identical to that scan, while a pick
- * costs the popped resources' member lists plus heap operations
- * instead of a rescan of every unprocessed member.
+ * times and event counts are bit-identical to that scan; a pick costs
+ * only the popped resources' member lists plus heap operations.
  */
 #ifndef MESHSLICE_SIM_FLUID_HPP_
 #define MESHSLICE_SIM_FLUID_HPP_

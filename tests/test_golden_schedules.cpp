@@ -10,7 +10,7 @@
  * MeshSlice (OS, LS, RS) and Collective OS at S=8 on the 32x4 mesh a
  * 256-chip GPT-3 plan picks, under the default `ChipConfig`: MeshSlice
  * RS there picks ~28 oversubscribed resources per rate recompute,
- * where the 4x4 and 2x3 waterfills pick a few at most.
+ * where the 4x4 and 2x3 cases average under one pick per recompute.
  *
  * `golden/functional_outputs.txt`: each case runs one functional GeMM
  * (a 2D algorithm and dataflow on 4x4 and 2x3 at S=1 and S=2, 2.5D at
