@@ -5,9 +5,9 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "util/logging.hpp"
@@ -168,6 +168,30 @@ utilizationOf(const ChipConfig &cfg, const GemmRunResult &result, int chips)
     return result.utilization(cfg, chips);
 }
 
+double
+timedRepeatMs(const std::function<double()> &run)
+{
+    double ms = 0.0;
+    int calls = 0;
+    do {
+        ms += run();
+        ++calls;
+    } while (ms < kMinRepeatMs);
+    return ms / calls;
+}
+
+double
+medianOf(std::vector<double> samples)
+{
+    if (samples.empty())
+        return 0.0;
+    std::sort(samples.begin(), samples.end());
+    const size_t mid = samples.size() / 2;
+    return samples.size() % 2 == 1
+               ? samples[mid]
+               : 0.5 * (samples[mid - 1] + samples[mid]);
+}
+
 GemmRunResult
 simulateOneGemm(const ChipConfig &cfg, Algorithm algo,
                 const Gemm2DSpec &spec)
@@ -223,27 +247,20 @@ simulateFcBlock(const ChipConfig &cfg, const TransformerConfig &model,
         Cluster cluster(cfg, chips);
         TorusMesh mesh(cluster, plan.rows, plan.cols);
         GemmExecutor exec(mesh);
-        // Identical (shape, dataflow, S) GeMMs give identical timing;
-        // cache to avoid re-simulating duplicates within the block.
-        std::map<std::string, GemmRunResult> cache;
-        for (const GemmPlan &gemm_plan : plan.allPlans()) {
-            Gemm2DSpec spec =
-                makeSpec(gemm_plan.gemm, gemm_plan.dataflow, plan.rows,
-                         plan.cols, gemm_plan.sliceCount,
-                         cfg.bytesPerElement);
-            const std::string key = spec.str();
-            GemmRunResult res;
-            if (auto it = cache.find(key); it != cache.end()) {
-                res = it->second;
-            } else {
-                res = exec.run(algo, spec);
-                cache.emplace(key, res);
-            }
+        // Identical specs give identical timing: simulate each
+        // distinct one once and count it per occurrence.
+        const DistinctGemmSpecs distinct =
+            distinctGemmSpecs(plan, plan.allPlans(), cfg.bytesPerElement);
+        std::vector<GemmRunResult> runs;
+        for (const Gemm2DSpec &spec : distinct.specs)
+            runs.push_back(exec.run(algo, spec));
+        for (size_t d : distinct.slot) {
+            const GemmRunResult &res = runs[d];
             out.fcTime += res.time;
             out.fcFlops += res.flops;
             out.comm += res.horizontal;
             out.comm += res.vertical;
-            Gemm2DSpec whole = spec;
+            Gemm2DSpec whole = distinct.specs[d];
             whole.sliceCount = 1;
             out.computeIdeal += cost.computeTime(localSliceWork(whole));
         }

@@ -10,8 +10,10 @@
 #define MESHSLICE_BENCH_COMMON_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/executor.hpp"
 #include "model/transformer.hpp"
@@ -87,6 +89,31 @@ FcSimResult simulateFcBlock(const ChipConfig &cfg,
  */
 GemmRunResult simulateOneGemm(const ChipConfig &cfg, Algorithm algo,
                               const Gemm2DSpec &spec);
+
+/**
+ * Repeats behind every gated host-throughput leaf: one sub-second run
+ * swings by ±30% between identical builds on a shared host, so each
+ * such leaf is the median of this many timed repeats.
+ */
+constexpr int kTimedRepeats = 5;
+
+/**
+ * Host time a timed repeat covers at least. Host stalls last up to a
+ * few hundred ms, so back-to-back repeats of a millisecond-scale run
+ * all fall inside one; repeats this long leave most of them outside.
+ */
+constexpr double kMinRepeatMs = 100.0;
+
+/**
+ * One timed repeat: calls @p run, which returns the host ms it timed,
+ * until those add up to `kMinRepeatMs` (at least once), and returns
+ * the mean ms per call.
+ */
+double timedRepeatMs(const std::function<double()> &run);
+
+/** Median of @p samples (mean of the middle two when even); 0 when
+ *  empty. */
+double medianOf(std::vector<double> samples);
 
 /** FLOP utilization of a run on @p chips chips. */
 double utilizationOf(const ChipConfig &cfg, const GemmRunResult &result,

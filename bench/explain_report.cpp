@@ -406,15 +406,30 @@ main(int argc, char **argv)
               << " record(s), shortlist " << shortlist.size()
               << " candidate(s) in " << shortlist_ms << " ms\n";
 
-    // ---- Overhead: profiler off vs on on the MeshSlice scenario.
-    const RunOut dark = runSpec2D(cfg, Algorithm::kMeshSlice, spec,
-                                  /*profile=*/false);
-    const RunOut lit = runSpec2D(cfg, Algorithm::kMeshSlice, spec,
-                                 /*profile=*/true);
-    const bool bit_identical =
-        dark.simTime == lit.simTime && dark.events == lit.events;
-    const double ratio =
-        dark.hostMs > 0.0 ? lit.hostMs / dark.hostMs : 1.0;
+    // ---- Overhead: profiler off vs on on the MeshSlice scenario,
+    // alternated in kTimedRepeats timed repeats; host times are per-run
+    // medians over the repeats, and every run must match the first
+    // dark run bit for bit.
+    RunOut dark = runSpec2D(cfg, Algorithm::kMeshSlice, spec,
+                            /*profile=*/false);
+    bool bit_identical = true;
+    const auto timed_run = [&](bool profile) {
+        const RunOut run =
+            runSpec2D(cfg, Algorithm::kMeshSlice, spec, profile);
+        bit_identical = bit_identical && run.simTime == dark.simTime &&
+                        run.events == dark.events;
+        return run.hostMs;
+    };
+    std::vector<double> dark_runs_ms;
+    std::vector<double> lit_runs_ms;
+    for (int r = 0; r < kTimedRepeats; ++r) {
+        dark_runs_ms.push_back(
+            timedRepeatMs([&] { return timed_run(false); }));
+        lit_runs_ms.push_back(timedRepeatMs([&] { return timed_run(true); }));
+    }
+    dark.hostMs = medianOf(dark_runs_ms);
+    const double lit_ms = medianOf(lit_runs_ms);
+    const double ratio = dark.hostMs > 0.0 ? lit_ms / dark.hostMs : 1.0;
     const double noop_ns = disabledGuardNs();
     const double event_ns =
         dark.events > 0
@@ -429,8 +444,9 @@ main(int argc, char **argv)
         dark.hostMs > 0.0
             ? static_cast<double>(dark.events) / (dark.hostMs * 1e-3)
             : 0.0;
-    std::cout << "overhead: dark " << dark.hostMs << " ms ("
-              << dark.events << " events), profiled " << lit.hostMs
+    std::cout << "overhead (median of " << kTimedRepeats << "): dark "
+              << dark.hostMs << " ms (" << dark.events
+              << " events), profiled " << lit_ms
               << " ms (ratio " << ratio << "), bit-identical "
               << (bit_identical ? "yes" : "NO") << "\n"
               << "disabled path: " << noop_ns << " ns/guard => "
@@ -488,8 +504,9 @@ main(int argc, char **argv)
                                  (shortlist_ms * 1e-3)
                            : 0.0)
          << ",\n  \"overhead\": {\n"
+         << "    \"repeats\": " << kTimedRepeats << ",\n"
          << "    \"dark_ms\": " << jsonNumber(dark.hostMs) << ",\n"
-         << "    \"profiled_ms\": " << jsonNumber(lit.hostMs) << ",\n"
+         << "    \"profiled_ms\": " << jsonNumber(lit_ms) << ",\n"
          << "    \"ratio\": " << jsonNumber(ratio) << ",\n"
          << "    \"dark_events\": " << dark.events << ",\n"
          << "    \"events_per_sec\": " << jsonNumber(events_per_sec)

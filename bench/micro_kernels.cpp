@@ -27,6 +27,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "core/fault_study.hpp"
@@ -221,9 +222,11 @@ main(int argc, char **argv)
               << batched_eps << " events/s\n";
 
     // ---- Simulator throughput (b): concurrent candidate simulations.
-    // The robust tuner's (candidate, scenario) grid — each cell a full
-    // simulator run on a private cluster — serial pool vs 8 threads.
-    // The pick must be bit-identical either way.
+    // The robust tuner's (candidate, scenario) grid — each cell a
+    // candidate's GeMMs simulated on private clusters — serial pool vs
+    // 8 threads, alternated and timed as medians of kTimedRepeats
+    // timed repeats. Every run's pick must equal an untimed serial
+    // run's.
     RobustTuneConfig rcfg;
     rcfg.topK = 3;
     rcfg.numScenarios = args.smoke ? 2 : 4;
@@ -240,34 +243,43 @@ main(int argc, char **argv)
                              rob_chips, rcfg.topK),
             rob_chips, rcfg);
     };
+    const auto same_picks = [](const RobustTuneResult &a,
+                               const RobustTuneResult &b) {
+        bool same = a.pickedIndex == b.pickedIndex &&
+                    a.candidates.size() == b.candidates.size();
+        for (size_t i = 0; same && i < a.candidates.size(); ++i)
+            same = a.candidates[i].plan.rows == b.candidates[i].plan.rows &&
+                   a.candidates[i].plan.cols == b.candidates[i].plan.cols &&
+                   a.candidates[i].objective == b.candidates[i].objective;
+        return same;
+    };
     ThreadPool::setGlobalThreads(1);
-    RobustTuneResult rob_serial;
-    const double cand_serial_ms =
-        wallMs([&] { rob_serial = tune_robust(); });
-    ThreadPool::setGlobalThreads(pool_threads_cand);
-    RobustTuneResult rob_pool;
-    const double cand_pool_ms = wallMs([&] { rob_pool = tune_robust(); });
+    const RobustTuneResult rob_first = tune_robust();
+    bool picks_identical = true;
+    const auto timed_tune = [&] {
+        RobustTuneResult rob;
+        const double ms = wallMs([&] { rob = tune_robust(); });
+        picks_identical = picks_identical && same_picks(rob_first, rob);
+        return ms;
+    };
+    std::vector<double> serial_runs_ms;
+    std::vector<double> pool_runs_ms;
+    for (int r = 0; r < kTimedRepeats; ++r) {
+        ThreadPool::setGlobalThreads(1);
+        serial_runs_ms.push_back(timedRepeatMs(timed_tune));
+        ThreadPool::setGlobalThreads(pool_threads_cand);
+        pool_runs_ms.push_back(timedRepeatMs(timed_tune));
+    }
     ThreadPool::setGlobalThreads(host_threads);
-
-    bool picks_identical =
-        rob_serial.pickedIndex == rob_pool.pickedIndex &&
-        rob_serial.candidates.size() == rob_pool.candidates.size();
-    if (picks_identical)
-        for (size_t i = 0; i < rob_serial.candidates.size(); ++i)
-            picks_identical =
-                picks_identical &&
-                rob_serial.candidates[i].plan.rows ==
-                    rob_pool.candidates[i].plan.rows &&
-                rob_serial.candidates[i].plan.cols ==
-                    rob_pool.candidates[i].plan.cols &&
-                rob_serial.candidates[i].objective ==
-                    rob_pool.candidates[i].objective;
+    const double cand_serial_ms = medianOf(serial_runs_ms);
+    const double cand_pool_ms = medianOf(pool_runs_ms);
     const double cand_serial_cps =
         static_cast<double>(cells) / (cand_serial_ms * 1e-3);
     const double cand_pool_cps =
         static_cast<double>(cells) / (cand_pool_ms * 1e-3);
-    std::cout << "  candidates: " << cells << " cells, serial "
-              << cand_serial_ms << " ms (" << cand_serial_cps
+    std::cout << "  candidates: " << cells << " cells, median of "
+              << kTimedRepeats << " repeats: serial " << cand_serial_ms
+              << " ms (" << cand_serial_cps
               << "/s), pool(" << pool_threads_cand << ") "
               << cand_pool_ms << " ms (" << cand_pool_cps
               << "/s), picks "
@@ -329,6 +341,7 @@ main(int argc, char **argv)
          << "      \"scenarios\": " << rcfg.numScenarios << ",\n"
          << "      \"cells\": " << cells << ",\n"
          << "      \"pool_threads\": " << pool_threads_cand << ",\n"
+         << "      \"repeats\": " << kTimedRepeats << ",\n"
          << "      \"serial_ms\": " << cand_serial_ms << ",\n"
          << "      \"pool_ms\": " << cand_pool_ms << ",\n"
          << "      \"serial_candidates_per_sec\": " << cand_serial_cps

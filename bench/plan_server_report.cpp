@@ -9,7 +9,7 @@
  *    re-tunes (cached shortlist reuse) and exact cache hits.
  *  - Cold leg: a fresh engine serving every variant once, serially and
  *    on 8 pool threads (the compute path: one cold tune plus V-1
- *    incremental re-tunes).
+ *    incremental re-tunes), each timed as the median of repeated legs.
  *  - Warm leg: the same engine re-serving a zipfian-weighted query mix
  *    (head variants dominate, like a real plan server's repeat
  *    traffic), looped to a minimum wall time for a stable rate.
@@ -29,6 +29,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,25 +131,53 @@ main(int argc, char **argv)
         mix_queries.push_back(variants[static_cast<size_t>(idx)]);
 
     // --- Cold leg: fresh engines, every variant computed once. -------
-    ThreadPool::setGlobalThreads(1);
-    PlanEngine cold_engine;
+    // An untimed serial leg gives the reference bytes; then serial and
+    // 8-thread legs alternate in kTimedRepeats timed repeats, each rate
+    // taken from the median repeat, and every leg must serve the
+    // reference bytes. The last legs' engines serve the warm leg.
+    std::unique_ptr<PlanEngine> cold_engine;
+    std::unique_ptr<PlanEngine> cold_engine8;
     std::vector<std::string> cold_json;
-    const double cold_wall = wallSeconds([&] {
-        for (const PlanQuery &q : variants)
-            cold_json.push_back(cold_engine.plan(q).planJson);
-    });
-    const double plans_per_sec_cold = universe / cold_wall;
-    if (cold_engine.computedCount() != universe)
-        fatal("plan_server_report: cold leg computed %ld plans, want %d",
-              cold_engine.computedCount(), universe);
-
-    ThreadPool::setGlobalThreads(8);
-    PlanEngine cold_engine8;
-    double cold_wall8 = 0.0;
-    std::vector<PlanResult> cold_results8;
-    cold_wall8 = wallSeconds(
-        [&] { cold_results8 = cold_engine8.planMany(variants); });
-    const double plans_per_sec_cold_threaded = universe / cold_wall8;
+    bool cold_legs_identical = true;
+    const auto serial_leg = [&] {
+        cold_engine = std::make_unique<PlanEngine>();
+        std::vector<std::string> served;
+        const double wall = wallSeconds([&] {
+            for (const PlanQuery &q : variants)
+                served.push_back(cold_engine->plan(q).planJson);
+        });
+        if (cold_engine->computedCount() != universe)
+            fatal("plan_server_report: cold leg computed %ld plans, want %d",
+                  cold_engine->computedCount(), universe);
+        if (cold_json.empty())
+            cold_json = served;
+        cold_legs_identical = cold_legs_identical && served == cold_json;
+        return wall * 1e3;
+    };
+    const auto threaded_leg = [&] {
+        cold_engine8 = std::make_unique<PlanEngine>();
+        std::vector<PlanResult> served;
+        const double wall = wallSeconds(
+            [&] { served = cold_engine8->planMany(variants); });
+        cold_legs_identical = cold_legs_identical &&
+                              served.size() == cold_json.size();
+        for (size_t i = 0; cold_legs_identical && i < served.size(); ++i)
+            cold_legs_identical = served[i].planJson == cold_json[i];
+        return wall * 1e3;
+    };
+    ThreadPool::setGlobalThreads(1);
+    serial_leg();
+    std::vector<double> cold_ms;
+    std::vector<double> cold_ms8;
+    for (int r = 0; r < kTimedRepeats; ++r) {
+        ThreadPool::setGlobalThreads(1);
+        cold_ms.push_back(timedRepeatMs(serial_leg));
+        ThreadPool::setGlobalThreads(8);
+        cold_ms8.push_back(timedRepeatMs(threaded_leg));
+    }
+    const double plans_per_sec_cold = universe / (medianOf(cold_ms) * 1e-3);
+    const double plans_per_sec_cold_threaded =
+        universe / (medianOf(cold_ms8) * 1e-3);
 
     // --- Warm leg: the zipfian mix against the populated cache. ------
     // Loop the mix to a minimum wall time so the rate is stable.
@@ -159,7 +188,7 @@ main(int argc, char **argv)
     while (warm_wall < min_warm_wall) {
         warm_wall += wallSeconds([&] {
             for (size_t i = 0; i < mix_queries.size(); ++i) {
-                const PlanResult r = cold_engine.plan(mix_queries[i]);
+                const PlanResult r = cold_engine->plan(mix_queries[i]);
                 if (r.source != PlanSource::kCacheHit ||
                     r.planJson !=
                         cold_json[static_cast<size_t>(mix[i])])
@@ -176,7 +205,7 @@ main(int argc, char **argv)
     std::vector<PlanResult> warm_results8;
     while (warm_wall8 < min_warm_wall) {
         warm_wall8 += wallSeconds(
-            [&] { warm_results8 = cold_engine8.planMany(mix_queries); });
+            [&] { warm_results8 = cold_engine8->planMany(mix_queries); });
         warm_served8 += static_cast<long>(mix_queries.size());
     }
     const double plans_per_sec_warm_threaded = warm_served8 / warm_wall8;
@@ -207,11 +236,7 @@ main(int argc, char **argv)
 
     // --- Cross-check: result bytes invariant to serving threads. ----
     bool thread_invariant =
-        cold_results8.size() == static_cast<size_t>(universe) &&
-        warm_results8.size() == mix_queries.size();
-    for (size_t i = 0; i < cold_results8.size(); ++i)
-        if (cold_results8[i].planJson != cold_json[i])
-            thread_invariant = false;
+        cold_legs_identical && warm_results8.size() == mix_queries.size();
     for (size_t i = 0; i < warm_results8.size(); ++i)
         if (warm_results8[i].planJson !=
             cold_json[static_cast<size_t>(mix[i])])
@@ -273,20 +298,20 @@ main(int argc, char **argv)
          << "\n  },\n";
     json << "  \"cache\": {\"hits\": "
          << static_cast<long>(
-                cold_engine.stats().counter("engine/cache/hit"))
+                cold_engine->stats().counter("engine/cache/hit"))
          << ", \"misses\": "
          << static_cast<long>(
-                cold_engine.stats().counter("engine/cache/miss"))
+                cold_engine->stats().counter("engine/cache/miss"))
          << ", \"inserts\": "
          << static_cast<long>(
-                cold_engine.stats().counter("engine/cache/insert"))
+                cold_engine->stats().counter("engine/cache/insert"))
          << ", \"base_hits\": "
          << static_cast<long>(
-                cold_engine.stats().counter("engine/cache/base_hit"))
+                cold_engine->stats().counter("engine/cache/base_hit"))
          << ", \"evictions\": "
          << static_cast<long>(
-                cold_engine.stats().counter("engine/cache/eviction"))
-         << ", \"computed\": " << cold_engine.computedCount() << "},\n";
+                cold_engine->stats().counter("engine/cache/eviction"))
+         << ", \"computed\": " << cold_engine->computedCount() << "},\n";
     json << "  \"cross_checks\": {\n"
          << "    \"warm_hit_identical\": "
          << (warm_hit_identical ? "true" : "false") << ",\n"

@@ -88,6 +88,10 @@ struct Gemm2DSpec
                static_cast<double>(n);
     }
     std::string str() const;
+
+    /** Field-wise over all eight fields (`str()` omits the element
+     *  size, so it is no identity). */
+    bool operator==(const Gemm2DSpec &) const = default;
 };
 
 /**

@@ -1,9 +1,12 @@
 #include "engine/plan_cache.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#include <unistd.h>
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -146,11 +149,27 @@ PlanCache::load(const std::string &text, const std::string &context)
 void
 PlanCache::saveFile(const std::string &path) const
 {
-    std::ofstream out(path);
-    out << serialize();
-    out.flush();
-    if (!out)
+    // Write a sibling temp file, sync it, and rename it over the
+    // target: the rename is atomic, so a crash at any point leaves
+    // either the old file or the complete new one.
+    const std::string tmp = path + ".tmp";
+    const std::string text = serialize();
+    std::FILE *out = std::fopen(tmp.c_str(), "wb");
+    if (out == nullptr)
+        fatal("PlanCache: failed writing %s: cannot create %s",
+              path.c_str(), tmp.c_str());
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
+        std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+    if (std::fclose(out) != 0 || !written) {
+        std::remove(tmp.c_str());
         fatal("PlanCache: failed writing %s", path.c_str());
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        fatal("PlanCache: failed writing %s: cannot rename %s over it",
+              path.c_str(), tmp.c_str());
+    }
 }
 
 bool

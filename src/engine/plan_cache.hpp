@@ -82,7 +82,13 @@ class PlanCache
      */
     void load(const std::string &text, const std::string &context);
 
-    /** `serialize()` into @p path; fatal when the write fails. */
+    /**
+     * `serialize()` into @p path, crash-safely: the document goes to
+     * `<path>.tmp` in the same directory, is synced, and is renamed
+     * over @p path, so a crash mid-save leaves the previous file
+     * loadable. A failed save is fatal, names @p path and leaves the
+     * previous file untouched.
+     */
     void saveFile(const std::string &path) const;
 
     /** `load()` from @p path; returns false (untouched cache) when the

@@ -104,6 +104,10 @@ PlanEngine::runPhases(const PlanQuery &q,
         plan.robustPickIndex = robust.pickedIndex;
         adoptTpPick(plan, robust.picked().plan, kRobustPhase);
         ran(kRobustPhase);
+        const std::string prefix = std::string("engine/phase/") +
+                                   kRobustPhase + "/";
+        stats_.add(prefix + "simulations", robust.simulations);
+        stats_.add(prefix + "gemm_evals", robust.gemmEvals);
     }
 
     if (q.runRecovery) {

@@ -100,7 +100,10 @@ class PlanEngine
     /** Write the cache to `Options::persistPath` (fatal if empty). */
     void persist() const;
 
-    /** Hit/miss/eviction and serve counters (`engine/...`). */
+    /** Hit/miss/eviction, serve and per-phase run counters
+     *  (`engine/...`), including the robust re-rank's simulator runs
+     *  and the GeMM evaluations they served
+     *  (`engine/phase/robust-rerank/simulations`, `.../gemm_evals`). */
     const StatsRegistry &stats() const { return stats_; }
 
     /** Serves that actually ran the phases (cold+incremental). */

@@ -124,6 +124,24 @@ makeSpec(const FcGemm &gemm, Dataflow df, int rows, int cols,
     return spec;
 }
 
+DistinctGemmSpecs
+distinctGemmSpecs(const AutotuneResult &plan,
+                  const std::vector<GemmPlan> &gemms, int bytes_per_element)
+{
+    DistinctGemmSpecs out;
+    out.slot.reserve(gemms.size());
+    for (const GemmPlan &g : gemms) {
+        const Gemm2DSpec spec =
+            makeSpec(g.gemm, g.dataflow, plan.rows, plan.cols,
+                     g.sliceCount, bytes_per_element);
+        const auto it = std::find(out.specs.begin(), out.specs.end(), spec);
+        out.slot.push_back(static_cast<size_t>(it - out.specs.begin()));
+        if (it == out.specs.end())
+            out.specs.push_back(spec);
+    }
+    return out;
+}
+
 bool
 shapeFeasible(const FcGemm &gemm, int rows, int cols)
 {

@@ -71,6 +71,29 @@ std::vector<GemmPlan> dataflowsForLayer(Stationary st, const FcGemm &fwd);
 Gemm2DSpec makeSpec(const FcGemm &gemm, Dataflow df, int rows, int cols,
                     int slice_count = 1, int bytes_per_element = 2);
 
+/** The executor specs of a GeMM list, each distinct spec held once. */
+struct DistinctGemmSpecs
+{
+    /** Every distinct spec, in first-occurrence order. */
+    std::vector<Gemm2DSpec> specs;
+    /** Per GeMM of the list, the index of its spec in `specs`. */
+    std::vector<size_t> slot;
+};
+
+/**
+ * The specs of @p gemms on @p plan's mesh, each distinct one once. In
+ * a transformer block, FFN2's forward, input-gradient and
+ * weight-gradient GeMMs repeat FFN1's input-gradient, forward and
+ * weight-gradient GeMMs spec for spec, so a simulator run per distinct
+ * spec serves every repeat: runs are deterministic functions of the
+ * spec (and scenario), and a caller that folds
+ * `result[slot[j]]` over j in list order gets the per-GeMM loop's
+ * sums bit for bit.
+ */
+DistinctGemmSpecs distinctGemmSpecs(const AutotuneResult &plan,
+                                    const std::vector<GemmPlan> &gemms,
+                                    int bytes_per_element);
+
 /** True if the mesh shape divides all three GeMM dimensions. */
 bool shapeFeasible(const FcGemm &gemm, int rows, int cols);
 

@@ -35,17 +35,21 @@ explainPlanGemms(const ChipConfig &chip, Algorithm algo,
                  const AutotuneResult &plan,
                  const std::vector<GemmPlan> &gemms, Time *sim_time)
 {
+    // One run per distinct spec; repeats fold their first occurrence's
+    // analysis again, in GeMM order.
+    const DistinctGemmSpecs distinct =
+        distinctGemmSpecs(plan, gemms, chip.bytesPerElement);
+    std::vector<Time> times;
+    std::vector<ExplainRecord> recs(distinct.specs.size());
+    for (size_t d = 0; d < distinct.specs.size(); ++d)
+        times.push_back(runGemmUnderScenario(chip, algo, distinct.specs[d],
+                                             nullptr, nullptr, &recs[d])
+                            .time);
     ExplainRecord agg;
     Time total = 0.0;
-    for (const GemmPlan &g : gemms) {
-        const Gemm2DSpec spec =
-            makeSpec(g.gemm, g.dataflow, plan.rows, plan.cols,
-                     g.sliceCount, chip.bytesPerElement);
-        ExplainRecord rec;
-        total += runGemmUnderScenario(chip, algo, spec, nullptr, nullptr,
-                                      &rec)
-                     .time;
-        mergeExplain(agg, rec);
+    for (size_t d : distinct.slot) {
+        total += times[d];
+        mergeExplain(agg, recs[d]);
     }
     if (sim_time != nullptr)
         *sim_time = total;

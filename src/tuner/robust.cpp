@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/fault_study.hpp"
 #include "core/recovery_study.hpp"
@@ -196,63 +198,79 @@ tuneRobustShortlist(const LlmAutotuner &tuner, Algorithm algo,
         shortlist.resize(static_cast<size_t>(cfg.topK));
     const ChipConfig &chip = tuner.cost().chip();
 
-    // Per-candidate GeMM subsets (serial: cheap, and keeps the
-    // truncation deterministic regardless of worker scheduling).
+    // Per-candidate GeMM subsets and their distinct specs (serial:
+    // cheap, and keeps the truncation deterministic regardless of
+    // worker scheduling).
     std::vector<std::vector<GemmPlan>> gemm_sets;
+    std::vector<DistinctGemmSpecs> distinct;
     gemm_sets.reserve(shortlist.size());
+    distinct.reserve(shortlist.size());
     for (const AutotuneResult &plan : shortlist) {
         std::vector<GemmPlan> gemms = plan.allPlans();
         if (cfg.maxGemmsPerEval > 0 &&
             static_cast<int>(gemms.size()) > cfg.maxGemmsPerEval)
             gemms.resize(static_cast<size_t>(cfg.maxGemmsPerEval));
+        distinct.push_back(
+            distinctGemmSpecs(plan, gemms, chip.bytesPerElement));
         gemm_sets.push_back(std::move(gemms));
     }
 
-    // Every (candidate, scenario) cell is an independent simulation on
-    // a private cluster: fan the cells out on the pool, then fold
-    // times, trace records and stats in serial cell order below.
+    // One pool task per (candidate, scenario, distinct spec), each an
+    // independent simulation on a private cluster. Cell c = (ci, si)
+    // owns the tasks from cell_task[c] on, one per distinct spec.
     const size_t num_scen = result.scenarios.size();
-    const std::int64_t cells =
-        static_cast<std::int64_t>(shortlist.size() * num_scen);
-    std::vector<Time> cell_time(static_cast<size_t>(cells), 0.0);
-    std::vector<std::vector<StatSnapshot>> cell_stats(
-        stats != nullptr ? static_cast<size_t>(cells) : 0);
-    parallelFor(cells, 1, [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t c = begin; c < end; ++c) {
-            const size_t ci = static_cast<size_t>(c) / num_scen;
-            const size_t si = static_cast<size_t>(c) % num_scen;
-            const AutotuneResult &plan = shortlist[ci];
-            StatsRegistry cell_reg;
-            StatsRegistry *cell = stats != nullptr ? &cell_reg : nullptr;
-            Time step = 0.0;
-            for (const GemmPlan &g : gemm_sets[ci]) {
-                const Gemm2DSpec spec =
-                    makeSpec(g.gemm, g.dataflow, plan.rows, plan.cols,
-                             g.sliceCount, chip.bytesPerElement);
-                step += runGemmUnderScenario(chip, algo, spec,
-                                             &result.scenarios[si], cell)
-                            .time;
-            }
-            cell_time[static_cast<size_t>(c)] = step;
+    std::vector<size_t> cell_task;
+    std::vector<std::pair<size_t, size_t>> tasks; // (cell, spec index)
+    for (size_t ci = 0; ci < shortlist.size(); ++ci)
+        for (size_t si = 0; si < num_scen; ++si) {
+            cell_task.push_back(tasks.size());
+            for (size_t d = 0; d < distinct[ci].specs.size(); ++d)
+                tasks.emplace_back(cell_task.size() - 1, d);
+        }
+    std::vector<Time> task_time(tasks.size(), 0.0);
+    std::vector<std::vector<StatSnapshot>> task_stats(
+        stats != nullptr ? tasks.size() : 0);
+    parallelFor(static_cast<std::int64_t>(tasks.size()), 1,
+                [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t t = begin; t < end; ++t) {
+            const auto [c, d] = tasks[static_cast<size_t>(t)];
+            StatsRegistry run_reg;
+            task_time[static_cast<size_t>(t)] =
+                runGemmUnderScenario(
+                    chip, algo, distinct[c / num_scen].specs[d],
+                    &result.scenarios[c % num_scen],
+                    stats != nullptr ? &run_reg : nullptr)
+                    .time;
             if (stats != nullptr)
-                cell_stats[static_cast<size_t>(c)] = cell_reg.snapshot();
+                task_stats[static_cast<size_t>(t)] = run_reg.snapshot();
         }
     });
+    result.simulations = static_cast<int>(tasks.size());
 
+    // Fold each cell in GeMM order: a repeated GeMM adds its first
+    // occurrence's time, and merges its stats, once more.
     const bool tracing = SearchTrace::global().enabled();
     for (size_t ci = 0; ci < shortlist.size(); ++ci) {
         RobustCandidate cand;
         cand.plan = shortlist[ci];
         cand.nominalEst = shortlist[ci].blockFcTime;
+        const std::vector<size_t> &slot = distinct[ci].slot;
         for (size_t si = 0; si < num_scen; ++si) {
-            const size_t c = ci * num_scen + si;
-            cand.scenarioTimes.push_back(cell_time[c]);
+            const size_t first = cell_task[ci * num_scen + si];
+            Time step = 0.0;
+            for (size_t d : slot)
+                step += task_time[first + d];
+            result.gemmEvals += static_cast<int>(slot.size());
+            cand.scenarioTimes.push_back(step);
             if (tracing)
                 traceRobustEval(algo, chips, cand, static_cast<int>(si),
-                                cell_time[c]);
-            if (stats != nullptr)
-                stats->merge(cell_stats[c],
-                             strprintf("robust/cand%zu/scen%zu/", ci, si));
+                                step);
+            if (stats != nullptr) {
+                const std::string prefix =
+                    strprintf("robust/cand%zu/scen%zu/", ci, si);
+                for (size_t d : slot)
+                    stats->merge(task_stats[first + d], prefix);
+            }
         }
         cand.objective = robustObjective(cand.scenarioTimes, cfg.quantile);
         // Opt-in "why": re-run the candidate's GeMM subset fault-free

@@ -95,6 +95,12 @@ struct RobustTuneResult
     std::vector<RobustCandidate> candidates;
     /** Index (into `candidates`) of the robust pick. */
     int pickedIndex = 0;
+    /** Simulator runs made: one per (candidate, scenario, distinct
+     *  GeMM spec). */
+    int simulations = 0;
+    /** GeMM evaluations those runs served: one per (candidate,
+     *  scenario, evaluated GeMM). */
+    int gemmEvals = 0;
 
     const RobustCandidate &picked() const
     {
@@ -126,13 +132,16 @@ std::vector<FaultScenario> sampleScenarios(const RobustTuneConfig &cfg,
  * phase, so a fault-profile-only change re-ranks it without redoing
  * the shape sweep, bit-identically to a cold tune.
  *
- * The (candidate, scenario) evaluations are independent simulations on
- * private clusters and run concurrently on the global thread pool;
- * results, trace records and stats are folded in serial cell order, so
- * the pick, the SearchTrace file and the merged registry are
- * bit-identical to a `MESHSLICE_THREADS=1` run. When @p stats is
- * non-null each cell's per-resource accounting is merged under
- * `robust/cand<ci>/scen<si>/...`.
+ * A (candidate, scenario) cell's time is the sum of its GeMMs'
+ * simulated times. Each distinct GeMM spec of a candidate
+ * (`distinctGemmSpecs`) is simulated once per scenario, as one pool
+ * task on a private cluster; the cells are then folded serially in
+ * GeMM order, a repeated GeMM adding its first occurrence's time and
+ * stats again. Every run is a deterministic function of (chip,
+ * algorithm, spec, scenario), so times, the pick, the SearchTrace
+ * file and the merged registry are bit-identical to simulating every
+ * GeMM, at any thread count. When @p stats is non-null each cell's
+ * per-resource accounting is merged under `robust/cand<ci>/scen<si>/...`.
  */
 RobustTuneResult tuneRobustShortlist(
     const LlmAutotuner &tuner, Algorithm algo,

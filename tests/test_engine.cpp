@@ -4,12 +4,14 @@
  * sensitivity, deterministic plan JSON round-trips, LRU cache
  * behavior and persistence, cache-hit / single-flight / incremental
  * serving identity, thread invariance, the concurrency safety of
- * the comm-calibration memoization the engine hammers, and `fatal`
- * exits for serve-path inputs the planner cannot plan for.
+ * the comm-calibration memoization the engine hammers, the robust
+ * re-rank's simulator-run counters, crash-safe cache saves, and
+ * `fatal` exits for serve-path inputs the planner cannot plan for.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -240,6 +242,32 @@ TEST(PlanCacheTest, PersistenceRoundTripIsByteIdentical)
     EXPECT_FALSE(missing.loadFileIfExists(path));
 }
 
+TEST(PlanCacheDeathTest, FailedSaveLeavesThePreviousFileLoadable)
+{
+    const std::string path = tempPath("plan_cache_crash_safe.json");
+    const std::string tmp = path + ".tmp";
+    std::filesystem::remove(tmp);
+    PlanCache cache(8, nullptr);
+    cache.insert("alpha#f", "alpha", "{\"p\":1}", "[1]");
+    cache.saveFile(path);
+    const std::string saved = cache.serialize();
+    EXPECT_FALSE(std::filesystem::exists(tmp)); // renamed over path
+
+    // A directory in the temp file's place makes the next save fail
+    // before it could touch the saved file.
+    ASSERT_TRUE(std::filesystem::create_directory(tmp));
+    cache.insert("beta#f", "beta", "{\"p\":2}", "[2]");
+    EXPECT_EXIT(cache.saveFile(path), testing::ExitedWithCode(1),
+                "PlanCache: failed writing .*plan_cache_crash_safe\\.json");
+
+    PlanCache reloaded(8, nullptr);
+    EXPECT_TRUE(reloaded.loadFileIfExists(path));
+    EXPECT_EQ(reloaded.size(), 1u);
+    EXPECT_EQ(reloaded.serialize(), saved);
+    std::filesystem::remove(tmp);
+    std::remove(path.c_str());
+}
+
 TEST(PlanEngineTest, PhaseSequenceIsDeclared)
 {
     const std::vector<std::string> names = PlanEngine::phaseNames();
@@ -326,6 +354,30 @@ TEST(PlanEngineTest, WarmStartsFromPersistedCache)
     EXPECT_EQ(r.planJson, cold_json);
     EXPECT_EQ(reader.computedCount(), 0);
     std::remove(path.c_str());
+}
+
+TEST(PlanEngineTest, RobustRerankCountsItsSimulatorRuns)
+{
+    // The shape of a cold GPT-3 plan's re-rank: 3 candidates x 4
+    // scenarios x all 12 GeMMs, of which 9 specs per candidate are
+    // distinct (FFN2 repeats FFN1's three GeMMs).
+    PlanQuery q = tinyQuery();
+    q.robust.topK = 3;
+    q.robust.numScenarios = 4;
+    q.robust.maxGemmsPerEval = 0;
+    PlanEngine engine;
+    EXPECT_EQ(engine.plan(q).source, PlanSource::kCold);
+    const StatsRegistry &stats = engine.stats();
+    EXPECT_EQ(stats.counter("engine/phase/robust-rerank/runs"), 1.0);
+    EXPECT_EQ(stats.counter("engine/phase/robust-rerank/simulations"),
+              108.0);
+    EXPECT_EQ(stats.counter("engine/phase/robust-rerank/gemm_evals"),
+              144.0);
+
+    // A cache hit runs nothing.
+    EXPECT_EQ(engine.plan(q).source, PlanSource::kCacheHit);
+    EXPECT_EQ(stats.counter("engine/phase/robust-rerank/simulations"),
+              108.0);
 }
 
 TEST(PlanEngineTest, CalibrationMemoizationIsConcurrencySafe)

@@ -4,7 +4,9 @@
  * simulations are safe (run this under TSan) and bit-deterministic —
  * tuner picks, SearchTrace files and merged stats registries must not
  * depend on the thread count — and the batched fluid accounting keeps
- * the busy+idle==wall conservation law exact. Also covers the event
+ * the busy+idle==wall conservation law exact. The robust re-rank and
+ * the explain layer simulate each distinct GeMM spec once; their folds
+ * must equal a per-GeMM loop bit for bit. Also covers the event
  * queue's lazy-cancellation heap against a reference ordering and the
  * arena allocator backing per-run event/flow storage.
  */
@@ -29,6 +31,7 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "tuner/autotuner.hpp"
+#include "tuner/explain.hpp"
 #include "tuner/pipeline_tuner.hpp"
 #include "tuner/robust.hpp"
 #include "tuner/search_trace.hpp"
@@ -74,6 +77,73 @@ readFile(const std::string &path)
     std::stringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** The robust re-rank's outputs that must not depend on how it
+ *  schedules its simulations. */
+struct RobustOutcome
+{
+    std::vector<std::vector<Time>> scenarioTimes;
+    std::vector<Time> objectives;
+    int pickedIndex = 0;
+    std::string statsJson;
+};
+
+RobustOutcome
+outcomeOf(const RobustTuneResult &result, const StatsRegistry &stats)
+{
+    RobustOutcome out;
+    for (const RobustCandidate &cand : result.candidates) {
+        out.scenarioTimes.push_back(cand.scenarioTimes);
+        out.objectives.push_back(cand.objective);
+    }
+    out.pickedIndex = result.pickedIndex;
+    out.statsJson = stats.toJson();
+    return out;
+}
+
+/**
+ * Reference re-rank: every GeMM of every (candidate, scenario) cell
+ * simulated on its own, in order, each cell's stats gathered in a cell
+ * registry and merged under its prefix.
+ */
+RobustOutcome
+perGemmRobust(const ChipConfig &chip, Algorithm algo,
+              const std::vector<AutotuneResult> &shortlist,
+              const std::vector<FaultScenario> &scenarios,
+              const RobustTuneConfig &rcfg)
+{
+    RobustOutcome out;
+    StatsRegistry stats;
+    stats.enable(true);
+    for (size_t ci = 0; ci < shortlist.size(); ++ci) {
+        const AutotuneResult &plan = shortlist[ci];
+        std::vector<Time> times;
+        for (size_t si = 0; si < scenarios.size(); ++si) {
+            StatsRegistry cell;
+            Time step = 0.0;
+            for (const GemmPlan &g : plan.allPlans()) {
+                const Gemm2DSpec spec =
+                    makeSpec(g.gemm, g.dataflow, plan.rows, plan.cols,
+                             g.sliceCount, chip.bytesPerElement);
+                step += runGemmUnderScenario(chip, algo, spec,
+                                             &scenarios[si], &cell)
+                            .time;
+            }
+            times.push_back(step);
+            stats.merge(cell.snapshot(),
+                        "robust/cand" + std::to_string(ci) + "/scen" +
+                            std::to_string(si) + "/");
+        }
+        out.objectives.push_back(robustObjective(times, rcfg.quantile));
+        out.scenarioTimes.push_back(std::move(times));
+    }
+    for (size_t i = 1; i < out.objectives.size(); ++i)
+        if (out.objectives[i] <
+            out.objectives[static_cast<size_t>(out.pickedIndex)])
+            out.pickedIndex = static_cast<int>(i);
+    out.statsJson = stats.toJson();
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -379,6 +449,158 @@ TEST(SimParallel, SearchTraceFileByteIdenticalAcrossThreadCounts)
     EXPECT_EQ(t1, t8);
     std::remove(path1.c_str());
     std::remove(path8.c_str());
+}
+
+// ---------------------------------------------------------------------
+// One simulation per distinct GeMM spec, folded per GeMM.
+
+TEST(SimParallel, DistinctSpecsOfTheGpt3ShortlistRepeatFfn1)
+{
+    // The GPT-3 / 256-chip top-3 shortlist of a cold fault-aware plan:
+    // in each candidate FFN2's forward, input-gradient and
+    // weight-gradient GeMMs (plan entries 9-11) repeat FFN1's
+    // input-gradient, forward and weight-gradient GeMMs (entries 7, 6
+    // and 8), so 9 of the 12 specs are distinct.
+    const LlmAutotuner tuner(testCost());
+    const int bpe = testCost().chip().bytesPerElement;
+    const std::vector<AutotuneResult> shortlist = tuner.rankShapes(
+        Algorithm::kMeshSlice, gpt3Config(),
+        TrainingConfig::weakScaling(256), 256, 3);
+    ASSERT_EQ(shortlist.size(), 3u);
+    for (const AutotuneResult &plan : shortlist) {
+        const std::vector<GemmPlan> gemms = plan.allPlans();
+        ASSERT_EQ(gemms.size(), 12u);
+        const DistinctGemmSpecs distinct =
+            distinctGemmSpecs(plan, gemms, bpe);
+        EXPECT_EQ(distinct.specs.size(), 9u);
+        ASSERT_EQ(distinct.slot.size(), gemms.size());
+        size_t seen = 0; // distinct specs met so far
+        for (size_t j = 0; j < gemms.size(); ++j) {
+            const Gemm2DSpec spec =
+                makeSpec(gemms[j].gemm, gemms[j].dataflow, plan.rows,
+                         plan.cols, gemms[j].sliceCount, bpe);
+            ASSERT_LT(distinct.slot[j], distinct.specs.size());
+            EXPECT_EQ(distinct.specs[distinct.slot[j]], spec) << j;
+            // A first occurrence opens the next slot; a repeat maps to
+            // the slot of the first GeMM with its spec.
+            size_t first = 0;
+            while (!(makeSpec(gemms[first].gemm, gemms[first].dataflow,
+                              plan.rows, plan.cols,
+                              gemms[first].sliceCount, bpe) == spec))
+                ++first;
+            if (first == j)
+                EXPECT_EQ(distinct.slot[j], seen++) << j;
+            else
+                EXPECT_EQ(distinct.slot[j], distinct.slot[first]) << j;
+        }
+        EXPECT_EQ(distinct.slot[9], distinct.slot[7]);
+        EXPECT_EQ(distinct.slot[10], distinct.slot[6]);
+        EXPECT_EQ(distinct.slot[11], distinct.slot[8]);
+    }
+}
+
+TEST(SimParallel, SpecEqualitySeesTheElementSize)
+{
+    Gemm2DSpec a;
+    a.m = a.k = a.n = 1024;
+    Gemm2DSpec b = a;
+    EXPECT_EQ(a, b);
+    b.bytesPerElement = 4;
+    EXPECT_NE(a, b);
+    EXPECT_EQ(a.str(), b.str()); // why the helper does not key on str()
+
+    // The same GeMMs at two element sizes are two distinct spec lists.
+    AutotuneResult plan;
+    plan.rows = plan.cols = 2;
+    GemmPlan g;
+    g.gemm = FcGemm{"fc", 256, 256, 256};
+    const std::vector<GemmPlan> gemms = {g, g};
+    EXPECT_EQ(distinctGemmSpecs(plan, gemms, 2).specs.size(), 1u);
+    EXPECT_NE(distinctGemmSpecs(plan, gemms, 2).specs,
+              distinctGemmSpecs(plan, gemms, 4).specs);
+}
+
+TEST(SimParallel, RobustFoldOverRepeatsMatchesThePerGemmLoop)
+{
+    // Every GeMM evaluated, stats on: the fold over distinct-spec runs
+    // must reproduce a per-GeMM loop bit for bit — scenario times,
+    // objectives, the pick and the merged registry — at 1 and 4
+    // threads.
+    PoolGuard guard;
+    const LlmAutotuner tuner(testCost());
+    const ChipConfig &chip = testCost().chip();
+    RobustTuneConfig rcfg;
+    rcfg.topK = 2;
+    rcfg.numScenarios = 2;
+    rcfg.maxGemmsPerEval = 0;
+    rcfg.maxLaunchJitter = 2e-6; // seeded per scenario
+    const std::vector<AutotuneResult> shortlist =
+        tuner.rankShapes(Algorithm::kMeshSlice, tinyModel(),
+                         TrainingConfig{16, 512}, 16, rcfg.topK);
+    ASSERT_EQ(static_cast<int>(shortlist.size()), rcfg.topK);
+    int simulations = 0;
+    for (const AutotuneResult &plan : shortlist) {
+        const DistinctGemmSpecs distinct = distinctGemmSpecs(
+            plan, plan.allPlans(), chip.bytesPerElement);
+        EXPECT_LT(distinct.specs.size(), 12u); // the fold sees repeats
+        simulations +=
+            rcfg.numScenarios * static_cast<int>(distinct.specs.size());
+    }
+    const RobustOutcome want =
+        perGemmRobust(chip, Algorithm::kMeshSlice, shortlist,
+                      sampleScenarios(rcfg, 16), rcfg);
+
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        StatsRegistry stats;
+        stats.enable(true);
+        const RobustTuneResult result = tuneRobustShortlist(
+            tuner, Algorithm::kMeshSlice, shortlist, 16, rcfg, &stats);
+        const RobustOutcome got = outcomeOf(result, stats);
+        EXPECT_EQ(got.scenarioTimes, want.scenarioTimes) << threads;
+        EXPECT_EQ(got.objectives, want.objectives) << threads;
+        EXPECT_EQ(got.pickedIndex, want.pickedIndex) << threads;
+        EXPECT_EQ(got.statsJson, want.statsJson) << threads;
+        EXPECT_EQ(result.simulations, simulations);
+        EXPECT_EQ(result.gemmEvals, rcfg.topK * rcfg.numScenarios * 12);
+    }
+}
+
+TEST(SimParallel, ExplainFoldOverRepeatsMatchesThePerGemmLoop)
+{
+    const LlmAutotuner tuner(testCost());
+    const ChipConfig &chip = testCost().chip();
+    const AutotuneResult plan =
+        tuner.rankShapes(Algorithm::kMeshSlice, tinyModel(),
+                         TrainingConfig{16, 512}, 16, 1)
+            .front();
+    const std::vector<GemmPlan> gemms = plan.allPlans();
+    ASSERT_LT(distinctGemmSpecs(plan, gemms, chip.bytesPerElement)
+                  .specs.size(),
+              gemms.size());
+
+    ExplainRecord want;
+    Time want_time = 0.0;
+    for (const GemmPlan &g : gemms) {
+        ExplainRecord rec;
+        want_time +=
+            runGemmUnderScenario(
+                chip, Algorithm::kMeshSlice,
+                makeSpec(g.gemm, g.dataflow, plan.rows, plan.cols,
+                         g.sliceCount, chip.bytesPerElement),
+                nullptr, nullptr, &rec)
+                .time;
+        mergeExplain(want, rec);
+    }
+    Time got_time = 0.0;
+    const ExplainRecord got = explainPlanGemms(
+        chip, Algorithm::kMeshSlice, plan, gemms, &got_time);
+    EXPECT_EQ(got_time, want_time);
+    // %.17g round-trips every double, so equal JSON is equal bits.
+    EXPECT_EQ(explainRecordJson("test", Algorithm::kMeshSlice, 16, 0,
+                                plan.rows, plan.cols, got_time, got),
+              explainRecordJson("test", Algorithm::kMeshSlice, 16, 0,
+                                plan.rows, plan.cols, want_time, want));
 }
 
 } // namespace
