@@ -10,9 +10,10 @@
  *  - Cold leg: a fresh engine serving every variant once, serially and
  *    on 8 pool threads (the compute path: one cold tune plus V-1
  *    incremental re-tunes), each timed as the median of repeated legs.
- *  - Warm leg: the same engine re-serving a zipfian-weighted query mix
- *    (head variants dominate, like a real plan server's repeat
- *    traffic), looped to a minimum wall time for a stable rate.
+ *  - Warm leg: the same engines re-serving a zipfian-weighted query
+ *    mix (head variants dominate, like a real plan server's repeat
+ *    traffic), serially and on 8 pool threads, each timed as the
+ *    median of repeated passes over the mix.
  *
  * Emits `BENCH_planserver.json` with the embedded `cross_checks`
  * section `tools/check_json.sh` enforces; its `plans_per_sec_*` keys
@@ -119,7 +120,6 @@ main(int argc, char **argv)
     const BenchArgs args = BenchArgs::parse(argc, argv, 16);
     const int universe = args.smoke ? 3 : 8;
     const int mix_length = args.smoke ? 16 : 64;
-    const double min_warm_wall = args.smoke ? 0.05 : 0.25;
 
     std::vector<PlanQuery> variants;
     for (int v = 0; v < universe; ++v)
@@ -179,14 +179,16 @@ main(int argc, char **argv)
     const double plans_per_sec_cold_threaded =
         universe / (medianOf(cold_ms8) * 1e-3);
 
-    // --- Warm leg: the zipfian mix against the populated cache. ------
-    // Loop the mix to a minimum wall time so the rate is stable.
-    ThreadPool::setGlobalThreads(1);
+    // --- Warm leg: the zipfian mix against the populated caches. -----
+    // Serial and 8-thread passes over the mix alternate in
+    // kTimedRepeats timed repeats, as the cold legs do, and each rate
+    // comes from the median repeat. Every pass must serve the cold
+    // bytes, the serial one as cache hits.
     long warm_served = 0;
     bool warm_hit_identical = true;
-    double warm_wall = 0.0;
-    while (warm_wall < min_warm_wall) {
-        warm_wall += wallSeconds([&] {
+    bool warm_threaded_identical = true;
+    const auto warm_serial_pass = [&] {
+        const double wall = wallSeconds([&] {
             for (size_t i = 0; i < mix_queries.size(); ++i) {
                 const PlanResult r = cold_engine->plan(mix_queries[i]);
                 if (r.source != PlanSource::kCacheHit ||
@@ -196,19 +198,32 @@ main(int argc, char **argv)
             }
         });
         warm_served += static_cast<long>(mix_queries.size());
+        return wall * 1e3;
+    };
+    const auto warm_threaded_pass = [&] {
+        std::vector<PlanResult> served;
+        const double wall = wallSeconds(
+            [&] { served = cold_engine8->planMany(mix_queries); });
+        warm_threaded_identical = warm_threaded_identical &&
+                                  served.size() == mix_queries.size();
+        for (size_t i = 0; warm_threaded_identical && i < served.size();
+             ++i)
+            warm_threaded_identical =
+                served[i].planJson == cold_json[static_cast<size_t>(mix[i])];
+        return wall * 1e3;
+    };
+    std::vector<double> warm_ms;
+    std::vector<double> warm_ms8;
+    for (int r = 0; r < kTimedRepeats; ++r) {
+        ThreadPool::setGlobalThreads(1);
+        warm_ms.push_back(timedRepeatMs(warm_serial_pass));
+        ThreadPool::setGlobalThreads(8);
+        warm_ms8.push_back(timedRepeatMs(warm_threaded_pass));
     }
-    const double plans_per_sec_warm = warm_served / warm_wall;
-
-    ThreadPool::setGlobalThreads(8);
-    long warm_served8 = 0;
-    double warm_wall8 = 0.0;
-    std::vector<PlanResult> warm_results8;
-    while (warm_wall8 < min_warm_wall) {
-        warm_wall8 += wallSeconds(
-            [&] { warm_results8 = cold_engine8->planMany(mix_queries); });
-        warm_served8 += static_cast<long>(mix_queries.size());
-    }
-    const double plans_per_sec_warm_threaded = warm_served8 / warm_wall8;
+    const double plans_per_sec_warm =
+        mix_length / (medianOf(warm_ms) * 1e-3);
+    const double plans_per_sec_warm_threaded =
+        mix_length / (medianOf(warm_ms8) * 1e-3);
     const bool warm_speedup_5x =
         plans_per_sec_warm >= 5.0 * plans_per_sec_cold;
 
@@ -235,12 +250,8 @@ main(int argc, char **argv)
         incremental_equals_full = false;
 
     // --- Cross-check: result bytes invariant to serving threads. ----
-    bool thread_invariant =
-        cold_legs_identical && warm_results8.size() == mix_queries.size();
-    for (size_t i = 0; i < warm_results8.size(); ++i)
-        if (warm_results8[i].planJson !=
-            cold_json[static_cast<size_t>(mix[i])])
-            thread_invariant = false;
+    const bool thread_invariant =
+        cold_legs_identical && warm_threaded_identical;
 
     // --- Cross-check: persistence round-trip. ------------------------
     const std::string cache_path = "plan_server_cache.json";

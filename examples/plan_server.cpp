@@ -16,7 +16,8 @@
  * `--cache FILE` warm-starts the engine from a persisted plan cache
  * (if the file exists) and writes the cache back on exit, so a
  * restarted server serves repeat queries as cache hits. `--threads N`
- * resizes the global pool (default: MESHSLICE_THREADS / hardware).
+ * (1..512, the `MESHSLICE_THREADS` cap) resizes the global pool
+ * (default: MESHSLICE_THREADS / hardware).
  *
  * With no input file and no piped stdin the server runs a built-in
  * demo: a cold query, an identical repeat (cache hit) and a
@@ -30,6 +31,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "engine/plan_engine.hpp"
 #include "engine/plan_json.hpp"
 #include "util/json.hpp"
@@ -109,15 +111,25 @@ runDemo(PlanEngine &engine)
     return 0;
 }
 
+/** Largest `--threads`, the same cap `MESHSLICE_THREADS` has. */
+constexpr std::int64_t kMaxThreads = 512;
+
+std::string
+usageText(const char *argv0)
+{
+    return strprintf(
+        "usage: %s [queries.ndjson] [--cache FILE] [--threads N]\n"
+        "  reads one JSON query per line (stdin when no file is piped),\n"
+        "  writes one JSON response per line in input order.\n"
+        "  --threads N sizes the pool, 1 <= N <= %lld.\n"
+        "  With no file and a terminal stdin, runs a built-in demo.",
+        argv0, static_cast<long long>(kMaxThreads));
+}
+
 [[noreturn]] void
 usage(const char *argv0)
 {
-    std::cerr << "usage: " << argv0
-              << " [queries.ndjson] [--cache FILE] [--threads N]\n"
-                 "  reads one JSON query per line (stdin when no file "
-                 "is piped),\n  writes one JSON response per line in "
-                 "input order.\n  With no file and a terminal stdin, "
-                 "runs a built-in demo.\n";
+    std::cerr << usageText(argv0) << "\n";
     exit(2);
 }
 
@@ -128,6 +140,7 @@ main(int argc, char **argv)
 {
     std::string input_path;
     std::string cache_path;
+    int threads = 0; // 0 = keep the default pool
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&](const char *flag) -> std::string {
@@ -137,10 +150,16 @@ main(int argc, char **argv)
         };
         if (arg == "--cache")
             cache_path = value("--cache");
-        else if (arg == "--threads")
-            ThreadPool::setGlobalThreads(
-                std::stoi(value("--threads")));
-        else if (arg == "--help" || arg == "-h")
+        else if (arg == "--threads") {
+            const std::string text = value("--threads");
+            const auto v = parsePositiveInt(text.c_str(), kMaxThreads);
+            if (!v)
+                fatal("plan_server: --threads must be an integer in "
+                      "1..%lld, got '%s'\n%s",
+                      static_cast<long long>(kMaxThreads), text.c_str(),
+                      usageText(argv[0]).c_str());
+            threads = static_cast<int>(*v);
+        } else if (arg == "--help" || arg == "-h")
             usage(argv[0]);
         else if (!arg.empty() && arg[0] == '-')
             usage(argv[0]);
@@ -149,6 +168,8 @@ main(int argc, char **argv)
         else
             usage(argv[0]);
     }
+    if (threads > 0)
+        ThreadPool::setGlobalThreads(threads);
 
     PlanEngine::Options options;
     options.persistPath = cache_path;

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include "engine/plan_json.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
@@ -29,7 +30,7 @@ PlanCache::count(const char *name) const
 
 bool
 PlanCache::lookup(const std::string &key, std::string *plan_json,
-                  std::string *shortlist_json)
+                  std::shared_ptr<const EnginePlan> *plan)
 {
     auto it = index_.find(key);
     if (it == index_.end()) {
@@ -39,8 +40,8 @@ PlanCache::lookup(const std::string &key, std::string *plan_json,
     lru_.splice(lru_.begin(), lru_, it->second);
     if (plan_json != nullptr)
         *plan_json = lru_.front().planJson;
-    if (shortlist_json != nullptr)
-        *shortlist_json = lru_.front().shortlistJson;
+    if (plan != nullptr)
+        *plan = lru_.front().plan;
     count("hit");
     return true;
 }
@@ -62,16 +63,19 @@ PlanCache::shortlistForBase(const std::string &base,
 
 void
 PlanCache::insert(const std::string &key, const std::string &base,
+                  std::shared_ptr<const EnginePlan> plan,
                   std::string plan_json, std::string shortlist_json)
 {
     auto it = index_.find(key);
     if (it != index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
         lru_.front().base = base;
+        lru_.front().plan = std::move(plan);
         lru_.front().planJson = std::move(plan_json);
         lru_.front().shortlistJson = std::move(shortlist_json);
     } else {
-        lru_.push_front(Entry{key, base, std::move(plan_json),
+        lru_.push_front(Entry{key, base, std::move(plan),
+                              std::move(plan_json),
                               std::move(shortlist_json)});
         index_[key] = lru_.begin();
         count("insert");
@@ -96,7 +100,9 @@ PlanCache::serialize() const
     std::sort(sorted.begin(), sorted.end(),
               [](const Entry *a, const Entry *b) { return a->key < b->key; });
     std::string out;
-    out += "{\n  \"entries\": [";
+    out += "{\n  \"planner\": ";
+    out += jsonString(kPlannerStamp);
+    out += ",\n  \"entries\": [";
     for (size_t i = 0; i < sorted.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
         out += "    {\"key\": ";
@@ -120,12 +126,26 @@ PlanCache::load(const std::string &text, const std::string &context)
     if (root.kind != JsonValue::kObject)
         fatal("PlanCache: %s: top-level value must be an object",
               context.c_str());
+    lru_.clear();
+    index_.clear();
+    // Plans from another planner are stale whatever their keys say:
+    // start empty, so every query is computed afresh.
+    const JsonValue *stamp = root.find("planner");
+    if (stamp != nullptr && stamp->kind != JsonValue::kString)
+        fatal("PlanCache: %s: \"planner\" must be a string",
+              context.c_str());
+    if (stamp == nullptr || stamp->str != kPlannerStamp) {
+        warn("PlanCache: %s: saved by planner %s, this is planner "
+             "\"%s\"; starting with an empty cache", context.c_str(),
+             stamp == nullptr ? "(no stamp)"
+                              : jsonString(stamp->str).c_str(),
+             kPlannerStamp);
+        return;
+    }
     const JsonValue *entries = root.find("entries");
     if (entries == nullptr || entries->kind != JsonValue::kArray)
         fatal("PlanCache: %s: missing \"entries\" array",
               context.c_str());
-    lru_.clear();
-    index_.clear();
     for (size_t i = 0; i < entries->arr.size(); ++i) {
         const JsonValue &e = entries->arr[i];
         if (e.kind != JsonValue::kObject)
@@ -142,7 +162,16 @@ PlanCache::load(const std::string &text, const std::string &context)
             shortlist->kind != JsonValue::kString)
             fatal("PlanCache: %s: entry %zu needs string "
                   "key/base/plan/shortlist", context.c_str(), i);
-        insert(key->str, base->str, plan->str, shortlist->str);
+        const std::string where =
+            strprintf("PlanCache %s entry %zu", context.c_str(), i);
+        auto parsed =
+            std::make_shared<const EnginePlan>(enginePlanFromJson(
+                plan->str, where));
+        if (enginePlanToJson(*parsed) != plan->str)
+            fatal("%s: the plan is not in the canonical form "
+                  "enginePlanToJson writes", where.c_str());
+        insert(key->str, base->str, std::move(parsed), plan->str,
+               shortlist->str);
     }
 }
 

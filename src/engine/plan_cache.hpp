@@ -1,19 +1,23 @@
 /**
  * @file
- * Content-addressed LRU cache of serialized plans (DESIGN.md §4k).
+ * Content-addressed LRU cache of plans (DESIGN.md §4k).
  *
  * Keys are the exact `PlanKey::full()` fingerprint texts (not hashes —
  * two queries share an entry iff every fingerprinted field is
- * identical). Each entry stores the canonical serialized plan plus the
- * phase-1/2 shortlist intermediate; the latter is what a query with a
- * matching *base* key (model|cluster|tune equal, fault different)
- * reuses on the incremental re-tune path.
+ * identical). Each entry stores the plan twice — parsed, as an
+ * immutable shared `EnginePlan`, and as its canonical JSON — so a hit
+ * copies both and parses nothing. It also keeps the phase-1/2
+ * shortlist intermediate, which a query with a matching *base* key
+ * (model|cluster|tune equal, fault different) reuses on the
+ * incremental re-tune path.
  *
- * Persistence is deterministic JSON: entries sorted by key, so
- * serialize → load → serialize is byte-identical and a restarted
- * engine warm-starts from disk. Counters (hit/miss/eviction/insert/
- * base_hit, plus a size gauge) publish through an optional
- * `StatsRegistry` under `engine/cache/...`.
+ * Persistence is deterministic JSON: the planner stamp, then entries
+ * sorted by key, so serialize → load → serialize is byte-identical
+ * and a restarted engine warm-starts from disk. Loading parses and
+ * validates every plan once; a file saved by another planner loads
+ * empty. Counters (hit/miss/eviction/insert/base_hit, plus a size
+ * gauge) publish through an optional `StatsRegistry` under
+ * `engine/cache/...`.
  *
  * NOT internally synchronized: the `PlanEngine` serializes all access
  * under its own mutex (the cache is also usable directly from
@@ -24,14 +28,27 @@
 
 #include <cstddef>
 #include <list>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
+#include "engine/plan_types.hpp"
 #include "sim/stats.hpp"
 
 namespace meshslice {
 
-/** LRU map from full plan keys to serialized plans + intermediates. */
+/**
+ * Version of the planner that computed a persisted cache. `PlanKey`
+ * fingerprints only a query's inputs, so a file written before a
+ * change that moves any served plan byte would keep serving the old
+ * plans; a file whose stamp differs loads empty instead. Bump it with
+ * every such change (tuner, cost model, simulator or plan format);
+ * `PlanCacheTest.PlannerStampPinsTheServedPlans` trips when the plans
+ * move without it.
+ */
+inline constexpr const char *kPlannerStamp = "meshslice-planner-1";
+
+/** LRU map from full plan keys to plans + intermediates. */
 class PlanCache
 {
   public:
@@ -40,11 +57,11 @@ class PlanCache
 
     /**
      * Look @p key up; on a hit copies the stored plan JSON (and the
-     * shortlist JSON when @p shortlist_json is non-null) and makes the
-     * entry most-recently-used. Counts `engine/cache/hit` or `.../miss`.
+     * shared parsed plan when @p plan is non-null) and makes the entry
+     * most-recently-used. Counts `engine/cache/hit` or `.../miss`.
      */
     bool lookup(const std::string &key, std::string *plan_json,
-                std::string *shortlist_json = nullptr);
+                std::shared_ptr<const EnginePlan> *plan = nullptr);
 
     /**
      * Find the most-recently-used entry whose base key equals @p base
@@ -57,28 +74,35 @@ class PlanCache
 
     /**
      * Insert (or overwrite) @p key as most-recently-used, evicting the
-     * least-recently-used entry when over capacity. Counts
-     * `engine/cache/insert` and `engine/cache/eviction`.
+     * least-recently-used entry when over capacity. @p plan_json must
+     * be `enginePlanToJson(*plan)`. Counts `engine/cache/insert` and
+     * `engine/cache/eviction`.
      */
     void insert(const std::string &key, const std::string &base,
+                std::shared_ptr<const EnginePlan> plan,
                 std::string plan_json, std::string shortlist_json);
 
     size_t size() const { return index_.size(); }
     size_t capacity() const { return capacity_; }
 
     /**
-     * Deterministic persistence document: entries sorted by full key
-     * (recency is an in-memory detail; sorted order makes the file a
-     * pure function of the cache *contents*).
+     * Deterministic persistence document: `kPlannerStamp`, then the
+     * entries sorted by full key (recency is an in-memory detail;
+     * sorted order makes the file a pure function of the cache
+     * *contents*).
      */
     std::string serialize() const;
 
     /**
      * Replace the contents with @p text (a `serialize()` document).
-     * Entries insert in sorted-key order under the cache's own
-     * capacity, so loading a larger dump keeps the lexicographically
-     * last `capacity()` entries. Malformed input is fatal with a byte
-     * offset into @p context.
+     * A document whose planner stamp is not `kPlannerStamp` (or that
+     * has none) leaves the cache empty, with a warning naming both
+     * stamps. Otherwise entries insert in sorted-key order under the
+     * cache's own capacity, so loading a larger dump keeps the
+     * lexicographically last `capacity()` entries, and each plan is
+     * parsed once. Malformed input — a plan that does not parse or is
+     * not in canonical form included — is fatal, naming @p context
+     * with a byte offset or the entry index.
      */
     void load(const std::string &text, const std::string &context);
 
@@ -100,6 +124,7 @@ class PlanCache
     {
         std::string key;
         std::string base;
+        std::shared_ptr<const EnginePlan> plan;
         std::string planJson;
         std::string shortlistJson;
     };

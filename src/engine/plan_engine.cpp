@@ -1,5 +1,6 @@
 #include "engine/plan_engine.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "engine/plan_json.hpp"
@@ -154,22 +155,24 @@ PlanEngine::plan(const PlanQuery &query)
               query.model.name.c_str(), query.chips,
               static_cast<long long>(query.train.batch),
               static_cast<long long>(query.train.seqLen));
-    const PlanKey key = planKeyOf(query);
+    PlanKey key = planKeyOf(query);
     const std::string full = key.full();
 
     bool waited = false;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        std::string cached;
-        if (cache_.lookup(full, &cached)) {
+        // A hit copies the shared parsed plan and its JSON under the
+        // lock, and the plan itself outside it.
+        std::string cached_json;
+        std::shared_ptr<const EnginePlan> cached_plan;
+        if (cache_.lookup(full, &cached_json, &cached_plan)) {
             lock.unlock();
             stats_.add(waited ? "engine/serve/coalesced"
                               : "engine/serve/cache_hit", 1.0);
             PlanResult result;
-            result.key = key;
-            result.plan = enginePlanFromJson(
-                cached, "PlanCache entry " + key.digest());
-            result.planJson = std::move(cached);
+            result.plan = *cached_plan;
+            result.planJson = std::move(cached_json);
+            result.key = std::move(key);
             result.source = waited ? PlanSource::kCoalesced
                                    : PlanSource::kCacheHit;
             return result;
@@ -189,8 +192,9 @@ PlanEngine::plan(const PlanQuery &query)
     if (incremental)
         shortlist = shortlistFromJson(
             cached_shortlist, "PlanCache shortlist " + key.digest());
-    const EnginePlan plan = runPhases(query, shortlist);
-    std::string plan_json = enginePlanToJson(plan);
+    const auto plan = std::make_shared<const EnginePlan>(
+        runPhases(query, shortlist));
+    std::string plan_json = enginePlanToJson(*plan);
     std::string shortlist_json = shortlistToJson(shortlist);
 
     if (incremental && options_.verifyIncremental) {
@@ -205,7 +209,8 @@ PlanEngine::plan(const PlanQuery &query)
     }
 
     lock.lock();
-    cache_.insert(full, key.base(), plan_json, std::move(shortlist_json));
+    cache_.insert(full, key.base(), plan, plan_json,
+                  std::move(shortlist_json));
     inflight_.erase(full);
     lock.unlock();
     cv_.notify_all();
@@ -214,9 +219,9 @@ PlanEngine::plan(const PlanQuery &query)
     stats_.add("engine/serve/computed", 1.0);
 
     PlanResult result;
-    result.plan = plan;
+    result.plan = *plan;
     result.planJson = std::move(plan_json);
-    result.key = key;
+    result.key = std::move(key);
     result.source =
         incremental ? PlanSource::kIncremental : PlanSource::kCold;
     return result;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "util/logging.hpp"
 
@@ -408,6 +409,20 @@ modelFromValue(const JsonValue &v, const std::string &ctx)
     model.ffnDim = i64At(v, "model", "ffnDim", ctx);
     if (v.find("vocab") != nullptr)
         model.vocab = i64At(v, "model", "vocab", ctx);
+    const std::pair<const char *, std::int64_t> sizes[] = {
+        {"layers", model.layers}, {"hiddenDim", model.hiddenDim},
+        {"heads", model.heads},   {"ffnDim", model.ffnDim},
+        {"vocab", model.vocab}};
+    for (const auto &[key, size] : sizes)
+        if (size <= 0)
+            fatal("%s: \"model.%s\" must be positive (got %lld)",
+                  ctx.c_str(), key, static_cast<long long>(size));
+    // headDim() divides by heads.
+    if (model.hiddenDim % model.heads != 0)
+        fatal("%s: \"model.heads\" (%lld) must divide "
+              "\"model.hiddenDim\" (%lld)", ctx.c_str(),
+              static_cast<long long>(model.heads),
+              static_cast<long long>(model.hiddenDim));
     return model;
 }
 

@@ -45,7 +45,8 @@ shortlistFromJson(const std::string &text,
  * Parse one plan-server query line into a `PlanQuery`. Supported keys
  * (all optional unless noted):
  *   model        "gpt3" / "megatron-nlg", or an object with
- *                name/layers/hiddenDim/heads/ffnDim[/vocab] (required)
+ *                name/layers/hiddenDim/heads/ffnDim[/vocab] (required;
+ *                every size positive, heads dividing hiddenDim)
  *   train        {batch, seqLen}; default = weak scaling at `chips`
  *   chips        chip count (default 16)
  *   algo         algorithm name (default "MeshSlice")

@@ -5,13 +5,17 @@
  * behavior and persistence, cache-hit / single-flight / incremental
  * serving identity, thread invariance, the concurrency safety of
  * the comm-calibration memoization the engine hammers, the robust
- * re-rank's simulator-run counters, crash-safe cache saves, and
- * `fatal` exits for serve-path inputs the planner cannot plan for.
+ * re-rank's simulator-run counters, crash-safe cache saves, the
+ * planner stamp of persisted caches, and `fatal` exits for serve-path
+ * inputs the planner cannot plan for.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,9 @@
 #include "engine/plan_engine.hpp"
 #include "engine/plan_json.hpp"
 #include "tuner/cost_model.hpp"
+#include "util/fingerprint.hpp"
+#include "util/json.hpp"
+#include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/units.hpp"
 
@@ -54,6 +61,40 @@ std::string
 tempPath(const char *name)
 {
     return testing::TempDir() + name;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path) << text;
+}
+
+/** A hand-built plan tagged by its mesh shape, parsed and as JSON —
+ *  the two forms a cache entry holds. */
+struct CachedTestPlan
+{
+    std::shared_ptr<const EnginePlan> plan;
+    std::string json;
+};
+
+CachedTestPlan
+testPlan(int rows)
+{
+    EnginePlan plan;
+    plan.cluster.tpRows = plan.tp.rows = rows;
+    plan.cluster.tpCols = plan.tp.cols = 1;
+    plan.pickedBy = "test";
+    return {std::make_shared<const EnginePlan>(plan),
+            enginePlanToJson(plan)};
 }
 
 TEST(PlanKey, StableAcrossThreadCounts)
@@ -193,18 +234,63 @@ TEST(PlanJsonDeathTest, ErrorsArePositionalAndNamed)
         "mdoel");
 }
 
+TEST(PlanJsonDeathTest, ModelSizesArePositiveAndHeadsDivideHiddenDim)
+{
+    const auto parse = [](const char *sizes) {
+        return planQueryFromJson(
+            strprintf("{\"model\": {\"name\": \"m\", %s}}", sizes),
+            tpuV4Config(), "q.json");
+    };
+    EXPECT_EQ(parse("\"layers\": 2, \"hiddenDim\": 1024, \"heads\": 8, "
+                    "\"ffnDim\": 4096")
+                  .model.headDim(),
+              128);
+    EXPECT_EXIT(parse("\"layers\": 2, \"hiddenDim\": 1024, \"heads\": 0, "
+                      "\"ffnDim\": 4096"),
+                testing::ExitedWithCode(1),
+                "q.json: \"model.heads\" must be positive \\(got 0\\)");
+    EXPECT_EXIT(parse("\"layers\": 0, \"hiddenDim\": 1024, \"heads\": 8, "
+                      "\"ffnDim\": 4096"),
+                testing::ExitedWithCode(1),
+                "q.json: \"model.layers\" must be positive \\(got 0\\)");
+    EXPECT_EXIT(parse("\"layers\": 2, \"hiddenDim\": 1024, \"heads\": -4, "
+                      "\"ffnDim\": 4096"),
+                testing::ExitedWithCode(1),
+                "q.json: \"model.heads\" must be positive \\(got -4\\)");
+    EXPECT_EXIT(parse("\"layers\": 2, \"hiddenDim\": 0, \"heads\": 8, "
+                      "\"ffnDim\": 4096"),
+                testing::ExitedWithCode(1),
+                "\"model.hiddenDim\" must be positive");
+    EXPECT_EXIT(parse("\"layers\": 2, \"hiddenDim\": 1024, \"heads\": 8, "
+                      "\"ffnDim\": -1"),
+                testing::ExitedWithCode(1),
+                "\"model.ffnDim\" must be positive");
+    EXPECT_EXIT(parse("\"layers\": 2, \"hiddenDim\": 1024, \"heads\": 8, "
+                      "\"ffnDim\": 4096, \"vocab\": 0"),
+                testing::ExitedWithCode(1), "\"model.vocab\" must be positive");
+    EXPECT_EXIT(parse("\"layers\": 2, \"hiddenDim\": 1000, \"heads\": 3, "
+                      "\"ffnDim\": 4096"),
+                testing::ExitedWithCode(1),
+                "q.json: \"model.heads\" \\(3\\) must divide "
+                "\"model.hiddenDim\" \\(1000\\)");
+}
+
 TEST(PlanCacheTest, LruEvictionAndCounters)
 {
     StatsRegistry stats;
     stats.enable(true);
     PlanCache cache(2, &stats);
-    cache.insert("a#f1", "a", "planA", "shortA");
-    cache.insert("b#f1", "b", "planB", "shortB");
+    const CachedTestPlan plan_a = testPlan(1), plan_b = testPlan(2),
+                         plan_c = testPlan(3);
+    cache.insert("a#f1", "a", plan_a.plan, plan_a.json, "shortA");
+    cache.insert("b#f1", "b", plan_b.plan, plan_b.json, "shortB");
 
     std::string out;
-    EXPECT_TRUE(cache.lookup("a#f1", &out)); // touches a → b is LRU
-    EXPECT_EQ(out, "planA");
-    cache.insert("c#f1", "c", "planC", "shortC");
+    std::shared_ptr<const EnginePlan> parsed;
+    EXPECT_TRUE(cache.lookup("a#f1", &out, &parsed)); // b is now LRU
+    EXPECT_EQ(out, plan_a.json);
+    EXPECT_EQ(parsed, plan_a.plan); // shared, not re-parsed
+    cache.insert("c#f1", "c", plan_c.plan, plan_c.json, "shortC");
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_FALSE(cache.lookup("b#f1", &out)); // evicted
     EXPECT_TRUE(cache.lookup("c#f1", &out));
@@ -220,17 +306,73 @@ TEST(PlanCacheTest, LruEvictionAndCounters)
     EXPECT_FALSE(cache.shortlistForBase("b", &shortlist));
 }
 
+TEST(PlanCacheTest, FileFromAnotherPlannerLoadsEmpty)
+{
+    PlanCache cache(8, nullptr);
+    const CachedTestPlan plan = testPlan(1);
+    cache.insert("alpha#f", "alpha", plan.plan, plan.json, "[1]");
+    const std::string text = cache.serialize();
+    const std::string stamp_line =
+        "\n  \"planner\": " + jsonString(kPlannerStamp) + ",";
+    const size_t at = text.find(stamp_line);
+    ASSERT_NE(at, std::string::npos);
+
+    // Another planner's stamp, and the format from before the stamp.
+    std::string other = text;
+    other.replace(at, stamp_line.size(),
+                  "\n  \"planner\": \"meshslice-planner-0\",");
+    std::string unstamped = text;
+    unstamped.erase(at, stamp_line.size());
+    const std::pair<std::string, const char *> stale[] = {
+        {other, "\"meshslice-planner-0\""}, {unstamped, "(no stamp)"}};
+    for (const auto &[doc, saved_by] : stale) {
+        PlanCache reloaded(8, nullptr);
+        reloaded.insert("beta#f", "beta", plan.plan, plan.json, "[2]");
+        testing::internal::CaptureStderr();
+        reloaded.load(doc, "stale.json");
+        const std::string warning = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(reloaded.size(), 0u) << saved_by;
+        EXPECT_NE(warning.find("stale.json"), std::string::npos) << warning;
+        EXPECT_NE(warning.find(saved_by), std::string::npos) << warning;
+        EXPECT_NE(warning.find(kPlannerStamp), std::string::npos) << warning;
+    }
+}
+
+TEST(PlanCacheTest, PlannerStampPinsTheServedPlans)
+{
+    // Tripwire: the digest of tinyQuery()'s cold plan, recorded under
+    // the planner stamp that computed it.
+    constexpr const char *kRecordedStamp = "meshslice-planner-1";
+    constexpr const char *kRecordedDigest = "248c30d29d08e2c4";
+    ASSERT_STREQ(kPlannerStamp, kRecordedStamp)
+        << "kPlannerStamp was bumped: re-record kRecordedStamp and "
+           "kRecordedDigest here";
+    EXPECT_EQ(fnv1a64Hex(PlanEngine().plan(tinyQuery()).planJson),
+              kRecordedDigest)
+        << "The served plans changed, so caches persisted by the "
+           "previous planner are stale: bump kPlannerStamp in "
+           "src/engine/plan_cache.hpp, then re-record kRecordedStamp "
+           "and kRecordedDigest here";
+}
+
 TEST(PlanCacheTest, PersistenceRoundTripIsByteIdentical)
 {
     PlanCache cache(8, nullptr);
-    cache.insert("zeta#f", "zeta", "{\"p\":1}", "[1]");
-    cache.insert("alpha#f", "alpha", "{\"p\":2}", "[2]");
+    const CachedTestPlan plan1 = testPlan(1), plan2 = testPlan(2);
+    cache.insert("zeta#f", "zeta", plan1.plan, plan1.json, "[1]");
+    cache.insert("alpha#f", "alpha", plan2.plan, plan2.json, "[2]");
     const std::string text = cache.serialize();
 
     PlanCache reloaded(8, nullptr);
     reloaded.load(text, "unit test");
     EXPECT_EQ(reloaded.size(), 2u);
     EXPECT_EQ(reloaded.serialize(), text); // sorted by key, stable
+    // Loading parses each plan once, into the entry.
+    std::string json;
+    std::shared_ptr<const EnginePlan> parsed;
+    ASSERT_TRUE(reloaded.lookup("zeta#f", &json, &parsed));
+    EXPECT_EQ(json, plan1.json);
+    EXPECT_EQ(enginePlanToJson(*parsed), plan1.json);
 
     const std::string path = tempPath("plan_cache_roundtrip.json");
     cache.saveFile(path);
@@ -248,7 +390,8 @@ TEST(PlanCacheDeathTest, FailedSaveLeavesThePreviousFileLoadable)
     const std::string tmp = path + ".tmp";
     std::filesystem::remove(tmp);
     PlanCache cache(8, nullptr);
-    cache.insert("alpha#f", "alpha", "{\"p\":1}", "[1]");
+    const CachedTestPlan plan1 = testPlan(1), plan2 = testPlan(2);
+    cache.insert("alpha#f", "alpha", plan1.plan, plan1.json, "[1]");
     cache.saveFile(path);
     const std::string saved = cache.serialize();
     EXPECT_FALSE(std::filesystem::exists(tmp)); // renamed over path
@@ -256,7 +399,7 @@ TEST(PlanCacheDeathTest, FailedSaveLeavesThePreviousFileLoadable)
     // A directory in the temp file's place makes the next save fail
     // before it could touch the saved file.
     ASSERT_TRUE(std::filesystem::create_directory(tmp));
-    cache.insert("beta#f", "beta", "{\"p\":2}", "[2]");
+    cache.insert("beta#f", "beta", plan2.plan, plan2.json, "[2]");
     EXPECT_EXIT(cache.saveFile(path), testing::ExitedWithCode(1),
                 "PlanCache: failed writing .*plan_cache_crash_safe\\.json");
 
@@ -285,6 +428,7 @@ TEST(PlanEngineTest, CacheHitIsByteIdenticalAndComputesOnce)
     const PlanResult hit = engine.plan(tinyQuery());
     EXPECT_EQ(hit.source, PlanSource::kCacheHit);
     EXPECT_EQ(hit.planJson, cold.planJson);
+    EXPECT_EQ(enginePlanToJson(hit.plan), cold.planJson);
     EXPECT_EQ(hit.key.full(), cold.key.full());
     EXPECT_EQ(engine.computedCount(), 1);
     EXPECT_EQ(engine.stats().counter("engine/cache/hit"), 1.0);
@@ -317,8 +461,11 @@ TEST(PlanEngineTest, SingleFlightComputesIdenticalQueriesOnce)
     const std::vector<PlanResult> results = engine.planMany(queries);
     ASSERT_EQ(results.size(), queries.size());
     EXPECT_EQ(engine.computedCount(), 1);
-    for (const PlanResult &r : results)
+    for (const PlanResult &r : results) {
         EXPECT_EQ(r.planJson, results[0].planJson);
+        EXPECT_EQ(enginePlanToJson(r.plan), results[0].planJson)
+            << planSourceName(r.source);
+    }
 }
 
 TEST(PlanEngineTest, PlanManyIsThreadCountInvariant)
@@ -352,7 +499,39 @@ TEST(PlanEngineTest, WarmStartsFromPersistedCache)
     const PlanResult r = reader.plan(tinyQuery());
     EXPECT_EQ(r.source, PlanSource::kCacheHit);
     EXPECT_EQ(r.planJson, cold_json);
+    EXPECT_EQ(enginePlanToJson(r.plan), cold_json);
     EXPECT_EQ(reader.computedCount(), 0);
+    std::remove(path.c_str());
+}
+
+TEST(PlanEngineTest, CacheFromAnotherPlannerIsRecomputedCold)
+{
+    const std::string path = tempPath("plan_engine_stale_stamp.json");
+    std::remove(path.c_str());
+    PlanEngine::Options options;
+    options.persistPath = path;
+    std::string cold_json;
+    {
+        PlanEngine writer(options);
+        cold_json = writer.plan(tinyQuery()).planJson;
+        writer.persist();
+    }
+    std::string text = readFile(path);
+    const std::string stamp = jsonString(kPlannerStamp);
+    ASSERT_NE(text.find(stamp), std::string::npos);
+    text.replace(text.find(stamp), stamp.size(), "\"meshslice-planner-0\"");
+    writeFile(path, text);
+    {
+        PlanEngine reader(options);
+        const PlanResult r = reader.plan(tinyQuery());
+        EXPECT_EQ(r.source, PlanSource::kCold);
+        EXPECT_EQ(r.planJson, cold_json);
+        EXPECT_EQ(reader.computedCount(), 1);
+        reader.persist(); // rewrites the file under this planner
+    }
+    EXPECT_NE(readFile(path).find(stamp), std::string::npos);
+    PlanEngine restarted(options);
+    EXPECT_EQ(restarted.plan(tinyQuery()).source, PlanSource::kCacheHit);
     std::remove(path.c_str());
 }
 
@@ -427,7 +606,8 @@ TEST(PlanEngineDeathTest, EmptyCachedShortlistIsFatal)
     const std::string path = tempPath("plan_cache_empty_shortlist.json");
     const PlanKey key = planKeyOf(tinyQuery(7));
     PlanCache cache(8, nullptr);
-    cache.insert(key.full(), key.base(), "{}", "[]");
+    const CachedTestPlan plan = testPlan(2);
+    cache.insert(key.full(), key.base(), plan.plan, plan.json, "[]");
     cache.saveFile(path);
     PlanEngine::Options options;
     options.persistPath = path;
@@ -435,6 +615,38 @@ TEST(PlanEngineDeathTest, EmptyCachedShortlistIsFatal)
     EXPECT_EXIT(PlanEngine(options).plan(tinyQuery(8)),
                 testing::ExitedWithCode(1),
                 "PlanCache shortlist [0-9a-f]+: the array is empty");
+    std::remove(path.c_str());
+}
+
+TEST(PlanEngineDeathTest, CorruptPersistedPlanIsFatalAtConstruction)
+{
+    const std::string path = tempPath("plan_cache_corrupt_plan.json");
+    PlanCache cache(8, nullptr);
+    const CachedTestPlan plan_a = testPlan(1), plan_b = testPlan(2);
+    cache.insert("a#f", "a", plan_a.plan, plan_a.json, "[]");
+    cache.insert("b#f", "b", plan_b.plan, plan_b.json, "[]");
+    const std::string text = cache.serialize();
+    const auto with_plan = [&text](const std::string &plan,
+                                   const std::string &replacement) {
+        std::string out = text;
+        const std::string quoted = jsonString(plan);
+        out.replace(out.find(quoted), quoted.size(),
+                    jsonString(replacement));
+        return out;
+    };
+    PlanEngine::Options options;
+    options.persistPath = path;
+
+    // Entry 1 ("b#f" sorts second) holds a truncated plan.
+    writeFile(path, with_plan(plan_b.json, plan_b.json.substr(0, 20)));
+    EXPECT_EXIT(PlanEngine{options}, testing::ExitedWithCode(1),
+                "PlanCache .*plan_cache_corrupt_plan\\.json entry 1");
+    // A plan that parses but is not what enginePlanToJson writes would
+    // be served as bytes no planner produced.
+    writeFile(path, with_plan(plan_a.json, " " + plan_a.json));
+    EXPECT_EXIT(PlanEngine{options}, testing::ExitedWithCode(1),
+                "plan_cache_corrupt_plan\\.json entry 0: the plan is not "
+                "in the canonical form");
     std::remove(path.c_str());
 }
 

@@ -1,11 +1,20 @@
 /**
  * @file
- * Tests of the util substrate: math helpers, table printer, units.
+ * Tests of the util substrate: math helpers, table printer, units,
+ * fingerprint formatting.
  */
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/fingerprint.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/table.hpp"
@@ -99,6 +108,97 @@ TEST(Logging, StrprintfFormats)
 {
     EXPECT_EQ(strprintf("%d-%s", 42, "x"), "42-x");
     EXPECT_EQ(strprintf("%.2f", 1.5), "1.50");
+}
+
+// Fingerprint fields are formatted without printf; their text must stay
+// the `%a` / `%lld` / `%zu` text, or every persisted key would move.
+
+std::string
+printfDoubleField(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return std::string("x=") + buf + ";";
+}
+
+TEST(FingerprintFormat, DoublesMatchPrintfHexFloat)
+{
+    const double specials[] = {
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.1,
+        DBL_MAX,
+        -DBL_MAX,
+        DBL_MIN,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        DBL_MIN / 3.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()};
+    for (double v : specials)
+        EXPECT_EQ(Fingerprint().field("x", v).str(), printfDoubleField(v));
+
+    // Random bit patterns cover every exponent, subnormals and NaN
+    // payloads included.
+    std::uint64_t state = 20240521;
+    int mismatches = 0;
+    for (int i = 0; i < (1 << 20) && mismatches < 5; ++i) {
+        const std::uint64_t bits = splitmix64(state);
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        const std::string want = printfDoubleField(v);
+        const std::string got = Fingerprint().field("x", v).str();
+        if (got != want) {
+            ++mismatches;
+            ADD_FAILURE() << "bits " << std::hex << bits << ": " << got
+                          << " != " << want;
+        }
+    }
+}
+
+TEST(FingerprintFormat, IntegersAndLengthsMatchPrintf)
+{
+    const auto printf_int = [](std::int64_t v) {
+        return strprintf("i=%lld;", static_cast<long long>(v));
+    };
+    for (std::int64_t v :
+         {std::int64_t{0}, std::int64_t{1}, std::int64_t{-1},
+          std::int64_t{9}, std::int64_t{10}, std::int64_t{-10},
+          std::numeric_limits<std::int64_t>::max(),
+          std::numeric_limits<std::int64_t>::min()})
+        EXPECT_EQ(Fingerprint().field("i", v).str(), printf_int(v));
+    EXPECT_EQ(Fingerprint().field("i", -7).str(), "i=-7;");
+
+    // Random bit patterns, shifted so every magnitude shows up.
+    std::uint64_t state = 7;
+    int mismatches = 0;
+    for (int i = 0; i < (1 << 20) && mismatches < 5; ++i) {
+        const std::int64_t v =
+            static_cast<std::int64_t>(splitmix64(state)) >> (i % 64);
+        const std::string got = Fingerprint().field("i", v).str();
+        if (got != printf_int(v)) {
+            ++mismatches;
+            ADD_FAILURE() << got << " != " << printf_int(v);
+        }
+    }
+
+    const std::string text(100000, 'a');
+    for (size_t len : {0, 1, 9, 10, 99, 100, 12345, 100000}) {
+        const std::string_view v(text.data(), len);
+        EXPECT_EQ(Fingerprint().field("s", v).str(),
+                  strprintf("s=%zu:", len) + std::string(v) + ";");
+    }
+}
+
+TEST(FingerprintFormat, DigestIsSixteenHexDigits)
+{
+    EXPECT_EQ(fnv1a64Hex(""), "cbf29ce484222325");
+    EXPECT_EQ(fnv1a64Hex("a"), "af63dc4c8601ec8c");
+    EXPECT_EQ(Fingerprint().field("x", 1.0).digest(), fnv1a64Hex("x=0x1p+0;"));
 }
 
 } // namespace
