@@ -17,9 +17,18 @@
  * depth 1 and 2, the 1D baselines) on seeded random inputs and prints
  * the FNV-1a digest of the gathered output's float bits.
  *
- * The committed tables pin both runtimes bit for bit, so a refactor of
- * the schedule builders, the simulator or the functional algorithms
- * must reproduce every line exactly. To inspect a deliberate change,
+ * `golden/elastic_runs.txt`: each case runs one `runElastic` training
+ * run — every algorithm with no scenario, under jitter plus a link
+ * window plus a straggler, and with a chip kill inside a step; a kill
+ * inside a checkpoint; Cannon re-planning onto MeshSlice; OneSided
+ * absorbing a kill; a pipeline body under a kill-free scenario; one
+ * kill case with the profiler on — and prints the wall, goodput and
+ * full-mesh step time in hex-float, the FNV-1a digest of the phase
+ * trace plus the stats JSON, and the seven critical-path seconds.
+ *
+ * The committed tables pin the runtimes bit for bit, so a refactor of
+ * the schedule builders, the simulator, the functional algorithms or
+ * the elastic runtime must reproduce every line exactly. To inspect a deliberate change,
  * set `MESHSLICE_GOLDEN_OUT=<dir>` to write the computed tables there
  * under their committed names.
  */
@@ -36,6 +45,7 @@
 #include "core/dp3d.hpp"
 #include "core/executor.hpp"
 #include "core/functional.hpp"
+#include "run/elastic.hpp"
 #include "util/fingerprint.hpp"
 
 namespace meshslice {
@@ -270,6 +280,200 @@ TEST(GoldenFunctional, OutputsMatchTheCommittedTable)
                                            1, 1)
                                       .gather()));
     expectMatchesTable("functional_outputs.txt", actual);
+}
+
+/** One table line: the run's scalars, trace digest and path seconds. */
+std::string
+elasticLine(const std::string &name, const ElasticRunResult &r)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof buf, " %a %a %a ", r.wall, r.goodput,
+                  r.stepTimeFullMesh);
+    std::string out = name + buf + fnv1a64Hex(elasticTraceJson(r) +
+                                              r.statsJson);
+    for (double s : r.pathSeconds) {
+        std::snprintf(buf, sizeof buf, " %a", s);
+        out += buf;
+    }
+    return out;
+}
+
+/** The first phase a fail-stop consumed; fails the test if none. */
+ElasticPhase
+abortedPhase(const ElasticRunResult &r)
+{
+    for (const ElasticPhase &ph : r.phases)
+        if (!ph.committed)
+            return ph;
+    ADD_FAILURE() << "no phase was aborted";
+    return {};
+}
+
+/** 4 steps of a 384x768x192 GeMM at S = 2 with functional state and
+ *  a checkpoint every two steps: on a 2x2 torus, or a 4-chip ring for
+ *  1D. Every dimension divides every survivor mesh axis (1 to 4). */
+ElasticRunConfig
+goldenRun(Algorithm algo, const ChipConfig &cfg)
+{
+    ElasticRunConfig run;
+    run.algo = algo;
+    run.spec.m = 384;
+    run.spec.k = 768;
+    run.spec.n = 192;
+    const bool is_1d =
+        algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
+    run.spec.rows = is_1d ? 4 : 2;
+    run.spec.cols = is_1d ? 1 : 2;
+    run.spec.sliceCount = 2;
+    run.steps = 4;
+    run.functionalState = true;
+    run.checkpointBytesPerChip = 1 << 20;
+    run.checkpointTargetBandwidth = 1e10;
+    run.restartTime = 0.01;
+    run.checkpointInterval = 1e9; // placeholder for the probe
+    run.checkpointInterval =
+        1.5 * runElastic(cfg, run).stepTimeFullMesh;
+    return run;
+}
+
+/** A kill of chip 1 halfway through @p ph of a fault-free run. */
+void
+killInside(ElasticRunConfig &run, const ElasticPhase &ph, Time latency)
+{
+    run.haveScenario = true;
+    run.scenario = FaultScenario{};
+    run.scenario.seed = 11;
+    run.scenario.detectionLatency = latency;
+    run.scenario.kills.push_back(
+        KillFault{"chip1.", ph.start + 0.5 * ph.span});
+}
+
+/** The phase of @p kind and @p index of @p r. */
+ElasticPhase
+phaseOf(const ElasticRunResult &r, ElasticPhase::Kind kind, int index)
+{
+    for (const ElasticPhase &ph : r.phases)
+        if (ph.kind == kind && ph.index == index)
+            return ph;
+    ADD_FAILURE() << "no phase " << elasticPhaseKindName(kind) << " "
+                  << index;
+    return {};
+}
+
+TEST(GoldenElastic, RunsMatchTheCommittedTable)
+{
+    const ChipConfig cfg = tpuV4Config();
+    std::vector<std::string> actual;
+    for (Algorithm algo : allAlgorithms()) {
+        const std::string name = algorithmName(algo);
+        const bool is_1d =
+            algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
+        const ElasticRunConfig base = goldenRun(algo, cfg);
+        const ElasticRunResult clean = runElastic(cfg, base);
+        actual.push_back(elasticLine(name + " none", clean));
+        const Time t_step = clean.stepTimeFullMesh;
+
+        ElasticRunConfig faulty = base;
+        faulty.haveScenario = true;
+        faulty.scenario.seed = 5;
+        faulty.scenario.maxLaunchJitter = 1e-3 * t_step;
+        faulty.scenario.faults.push_back(CapacityFault{
+            is_1d ? "link.CW" : "link.E", 0.5, 0.5 * t_step, 2.0 * t_step});
+        faulty.scenario.stragglers.push_back(
+            StragglerFault{0, 0.5, 0.75, 1.5 * t_step, t_step});
+        actual.push_back(
+            elasticLine(name + " faults", runElastic(cfg, faulty)));
+
+        ElasticRunConfig killed = base;
+        killInside(killed,
+                   phaseOf(clean, ElasticPhase::Kind::kStep, 2),
+                   0.25 * t_step);
+        const ElasticRunResult r = runElastic(cfg, killed);
+        EXPECT_TRUE(r.recovered) << name;
+        EXPECT_TRUE(r.functionalOk) << name;
+        EXPECT_EQ(static_cast<int>(abortedPhase(r).kind),
+                  static_cast<int>(ElasticPhase::Kind::kStep))
+            << name;
+        actual.push_back(elasticLine(name + " kill-step", r));
+
+        if (algo == Algorithm::kMeshSlice) {
+            killInside(killed,
+                       phaseOf(clean, ElasticPhase::Kind::kCheckpoint, 0),
+                       0.25 * t_step);
+            const ElasticRunResult c = runElastic(cfg, killed);
+            EXPECT_TRUE(c.recovered);
+            EXPECT_TRUE(c.functionalOk);
+            EXPECT_EQ(static_cast<int>(abortedPhase(c).kind),
+                      static_cast<int>(ElasticPhase::Kind::kCheckpoint));
+            actual.push_back(elasticLine(name + " kill-checkpoint", c));
+
+            killInside(killed,
+                       phaseOf(clean, ElasticPhase::Kind::kStep, 1),
+                       0.25 * t_step);
+            killed.profile = true;
+            const ElasticRunResult p = runElastic(cfg, killed);
+            EXPECT_TRUE(p.recovered);
+            EXPECT_GT(p.pathSeconds[static_cast<int>(
+                          SpanCategory::kRecovery)],
+                      0.0);
+            actual.push_back(elasticLine(name + " kill-step profile", p));
+        }
+    }
+
+    // Cannon re-plans onto MeshSlice, and OneSided absorbs the kill,
+    // with no checkpoint taken: the run rolls back to step 0.
+    for (Algorithm algo : {Algorithm::kCannon, Algorithm::kOneSided}) {
+        ElasticRunConfig run = goldenRun(algo, cfg);
+        run.steps = 3;
+        run.checkpointInterval = 1e9;
+        const Time t_step = runElastic(cfg, run).stepTimeFullMesh;
+        run.haveScenario = true;
+        run.scenario.seed = 17;
+        run.scenario.detectionLatency = 0.5 * t_step;
+        run.scenario.kills.push_back(KillFault{"chip2.", 1.4 * t_step});
+        const ElasticRunResult r = runElastic(cfg, run);
+        EXPECT_TRUE(r.recovered);
+        EXPECT_TRUE(r.functionalOk);
+        EXPECT_EQ(static_cast<int>(r.finalAlgo),
+                  static_cast<int>(algo == Algorithm::kCannon
+                                       ? Algorithm::kMeshSlice
+                                       : algo));
+        actual.push_back(elasticLine(std::string(algorithmName(algo)) +
+                                         (algo == Algorithm::kCannon
+                                              ? " replan"
+                                              : " absorb"),
+                                     r));
+    }
+
+    // A two-stage pipeline body under jitter and boundary-link windows.
+    {
+        ElasticRunConfig run;
+        run.spec.m = run.spec.k = run.spec.n = 384;
+        run.spec.rows = run.spec.cols = 2;
+        run.steps = 3;
+        run.pipeline.enabled = true;
+        run.pipeline.stages = 2;
+        run.pipeline.exec.microBatches = 3;
+        run.pipeline.exec.fwdTime = 2e-3;
+        run.pipeline.exec.bwdTime = 4e-3;
+        run.pipeline.exec.boundaryBytes = 1 << 20;
+        run.checkpointBytesPerChip = 1 << 20;
+        run.checkpointTargetBandwidth = 1e10;
+        run.checkpointInterval = 1e-6;
+        const Time t_step = runElastic(cfg, run).stepTimeFullMesh;
+        run.haveScenario = true;
+        run.scenario.seed = 23;
+        run.scenario.maxLaunchJitter = 1e-3 * t_step;
+        run.scenario.faults.push_back(
+            CapacityFault{"link.pp+", 0.25, 0.5 * t_step, t_step});
+        run.scenario.faults.push_back(
+            CapacityFault{"link.pp-", 0.5, 1.5 * t_step, t_step});
+        const ElasticRunResult r = runElastic(cfg, run);
+        EXPECT_FALSE(r.recovered);
+        EXPECT_EQ(r.checkpoints, run.steps - 1);
+        actual.push_back(elasticLine("pipeline faults", r));
+    }
+    expectMatchesTable("elastic_runs.txt", actual);
 }
 
 } // namespace
