@@ -82,7 +82,7 @@ class AbandonRegistry
   private:
     friend class ScopedAbandonRegistry;
 
-    static thread_local AbandonRegistry *current_;
+    static inline thread_local AbandonRegistry *current_ = nullptr;
 
     std::uint64_t nextId_ = 1;
     std::unordered_map<std::uint64_t, std::function<void()>> tracked_;
