@@ -107,61 +107,6 @@ BenchArgs::parse(int argc, char **argv, int default_chips)
     return args;
 }
 
-Time
-estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec)
-{
-    const Bytes traffic =
-        spec.commBytes / spec.chips * (spec.chips - 1);
-    const Time t_shift = cost.shiftTime(traffic / spec.sliceCount);
-    GemmWork work = spec.localWork();
-    if (work.m >= work.n)
-        work.m = std::max<std::int64_t>(1, work.m / spec.sliceCount);
-    else
-        work.n = std::max<std::int64_t>(1, work.n / spec.sliceCount);
-    const Time t_c = cost.computeTime(work);
-    const Time steady = std::max(t_shift, t_c);
-    return t_shift + (spec.sliceCount - 1) * steady + t_c;
-}
-
-Gemm1DSpec
-make1DSpec(const FcGemm &gemm, Algorithm algo, int chips,
-           int bytes_per_element)
-{
-    Gemm1DSpec spec;
-    spec.m = gemm.m;
-    spec.k = gemm.k;
-    spec.n = gemm.n;
-    spec.chips = chips;
-    spec.bytesPerElement = bytes_per_element;
-    const Bytes e = bytes_per_element;
-    if (algo == Algorithm::kOneDTP) {
-        // Sequence-parallel 1D TP: activations move. Forward and
-        // backward-data all-gather the (m x k) input; backward-weight
-        // reduce-scatters the (m x n) weight gradient.
-        if (gemm.pass == Pass::kBackwardWeight) {
-            spec.commBytes = gemm.m * gemm.n * e;
-            spec.commIsReduce = true;
-            spec.local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
-        } else {
-            spec.commBytes = gemm.m * gemm.k * e;
-            spec.commIsReduce = false;
-            spec.local = GemmWork{gemm.m, gemm.k, gemm.n / chips};
-        }
-    } else { // FSDP: weights move, data stays sharded.
-        if (gemm.pass == Pass::kBackwardWeight) {
-            // W' (m x n here) is reduce-scattered across the ring.
-            spec.commBytes = gemm.m * gemm.n * e;
-            spec.commIsReduce = true;
-            spec.local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
-        } else {
-            spec.commBytes = gemm.k * gemm.n * e;
-            spec.commIsReduce = false;
-            spec.local = GemmWork{gemm.m / chips, gemm.k, gemm.n};
-        }
-    }
-    return spec;
-}
-
 double
 utilizationOf(const ChipConfig &cfg, const GemmRunResult &result, int chips)
 {
@@ -217,20 +162,12 @@ simulateFcBlock(const ChipConfig &cfg, const TransformerConfig &model,
         Cluster cluster(cfg, chips);
         RingNetwork net(cluster);
         for (const FcGemm &gemm : blockFcGemms(model, train)) {
-            Gemm1DSpec spec = make1DSpec(gemm, algo, chips,
-                                         cfg.bytesPerElement);
+            Gemm1DSpec spec = baseline1DSpec(
+                algo, GemmWork{gemm.m, gemm.k, gemm.n},
+                gemm.pass == Pass::kBackwardWeight, chips, 1,
+                cfg.bytesPerElement);
             // Tune S with the analytic pipeline estimate.
-            int best_s = 1;
-            Time best_t = 1e300;
-            for (int s : {1, 2, 4, 8, 16, 32}) {
-                spec.sliceCount = s;
-                const Time t = estimate1DTime(cost, spec);
-                if (t < best_t) {
-                    best_t = t;
-                    best_s = s;
-                }
-            }
-            spec.sliceCount = best_s;
+            spec.sliceCount = cost.tune1DSliceCount(spec);
             GemmRunResult res = runGemm1D(net, spec, algo);
             out.fcTime += res.time;
             out.fcFlops += res.flops;

@@ -119,14 +119,6 @@ double medianOf(std::vector<double> samples);
 double utilizationOf(const ChipConfig &cfg, const GemmRunResult &result,
                      int chips);
 
-/** Build the 1D baseline spec for one FC GeMM (Sec 4.3): activations
- *  move for `kOneDTP`, weights for `kFsdp`. */
-Gemm1DSpec make1DSpec(const FcGemm &gemm, Algorithm algo, int chips,
-                      int bytes_per_element);
-
-/** Analytical 1D software-pipeline estimate used to tune the 1D S. */
-Time estimate1DTime(const CostModel &cost, const Gemm1DSpec &spec);
-
 /**
  * End-to-end step time estimate for the whole model: FC time from the
  * simulation plus the non-FC roofline estimate (Sec 4.4), per block.

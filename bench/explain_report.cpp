@@ -107,26 +107,6 @@ runSpec1D(const ChipConfig &cfg, Algorithm algo, const Gemm1DSpec &spec)
     return out;
 }
 
-Gemm1DSpec
-make1DExplainSpec(Algorithm algo, std::int64_t dim, int chips,
-                  int bytes_per_element)
-{
-    Gemm1DSpec s;
-    s.m = s.k = s.n = dim;
-    s.chips = chips;
-    s.sliceCount = 4;
-    s.bytesPerElement = bytes_per_element;
-    const Bytes e = bytes_per_element;
-    if (algo == Algorithm::kOneDTP) {
-        s.commBytes = s.m * s.k * e;
-        s.local = GemmWork{s.m, s.k, s.n / chips};
-    } else { // FSDP
-        s.commBytes = s.k * s.n * e;
-        s.local = GemmWork{s.m / chips, s.k, s.n};
-    }
-    return s;
-}
-
 /** ns/call of a disabled-recorder guard (the no-op fast path). */
 double
 disabledGuardNs()
@@ -235,7 +215,8 @@ main(int argc, char **argv)
     // ---- The 1D baselines on a ring.
     for (Algorithm algo : {Algorithm::kOneDTP, Algorithm::kFsdp}) {
         const Gemm1DSpec spec1d =
-            make1DExplainSpec(algo, dim, chips, cfg.bytesPerElement);
+            baseline1DSpec(algo, GemmWork{dim, dim, dim}, false, chips, 4,
+                           cfg.bytesPerElement);
         const RunOut base = runSpec1D(cfg, algo, spec1d);
         Scenario s;
         s.name = algorithmName(algo);

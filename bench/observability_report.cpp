@@ -114,19 +114,11 @@ runBlock(const ChipConfig &cfg, const TransformerConfig &model,
         RingNetwork net(cluster);
         out.hostMs = wallMs([&] {
             for (const FcGemm &gemm : blockFcGemms(model, train)) {
-                Gemm1DSpec spec = make1DSpec(gemm, algo, chips,
-                                             cfg.bytesPerElement);
-                int best_s = 1;
-                Time best_t = 1e300;
-                for (int s : {1, 2, 4, 8, 16, 32}) {
-                    spec.sliceCount = s;
-                    const Time t = estimate1DTime(cost, spec);
-                    if (t < best_t) {
-                        best_t = t;
-                        best_s = s;
-                    }
-                }
-                spec.sliceCount = best_s;
+                Gemm1DSpec spec = baseline1DSpec(
+                    algo, GemmWork{gemm.m, gemm.k, gemm.n},
+                    gemm.pass == Pass::kBackwardWeight, chips, 1,
+                    cfg.bytesPerElement);
+                spec.sliceCount = cost.tune1DSliceCount(spec);
                 accumulate(runGemm1D(net, spec, algo));
             }
         });

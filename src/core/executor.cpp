@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -747,6 +748,26 @@ runGemm1D(RingNetwork &net, const Gemm1DSpec &spec, Algorithm algo)
     }
     runAndMeasure(graph, cluster, "runGemm1D", algorithmName(algo), result);
     return result;
+}
+
+GemmRunResult
+runGemmOnCluster(Cluster &cluster, Algorithm algo, const Gemm2DSpec &spec,
+                 const std::function<void()> &arm)
+{
+    if (algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp) {
+        RingNetwork ring(cluster);
+        arm();
+        return runGemm1D(ring,
+                         baseline1DSpec(algo,
+                                        GemmWork{spec.m, spec.k, spec.n},
+                                        false, spec.chips(),
+                                        spec.sliceCount,
+                                        spec.bytesPerElement),
+                         algo);
+    }
+    TorusMesh mesh(cluster, spec.rows, spec.cols);
+    arm();
+    return GemmExecutor(mesh).run(algo, spec);
 }
 
 } // namespace meshslice

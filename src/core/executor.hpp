@@ -33,6 +33,8 @@
 #ifndef MESHSLICE_CORE_EXECUTOR_HPP_
 #define MESHSLICE_CORE_EXECUTOR_HPP_
 
+#include <functional>
+
 #include "core/spec.hpp"
 #include "core/taskgraph.hpp"
 #include "net/topology.hpp"
@@ -90,6 +92,18 @@ int buildCannon(TaskGraph &graph, TorusMesh &mesh, const Gemm2DSpec &spec,
  *  the cluster's stats registry). */
 GemmRunResult runGemm1D(RingNetwork &net, const Gemm1DSpec &spec,
                         Algorithm algo = Algorithm::kOneDTP);
+
+/**
+ * Simulate @p algo executing @p spec on @p cluster (`spec.chips()`
+ * chips, at local time 0): the forward-pass 1D schedule
+ * (`baseline1DSpec`) on a ring for the 1D baselines, `GemmExecutor`
+ * on a `spec.rows x spec.cols` torus otherwise. @p arm runs once, after
+ * the network has registered its links and before the schedule starts:
+ * the place to arm a fault injector.
+ */
+GemmRunResult runGemmOnCluster(Cluster &cluster, Algorithm algo,
+                               const Gemm2DSpec &spec,
+                               const std::function<void()> &arm);
 
 /**
  * The SUMMA packet count minimizing the pipelined broadcast time of

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "core/executor.hpp"
-#include "net/topology.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
@@ -22,34 +21,20 @@ runGemmUnderScenario(const ChipConfig &cfg, Algorithm algo,
                      const Gemm2DSpec &spec, const FaultScenario *scenario,
                      StatsRegistry *stats, ExplainRecord *explain)
 {
-    const bool is_1d =
-        algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
     Cluster cluster(cfg, spec.chips());
     if (stats != nullptr)
         cluster.stats().enable(true);
     if (explain != nullptr)
         cluster.enableProfiler(true);
-    GemmRunResult result;
-    if (is_1d) {
-        RingNetwork ring(cluster);
-        FaultInjector injector(cluster.sim(), cluster.net(),
-                               scenario ? *scenario : FaultScenario{});
-        if (scenario) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-        }
-        result = runGemm1D(ring, to1DSpec(spec, algo), algo);
-    } else {
-        TorusMesh mesh(cluster, spec.rows, spec.cols);
-        FaultInjector injector(cluster.sim(), cluster.net(),
-                               scenario ? *scenario : FaultScenario{});
-        if (scenario) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-        }
-        GemmExecutor executor(mesh);
-        result = executor.run(algo, spec);
-    }
+    FaultInjector injector(cluster.sim(), cluster.net(),
+                           scenario ? *scenario : FaultScenario{});
+    const GemmRunResult result =
+        runGemmOnCluster(cluster, algo, spec, [&] {
+            if (scenario) {
+                injector.arm();
+                cluster.attachFaults(&injector);
+            }
+        });
     if (explain != nullptr)
         *explain = explainGraph(cluster.profiler().nodes());
     if (stats != nullptr) {

@@ -306,24 +306,27 @@ validateSpec(const Gemm1DSpec &spec)
 }
 
 Gemm1DSpec
-to1DSpec(const Gemm2DSpec &spec, Algorithm algo)
+baseline1DSpec(Algorithm algo, const GemmWork &gemm, bool backward_weight,
+               int chips, int slice_count, int bytes_per_element)
 {
     Gemm1DSpec s;
-    s.m = spec.m;
-    s.k = spec.k;
-    s.n = spec.n;
-    s.chips = spec.chips();
-    s.sliceCount = spec.sliceCount;
-    s.bytesPerElement = spec.bytesPerElement;
-    const Bytes e = spec.bytesPerElement;
-    if (algo == Algorithm::kOneDTP) {
-        s.commBytes = spec.m * spec.k * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m, spec.k, spec.n / s.chips};
+    s.m = gemm.m;
+    s.k = gemm.k;
+    s.n = gemm.n;
+    s.chips = chips;
+    s.sliceCount = slice_count;
+    s.bytesPerElement = bytes_per_element;
+    const Bytes e = bytes_per_element;
+    if (backward_weight) {
+        s.commBytes = s.m * s.n * e;
+        s.commIsReduce = true;
+        s.local = GemmWork{s.m, s.k / chips, s.n};
+    } else if (algo == Algorithm::kOneDTP) {
+        s.commBytes = s.m * s.k * e;
+        s.local = GemmWork{s.m, s.k, s.n / chips};
     } else { // FSDP
-        s.commBytes = spec.k * spec.n * e;
-        s.commIsReduce = false;
-        s.local = GemmWork{spec.m / s.chips, spec.k, spec.n};
+        s.commBytes = s.k * s.n * e;
+        s.local = GemmWork{s.m / chips, s.k, s.n};
     }
     return s;
 }

@@ -219,11 +219,16 @@ struct Gemm1DSpec
 void validateSpec(const Gemm1DSpec &spec);
 
 /**
- * Forward-pass 1D spec equivalent of a 2D GeMM spec on the same chip
- * count: activations move for 1D TP (@p algo kOneDTP), weights for
- * FSDP (Sec 4.3).
+ * The 1D baseline spec (Sec 4.3) of the @p gemm product on a ring of
+ * @p chips at @p slice_count slices. 1D TP (@p algo kOneDTP) moves
+ * activations, all-gathering the (m x k) input; FSDP moves weights,
+ * all-gathering the (k x n) weights. In the backward-weight pass
+ * (@p backward_weight) both reduce-scatter the (m x n) weight gradient
+ * instead.
  */
-Gemm1DSpec to1DSpec(const Gemm2DSpec &spec, Algorithm algo);
+Gemm1DSpec baseline1DSpec(Algorithm algo, const GemmWork &gemm,
+                          bool backward_weight, int chips, int slice_count,
+                          int bytes_per_element);
 
 /** Outcome of one simulated distributed GeMM. */
 struct GemmRunResult

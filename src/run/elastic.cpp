@@ -125,8 +125,6 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
                  bool profile)
 {
     PhaseOut out;
-    const bool is_1d =
-        algo == Algorithm::kOneDTP || algo == Algorithm::kFsdp;
     Cluster cluster(cfg, spec.chips());
     // Declared after the cluster so the destructor sweep (reclaiming
     // ring ops / joins orphaned by a mid-schedule abort) runs while
@@ -138,24 +136,13 @@ runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
     FaultInjector injector(cluster.sim(), cluster.net(),
                            sliced ? *sliced : FaultScenario{});
     std::optional<FailStop> detected;
-    auto arm = [&] {
+    const GemmRunResult res = runGemmOnCluster(cluster, algo, spec, [&] {
         if (sliced) {
             injector.arm();
             cluster.attachFaults(&injector);
             armElasticWatchdog(cluster, injector, detected);
         }
-    };
-    GemmRunResult res;
-    if (is_1d) {
-        RingNetwork ring(cluster);
-        arm();
-        res = runGemm1D(ring, to1DSpec(spec, algo), algo);
-    } else {
-        TorusMesh mesh(cluster, spec.rows, spec.cols);
-        arm();
-        GemmExecutor executor(mesh);
-        res = executor.run(algo, spec);
-    }
+    });
     out.events = cluster.sim().eventsProcessed();
     classifyKill(sliced, res.time, detected, out);
     foldProfile(cluster, out);

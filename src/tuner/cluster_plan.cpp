@@ -1,46 +1,9 @@
 #include "tuner/cluster_plan.hpp"
 
-#include <algorithm>
-
 #include "tuner/autotuner.hpp"
 #include "util/logging.hpp"
 
 namespace meshslice {
-
-namespace {
-
-/** Analytic per-block FC time for Wang-overlapped 1D TP on a ring. */
-Time
-oneDBlockTime(const CostModel &cost, const TransformerConfig &model,
-              const TrainingConfig &train, int chips)
-{
-    const ChipConfig &cfg = cost.chip();
-    Time total = 0.0;
-    const int s_count = 8;
-    for (const FcGemm &gemm : blockFcGemms(model, train)) {
-        Bytes comm;
-        GemmWork local;
-        if (gemm.pass == Pass::kBackwardWeight) {
-            comm = gemm.m * gemm.n * cfg.bytesPerElement;
-            local = GemmWork{gemm.m, gemm.k / chips, gemm.n};
-        } else {
-            comm = gemm.m * gemm.k * cfg.bytesPerElement;
-            local = GemmWork{gemm.m, gemm.k, gemm.n / chips};
-        }
-        const Bytes traffic = comm / chips * (chips - 1);
-        const Time t_shift = cost.shiftTime(traffic / s_count);
-        GemmWork sliced = local;
-        if (sliced.m >= sliced.n)
-            sliced.m = std::max<std::int64_t>(1, sliced.m / s_count);
-        else
-            sliced.n = std::max<std::int64_t>(1, sliced.n / s_count);
-        const Time t_c = cost.computeTime(sliced);
-        total += t_shift + (s_count - 1) * std::max(t_shift, t_c) + t_c;
-    }
-    return total;
-}
-
-} // namespace
 
 ClusterStepCost
 estimateClusterStep(const CostModel &cost, const TransformerConfig &model,
@@ -61,8 +24,14 @@ estimateClusterStep(const CostModel &cost, const TransformerConfig &model,
     ClusterStepCost out;
     const int tp = plan.tpDegree();
     if (plan.oneD) {
-        out.tpBlockTime = oneDBlockTime(cost, model, replica, tp) +
-                          nonFcBlockTime(cfg, model, replica, tp);
+        // Wang-overlapped 1D TP on a ring at S = 8.
+        Time fc = 0.0;
+        for (const FcGemm &gemm : blockFcGemms(model, replica))
+            fc += cost.estimate1DGemmTime(baseline1DSpec(
+                Algorithm::kOneDTP, GemmWork{gemm.m, gemm.k, gemm.n},
+                gemm.pass == Pass::kBackwardWeight, tp, 8,
+                cfg.bytesPerElement));
+        out.tpBlockTime = fc + nonFcBlockTime(cfg, model, replica, tp);
     } else {
         LlmAutotuner tuner(cost);
         AutotuneResult fc = tuner.planAtShape(

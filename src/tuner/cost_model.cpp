@@ -431,4 +431,35 @@ CostModel::tuneSliceCount(Algorithm algo, const Gemm2DSpec &spec) const
     return {best_s, best_t};
 }
 
+Time
+CostModel::estimate1DGemmTime(const Gemm1DSpec &spec) const
+{
+    const Bytes traffic = spec.commBytes / spec.chips * (spec.chips - 1);
+    const Time t_shift = shiftTime(traffic / spec.sliceCount);
+    GemmWork work = spec.localWork();
+    if (work.m >= work.n)
+        work.m = std::max<std::int64_t>(1, work.m / spec.sliceCount);
+    else
+        work.n = std::max<std::int64_t>(1, work.n / spec.sliceCount);
+    const Time t_c = computeTime(work);
+    const Time steady = std::max(t_shift, t_c);
+    return t_shift + (spec.sliceCount - 1) * steady + t_c;
+}
+
+int
+CostModel::tune1DSliceCount(Gemm1DSpec spec) const
+{
+    int best_s = 1;
+    Time best_t = 1e300;
+    for (int s : {1, 2, 4, 8, 16, 32}) {
+        spec.sliceCount = s;
+        const Time t = estimate1DGemmTime(spec);
+        if (t < best_t) {
+            best_t = t;
+            best_s = s;
+        }
+    }
+    return best_s;
+}
+
 } // namespace meshslice

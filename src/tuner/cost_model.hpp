@@ -117,6 +117,17 @@ class CostModel
     std::pair<int, Time> tuneSliceCount(Algorithm algo,
                                         const Gemm2DSpec &spec) const;
 
+    /**
+     * Pipeline estimate of a 1D baseline (1D TP or FSDP) on its ring:
+     * one slice's shift + (S-1) * max(shift, compute) + one slice's
+     * compute.
+     */
+    Time estimate1DGemmTime(const Gemm1DSpec &spec) const;
+
+    /** The slice count in {1, 2, 4, 8, 16, 32} with the lowest
+     *  `estimate1DGemmTime` of @p spec (the lowest S on a tie). */
+    int tune1DSliceCount(Gemm1DSpec spec) const;
+
   private:
     ChipConfig cfg_;
     CommCostParams params_;
