@@ -11,7 +11,6 @@
 #include "core/executor.hpp"
 #include "core/reshard_exec.hpp"
 #include "gemm/reshard.hpp"
-#include "net/topology.hpp"
 #include "pipeline/pipeline_exec.hpp"
 #include "sim/abandon.hpp"
 #include "sim/stats.hpp"
@@ -47,133 +46,156 @@ struct PhaseOut
     double cat[kSpanCategoryCount] = {0, 0, 0, 0, 0, 0, 0};
 };
 
-void
-foldProfile(Cluster &cluster, PhaseOut &out)
-{
-    if (!cluster.profiler().enabled())
-        return;
-    const Attribution attr =
-        extractCriticalPath(cluster.profiler().nodes());
-    for (int i = 0; i < kSpanCategoryCount; ++i)
-        out.cat[i] = attr.byCategory[i];
-}
-
 /**
- * Classify a finished phase: a kill that fired before the phase's
- * measured end consumed it (abort paths measure exactly the
- * detection; a schedule that absorbed the kill — OneSided — completed
- * but its corpse-resident results are lost). The recovery transaction
- * starts at the detection either way.
+ * One phase's simulation: a fresh `Cluster` at local t = 0, the abandon
+ * scope that reclaims what a stopped phase orphaned, and the phase's
+ * fault injector. A runner builds the harness, lays its body's topology
+ * on `cluster()`, calls `arm()` once the topology's links exist, runs
+ * the body and hands its measured end to `close()`.
+ *
+ * Members are destroyed in reverse declaration order: the injector,
+ * then the scope, then the registry's sweep (ring ops, joins and
+ * one-sided gets a mid-schedule stop orphaned), while the cluster is
+ * still alive.
  */
-void
-classifyKill(const FaultScenario *sliced, Time measured,
-             const std::optional<FailStop> &detected, PhaseOut &out)
+class PhaseHarness
 {
-    const Time kill_at = sliced != nullptr && !sliced->kills.empty()
-                             ? sliced->kills.front().at
-                             : -1.0;
-    if (!(kill_at >= 0.0 && kill_at < measured)) {
-        out.span = measured;
-        return;
+  public:
+    /** @p scenario is the phase's slice to arm, or none. */
+    PhaseHarness(const ChipConfig &cfg, int chips,
+                 const std::optional<FaultScenario> &scenario, bool profile)
+        : cluster_(cfg, chips), scope_(abandoned_),
+          injector_(cluster_.sim(), cluster_.net(),
+                    scenario.value_or(FaultScenario{})),
+          armable_(scenario.has_value())
+    {
+        if (profile)
+            cluster_.enableProfiler(true);
     }
-    if (!detected)
-        panic("runElastic: the kill at %g s fired inside the phase but "
-              "was never detected", kill_at);
-    out.failed = true;
-    out.failure = *detected;
-    out.span = detected->detectedAt;
-}
 
-/**
- * Arm the runtime's own detection watchdog over the killed chip: a
- * kill the schedule absorbs (OneSided) or parks on (a compute-only
- * tail with no collective fail-stop watch live) would otherwise drain
- * to the quiescence abort. It is armed before any op exists, so it
- * fires before any op's own watch on the same kill (those fire at
- * max(kill, launch) + detection, in scheduling order): at the
- * detection it records the failure and stops the phase, and no ring
- * op ever aborts inside an elastic phase.
- */
-void
-armElasticWatchdog(Cluster &cluster, FaultInjector &injector,
-                   std::optional<FailStop> &detected)
-{
-    if (!injector.hasKills())
-        return;
-    const int chip =
-        readChipPattern(injector.scenario().kills.front().pattern).chip;
-    const std::vector<ResourceId> watched{cluster.coreOf(chip),
-                                          cluster.hbmOf(chip)};
-    Cluster *cl = &cluster;
-    injector.watchKills(watched, [cl, &injector, watched, chip,
-                                  &detected] {
-        FailStop f;
-        f.op = "elastic.watchdog";
-        f.deadResource = cl->net().resourceName(
-            watched[static_cast<size_t>(injector.firstKilled(watched))]);
-        f.deadChip = chip;
-        f.detectedAt = cl->sim().now();
-        detected = std::move(f);
-        cl->sim().requestStop();
-    });
-}
+    PhaseHarness(const PhaseHarness &) = delete;
+    PhaseHarness &operator=(const PhaseHarness &) = delete;
 
-/** One GeMM training step on a fresh cluster at local t = 0. */
-PhaseOut
-runGemmStepPhase(const ChipConfig &cfg, Algorithm algo,
-                 const Gemm2DSpec &spec, const FaultScenario *sliced,
-                 bool profile)
-{
-    PhaseOut out;
-    Cluster cluster(cfg, spec.chips());
-    // Declared after the cluster so the destructor sweep (reclaiming
-    // ring ops / joins orphaned by a mid-schedule abort) runs while
-    // the cluster is still alive.
-    AbandonRegistry abandoned;
-    ScopedAbandonRegistry abandonScope(abandoned);
-    if (profile)
-        cluster.enableProfiler(true);
-    FaultInjector injector(cluster.sim(), cluster.net(),
-                           sliced ? *sliced : FaultScenario{});
-    std::optional<FailStop> detected;
-    const GemmRunResult res = runGemmOnCluster(cluster, algo, spec, [&] {
-        if (sliced) {
-            injector.arm();
-            cluster.attachFaults(&injector);
-            armElasticWatchdog(cluster, injector, detected);
+    Cluster &cluster() { return cluster_; }
+
+    /**
+     * Arm and attach the phase's scenario, if it was given one, and
+     * the runtime's detection watchdog over a killed chip: a kill the
+     * schedule absorbs (OneSided) or parks on (a compute-only tail with
+     * no collective fail-stop watch live) would otherwise drain to the
+     * quiescence abort. The watchdog is armed before any op exists, so
+     * it fires before any op's own watch on the same kill (those fire
+     * at max(kill, launch) + detection, in scheduling order): at the
+     * detection it records the failure and stops the phase, and no
+     * ring op ever aborts inside an elastic phase.
+     */
+    void
+    arm()
+    {
+        if (!armable_)
+            return;
+        injector_.arm();
+        cluster_.attachFaults(&injector_);
+        if (!injector_.hasKills())
+            return;
+        const int chip =
+            readChipPattern(injector_.scenario().kills.front().pattern)
+                .chip;
+        const std::vector<ResourceId> watched{cluster_.coreOf(chip),
+                                              cluster_.hbmOf(chip)};
+        injector_.watchKills(watched, [this, watched, chip] {
+            FailStop f;
+            f.op = "elastic.watchdog";
+            f.deadResource = cluster_.net().resourceName(watched[
+                static_cast<size_t>(injector_.firstKilled(watched))]);
+            f.deadChip = chip;
+            f.detectedAt = cluster_.sim().now();
+            detected_ = std::move(f);
+            cluster_.sim().requestStop();
+        });
+    }
+
+    /**
+     * The phase's outcome at its @p measured end. A kill that fired
+     * before that end consumed the phase: abort paths measure exactly
+     * the detection, and a schedule that absorbed the kill (OneSided)
+     * completed but lost its corpse-resident results. The recovery
+     * transaction starts at the detection either way.
+     */
+    PhaseOut
+    close(Time measured)
+    {
+        PhaseOut out;
+        out.events = cluster_.sim().eventsProcessed();
+        const Time kill_at = injector_.hasKills()
+                                 ? injector_.scenario().kills.front().at
+                                 : -1.0;
+        if (kill_at >= 0.0 && kill_at < measured) {
+            if (!detected_)
+                panic("runElastic: the kill at %g s fired inside the "
+                      "phase but was never detected", kill_at);
+            out.failed = true;
+            out.failure = *detected_;
+            out.span = detected_->detectedAt;
+        } else {
+            out.span = measured;
         }
-    });
-    out.events = cluster.sim().eventsProcessed();
-    classifyKill(sliced, res.time, detected, out);
-    foldProfile(cluster, out);
-    return out;
+        if (cluster_.profiler().enabled()) {
+            const Attribution attr =
+                extractCriticalPath(cluster_.profiler().nodes());
+            for (int i = 0; i < kSpanCategoryCount; ++i)
+                out.cat[i] = attr.byCategory[i];
+        }
+        return out;
+    }
+
+  private:
+    Cluster cluster_;
+    AbandonRegistry abandoned_;
+    ScopedAbandonRegistry scope_;
+    FaultInjector injector_;
+    bool armable_;
+    std::optional<FailStop> detected_;
+};
+
+/** Cluster size of one step of @p run at @p spec: the pipeline's
+ *  stages of `spec`'s mesh, or the mesh alone. */
+int
+phaseChips(const ElasticRunConfig &run, const Gemm2DSpec &spec)
+{
+    return run.pipeline.enabled ? run.pipeline.stages * spec.chips()
+                                : spec.chips();
 }
 
-/** One pipeline step on a fresh cluster (kill-free by validation). */
-PhaseOut
-runPipelineStepPhase(const ChipConfig &cfg, const Gemm2DSpec &spec,
-                     const ElasticPipelineSpec &pipe,
-                     const FaultScenario *sliced, bool profile)
+/** @p live re-based onto a phase starting at global @p wall, with the
+ *  jitter seed of phase @p key; none when @p run has no scenario. */
+std::optional<FaultScenario>
+phaseScenario(const ElasticRunConfig &run, const FaultScenario &live,
+              Time wall, std::uint64_t key)
 {
-    PhaseOut out;
-    const int chips = pipe.stages * spec.rows * spec.cols;
-    Cluster cluster(cfg, chips);
-    AbandonRegistry abandoned;
-    ScopedAbandonRegistry abandonScope(abandoned);
-    if (profile)
-        cluster.enableProfiler(true);
-    PipelineCluster pc(cluster, pipe.stages, spec.rows, spec.cols);
-    FaultInjector injector(cluster.sim(), cluster.net(),
-                           sliced ? *sliced : FaultScenario{});
-    if (sliced) {
-        injector.arm();
-        cluster.attachFaults(&injector);
-    }
-    const PipelineRunResult res = runPipeline(pc, pipe.exec);
-    out.span = res.time;
-    out.events = cluster.sim().eventsProcessed();
-    foldProfile(cluster, out);
-    return out;
+    if (!run.haveScenario)
+        return std::nullopt;
+    return sliceScenarioForPhase(live, wall,
+                                 derivePhaseSeed(run.scenario.seed, key));
+}
+
+/** One training step of @p run's body on a fresh cluster at local
+ *  t = 0: @p algo's GeMM at @p spec, or the pipeline schedule with
+ *  `spec` as its per-stage mesh (kill-free by validation). */
+PhaseOut
+runStepPhase(const ChipConfig &cfg, const ElasticRunConfig &run,
+             Algorithm algo, const Gemm2DSpec &spec,
+             const std::optional<FaultScenario> &sliced, bool profile)
+{
+    PhaseHarness h(cfg, phaseChips(run, spec), sliced, profile);
+    if (!run.pipeline.enabled)
+        return h.close(
+            runGemmOnCluster(h.cluster(), algo, spec, [&h] { h.arm(); })
+                .time);
+    PipelineCluster pc(h.cluster(), run.pipeline.stages, spec.rows,
+                       spec.cols);
+    h.arm();
+    return h.close(runPipeline(pc, run.pipeline.exec).time);
 }
 
 /**
@@ -185,30 +207,19 @@ runPipelineStepPhase(const ChipConfig &cfg, const Gemm2DSpec &spec,
  */
 PhaseOut
 runCheckpointPhase(const ChipConfig &cfg, int chips,
-                   const CheckpointSpec &spec, const FaultScenario *sliced,
-                   bool profile)
+                   const CheckpointSpec &spec,
+                   std::optional<FaultScenario> sliced, bool profile)
 {
-    PhaseOut out;
-    FaultScenario filtered;
     if (sliced) {
-        filtered = *sliced;
-        std::erase_if(filtered.faults, [](const CapacityFault &f) {
+        std::erase_if(sliced->faults, [](const CapacityFault &f) {
             return !readChipPattern(f.pattern).chipAddressed;
         });
+        if (sliced->empty())
+            sliced.reset();
     }
-    const bool armed = !filtered.empty();
-    Cluster cluster(cfg, chips);
-    AbandonRegistry abandoned;
-    ScopedAbandonRegistry abandonScope(abandoned);
-    if (profile)
-        cluster.enableProfiler(true);
-    FaultInjector injector(cluster.sim(), cluster.net(), filtered);
-    std::optional<FailStop> detected;
-    if (armed) {
-        injector.arm();
-        cluster.attachFaults(&injector);
-        armElasticWatchdog(cluster, injector, detected);
-    }
+    PhaseHarness h(cfg, chips, sliced, profile);
+    h.arm();
+    Cluster &cluster = h.cluster();
     bool done = false;
     Time span = 0.0;
     runCheckpoint(cluster, spec, [&](Time t) {
@@ -222,10 +233,7 @@ runCheckpointPhase(const ChipConfig &cfg, int chips,
         // The watchdog stopped a checkpoint parked on a corpse.
         span = cluster.sim().now();
     }
-    out.events = cluster.sim().eventsProcessed();
-    classifyKill(sliced, span, detected, out);
-    foldProfile(cluster, out);
-    return out;
+    return h.close(span);
 }
 
 /** Exact combined re-shard plan of the three live operands. */
@@ -260,12 +268,9 @@ runRecoveryReshardPhase(const ChipConfig &cfg, const Gemm2DSpec &spec,
                         const ReshardPlan &plan, int dead_chip,
                         Rate restore_bw, bool profile)
 {
-    PhaseOut out;
-    Cluster cluster(cfg, spec.chips());
-    AbandonRegistry abandoned;
-    ScopedAbandonRegistry abandonScope(abandoned);
+    PhaseHarness h(cfg, spec.chips(), std::nullopt, profile);
+    Cluster &cluster = h.cluster();
     if (profile) {
-        cluster.enableProfiler(true);
         const int marker = cluster.profiler().addNode(
             "fail-stop abort", SpanCategory::kRecovery, 0.0, 0.0, {},
             dead_chip);
@@ -283,10 +288,7 @@ runRecoveryReshardPhase(const ChipConfig &cfg, const Gemm2DSpec &spec,
         cluster.profiler().endRecovery();
     if (!done)
         panic("runElastic: recovery re-shard did not drain");
-    out.span = span;
-    out.events = cluster.sim().eventsProcessed();
-    foldProfile(cluster, out);
-    return out;
+    return h.close(span);
 }
 
 /** Functional training state: A, B and the weight accumulator W are
@@ -331,11 +333,12 @@ applyStepUpdate(DistMatrix &w, const DistMatrix &p)
     }
 }
 
-/** The serial reference of the final W: W0 then `steps` elementwise
- *  updates, the exact per-element operation sequence the distributed
- *  run applies regardless of shard layout or mid-run re-shards. */
-Matrix
-referenceFinalW(const FunctionalState &fs, int steps)
+/** True iff the final W equals its serial reference: W0 then @p steps
+ *  elementwise updates, the exact per-element operation sequence the
+ *  distributed run applies regardless of shard layout or mid-run
+ *  re-shards. */
+bool
+finalWIsExact(const FunctionalState &fs, int steps)
 {
     Matrix ref = fs.w0Full;
     float *rd = ref.data();
@@ -344,12 +347,12 @@ referenceFinalW(const FunctionalState &fs, int steps)
     for (int s = 0; s < steps; ++s)
         for (std::int64_t i = 0; i < n; ++i)
             rd[i] += kElasticLr * pd[i];
-    return ref;
+    return fs.w.gather().maxAbsDiff(ref) == 0.0;
 }
 
-void
-recordPhase(std::vector<ElasticPhase> &phases, StatsRegistry &agg,
-            ElasticPhase::Kind kind, int index, Time start,
+/** The trace record of a phase that began at global time @p start. */
+ElasticPhase
+phaseRecord(ElasticPhase::Kind kind, int index, Time start,
             const PhaseOut &out)
 {
     ElasticPhase ph;
@@ -359,14 +362,25 @@ recordPhase(std::vector<ElasticPhase> &phases, StatsRegistry &agg,
     ph.span = out.span;
     ph.events = out.events;
     ph.committed = !out.failed;
+    return ph;
+}
+
+/** Append a phase to @p r's trace, stats and critical-path seconds. */
+void
+recordPhase(ElasticRunResult &r, StatsRegistry &agg,
+            ElasticPhase::Kind kind, int index, Time start,
+            const PhaseOut &out)
+{
     const std::string base =
-        strprintf("elastic/phase%03d", static_cast<int>(phases.size()));
+        strprintf("elastic/phase%03d", static_cast<int>(r.phases.size()));
     agg.set(base + "/kind", static_cast<double>(kind));
     agg.set(base + "/index", index);
     agg.set(base + "/span_s", out.span);
     agg.set(base + "/events", static_cast<double>(out.events));
     agg.set(base + "/committed", out.failed ? 0.0 : 1.0);
-    phases.push_back(ph);
+    for (int i = 0; i < kSpanCategoryCount; ++i)
+        r.pathSeconds[i] += out.cat[i];
+    r.phases.push_back(phaseRecord(kind, index, start, out));
 }
 
 void
@@ -453,10 +467,7 @@ elasticPhaseKindName(ElasticPhase::Kind kind)
 ElasticRunResult
 runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
 {
-    const int chips0 =
-        run.pipeline.enabled
-            ? run.pipeline.stages * run.spec.rows * run.spec.cols
-            : run.spec.chips();
+    const int chips0 = phaseChips(run, run.spec);
     validateElasticConfig(run, chips0);
 
     const bool ckpt_on = run.checkpointBytesPerChip > 0 &&
@@ -503,15 +514,9 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
     // Fault-free probe: the measured full-mesh step time anchoring
     // both the goodput denominator and the analytic prediction. Runs
     // on its own cluster; the main loop's phases are unaffected.
-    {
-        const PhaseOut probe =
-            run.pipeline.enabled
-                ? runPipelineStepPhase(cfg, run.spec, run.pipeline,
-                                       nullptr, false)
-                : runGemmStepPhase(cfg, run.algo, run.spec, nullptr,
-                                   false);
-        result.stepTimeFullMesh = probe.span;
-    }
+    result.stepTimeFullMesh =
+        runStepPhase(cfg, run, run.algo, run.spec, std::nullopt, false)
+            .span;
 
     FaultScenario live = run.scenario; // global-time; remapped on shrink
     Gemm2DSpec spec_cur = run.spec;
@@ -524,25 +529,12 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
     Time survivor_reshard_est = 0.0;
 
     while (step < run.steps) {
-        const std::uint64_t step_seed =
-            derivePhaseSeed(run.scenario.seed,
-                            static_cast<std::uint64_t>(step));
-        FaultScenario sliced;
-        const FaultScenario *sp = nullptr;
-        if (run.haveScenario) {
-            sliced = sliceScenarioForPhase(live, wall, step_seed);
-            sp = &sliced;
-        }
-        PhaseOut out =
-            run.pipeline.enabled
-                ? runPipelineStepPhase(cfg, spec_cur, run.pipeline, sp,
-                                       run.profile)
-                : runGemmStepPhase(cfg, algo_cur, spec_cur, sp,
-                                   run.profile);
-        recordPhase(result.phases, agg, ElasticPhase::Kind::kStep, step,
-                    wall, out);
-        for (int i = 0; i < kSpanCategoryCount; ++i)
-            result.pathSeconds[i] += out.cat[i];
+        PhaseOut out = runStepPhase(
+            cfg, run, algo_cur, spec_cur,
+            phaseScenario(run, live, wall, static_cast<std::uint64_t>(step)),
+            run.profile);
+        recordPhase(result, agg, ElasticPhase::Kind::kStep, step, wall,
+                    out);
 
         if (!out.failed) {
             wall += out.span;
@@ -552,32 +544,17 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
                 applyStepUpdate(fs.w, fs.p);
             if (step < run.steps && ckpt_on &&
                 useful_since_ckpt >= interval) {
-                const std::uint64_t ckpt_seed = derivePhaseSeed(
-                    run.scenario.seed,
-                    0x10000u + static_cast<std::uint64_t>(
-                                   result.checkpoints));
-                FaultScenario csliced;
-                const FaultScenario *cp = nullptr;
-                if (run.haveScenario) {
-                    csliced =
-                        sliceScenarioForPhase(live, wall, ckpt_seed);
-                    cp = &csliced;
-                }
                 CheckpointSpec cspec;
                 cspec.bytesPerChip = run.checkpointBytesPerChip;
                 cspec.targetBandwidth = run.checkpointTargetBandwidth;
-                const int cur_chips =
-                    run.pipeline.enabled
-                        ? run.pipeline.stages * spec_cur.rows *
-                              spec_cur.cols
-                        : spec_cur.chips();
                 const PhaseOut cout = runCheckpointPhase(
-                    cfg, cur_chips, cspec, cp, run.profile);
-                recordPhase(result.phases, agg,
-                            ElasticPhase::Kind::kCheckpoint,
+                    cfg, phaseChips(run, spec_cur), cspec,
+                    phaseScenario(run, live, wall,
+                                  0x10000u + static_cast<std::uint64_t>(
+                                                 result.checkpoints)),
+                    run.profile);
+                recordPhase(result, agg, ElasticPhase::Kind::kCheckpoint,
                             result.checkpoints, wall, cout);
-                for (int i = 0; i < kSpanCategoryCount; ++i)
-                    result.pathSeconds[i] += cout.cat[i];
                 if (cout.failed) {
                     out = cout; // the recovery below handles it
                 } else {
@@ -646,10 +623,8 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
         const PhaseOut rout = runRecoveryReshardPhase(
             cfg, spec_cur, plan, dead, run.checkpointTargetBandwidth,
             run.profile);
-        recordPhase(result.phases, agg, ElasticPhase::Kind::kRecovery, 0,
-                    wall, rout);
-        for (int i = 0; i < kSpanCategoryCount; ++i)
-            result.pathSeconds[i] += rout.cat[i];
+        recordPhase(result, agg, ElasticPhase::Kind::kRecovery, 0, wall,
+                    rout);
         result.reshardSpan = rout.span;
         wall += rout.span;
         agg.set("elastic/recovery/detect_s", result.detectionSpan);
@@ -690,8 +665,7 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
 
     if (run.functionalState) {
         result.functionalChecked = true;
-        const Matrix ref = referenceFinalW(fs, run.steps);
-        result.functionalOk = fs.w.gather().maxAbsDiff(ref) == 0.0;
+        result.functionalOk = finalWIsExact(fs, run.steps);
     }
 
     // Analytic mirror: measured full-mesh step time + closed-form
@@ -706,13 +680,9 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             pin.checkpointCost = checkpointModelCost(
                 cfg, chips0, run.checkpointBytesPerChip,
                 run.checkpointTargetBandwidth);
-            const int surv_chips =
-                run.pipeline.enabled
-                    ? run.pipeline.stages * result.finalSpec.rows *
-                          result.finalSpec.cols
-                    : result.finalSpec.chips();
             pin.survivorCheckpointCost = checkpointModelCost(
-                cfg, surv_chips, run.checkpointBytesPerChip,
+                cfg, phaseChips(run, result.finalSpec),
+                run.checkpointBytesPerChip,
                 run.checkpointTargetBandwidth);
             pin.checkpointInterval = interval;
         }
@@ -754,14 +724,9 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
 PlainRunResult
 runPlainSteps(const ChipConfig &cfg, const ElasticRunConfig &run)
 {
-    const int chips0 =
-        run.pipeline.enabled
-            ? run.pipeline.stages * run.spec.rows * run.spec.cols
-            : run.spec.chips();
     if (run.steps <= 0)
         fatal("runPlainSteps: steps must be positive (got %d)",
               run.steps);
-    (void)chips0;
 
     PlainRunResult result;
     FunctionalState fs;
@@ -772,28 +737,18 @@ runPlainSteps(const ChipConfig &cfg, const ElasticRunConfig &run)
         initFunctional(fs, run.spec, run.functionalSeed);
     }
     Time wall = 0.0;
-    StatsRegistry sink; // phases recorded for the caller, stats unused
     for (int step = 0; step < run.steps; ++step) {
-        const std::uint64_t step_seed =
-            derivePhaseSeed(run.scenario.seed,
-                            static_cast<std::uint64_t>(step));
-        FaultScenario sliced;
-        const FaultScenario *sp = nullptr;
-        if (run.haveScenario) {
-            sliced = sliceScenarioForPhase(run.scenario, wall, step_seed);
-            sp = &sliced;
-        }
-        const PhaseOut out =
-            run.pipeline.enabled
-                ? runPipelineStepPhase(cfg, run.spec, run.pipeline, sp,
-                                       false)
-                : runGemmStepPhase(cfg, run.algo, run.spec, sp, false);
+        const PhaseOut out = runStepPhase(
+            cfg, run, run.algo, run.spec,
+            phaseScenario(run, run.scenario, wall,
+                          static_cast<std::uint64_t>(step)),
+            false);
         if (out.failed)
             fatal("runPlainSteps: a fail-stop fired inside step %d — "
                   "the plain loop has no recovery; use runElastic",
                   step);
-        recordPhase(result.steps, sink, ElasticPhase::Kind::kStep, step,
-                    wall, out);
+        result.steps.push_back(
+            phaseRecord(ElasticPhase::Kind::kStep, step, wall, out));
         wall += out.span;
         if (run.functionalState)
             applyStepUpdate(fs.w, fs.p);
@@ -801,8 +756,7 @@ runPlainSteps(const ChipConfig &cfg, const ElasticRunConfig &run)
     result.wall = wall;
     if (run.functionalState) {
         result.functionalChecked = true;
-        const Matrix ref = referenceFinalW(fs, run.steps);
-        result.functionalOk = fs.w.gather().maxAbsDiff(ref) == 0.0;
+        result.functionalOk = finalWIsExact(fs, run.steps);
     }
     return result;
 }

@@ -167,9 +167,9 @@ ElasticRunResult runElastic(const ChipConfig &cfg,
                             const ElasticRunConfig &run);
 
 /** The non-elastic baseline: the same N step phases back-to-back with
- *  the same per-step seeds and scenario slicing, but no checkpoints,
- *  no watchdog and no recovery (a kill firing inside a step is fatal).
- *  A fault-free elastic run's step phases are bit-identical to this. */
+ *  the same per-step seeds and scenario slicing, but no checkpoints and
+ *  no recovery (a kill firing inside a step is fatal). A fault-free
+ *  elastic run's step phases are bit-identical to this. */
 struct PlainRunResult
 {
     Time wall = 0.0;

@@ -442,6 +442,30 @@ TEST(ElasticDeathTest, PatternNamingSeveralChipsIsRejectedUpFront)
                  "fault pattern \"chip1\" names several chips");
 }
 
+TEST(ElasticDeathTest, KillInsideAPlainPipelineStepIsFatal)
+{
+    // runElastic refuses a kill with a pipeline body up front. The plain
+    // loop has no recovery, so a kill inside its step ends in a
+    // positional fatal, never a panic.
+    const ChipConfig cfg = simpleConfig();
+    ElasticRunConfig run;
+    run.spec.m = run.spec.k = run.spec.n = 12;
+    run.spec.rows = run.spec.cols = 2;
+    run.steps = 3;
+    run.pipeline.enabled = true;
+    run.pipeline.stages = 2;
+    run.pipeline.exec.microBatches = 3;
+    run.pipeline.exec.fwdTime = 2.0;
+    run.pipeline.exec.bwdTime = 4.0;
+    run.pipeline.exec.boundaryBytes = 400;
+    run.haveScenario = true;
+    run.scenario.seed = 3;
+    run.scenario.detectionLatency = 0.5;
+    run.scenario.kills.push_back(KillFault{"chip1.", 5.0});
+    EXPECT_EXIT(runPlainSteps(cfg, run), testing::ExitedWithCode(1),
+                "fatal: runPlainSteps: a fail-stop fired inside step 0");
+}
+
 // ---------------------------------------------------------------------
 // Chaos soak (the tentpole harness): seeded fuzz across all eight
 // algorithms + one pipeline schedule, asserting global invariants.
