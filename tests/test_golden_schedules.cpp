@@ -28,9 +28,9 @@
  *
  * The committed tables pin the runtimes bit for bit, so a refactor of
  * the schedule builders, the simulator, the functional algorithms or
- * the elastic runtime must reproduce every line exactly. To inspect a deliberate change,
- * set `MESHSLICE_GOLDEN_OUT=<dir>` to write the computed tables there
- * under their committed names.
+ * the elastic runtime must reproduce every line exactly. To inspect a
+ * deliberate change, set `MESHSLICE_GOLDEN_OUT=<dir>` to write the
+ * computed tables there under their committed names.
  */
 #include <gtest/gtest.h>
 
