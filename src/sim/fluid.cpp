@@ -17,10 +17,7 @@ constexpr double kDegradedEps = 1e-12;
 
 } // namespace
 
-FluidNetwork::FluidNetwork(Simulator &sim)
-    : sim_(sim),
-      flows_(0, std::hash<FlowId>(), std::equal_to<FlowId>(),
-             ArenaAllocator<std::pair<const FlowId, Flow>>(&arena_))
+FluidNetwork::FluidNetwork(Simulator &sim) : sim_(sim)
 {
     // Watchdog: flows parked on a down resource have no completion
     // event; if the queue drains while any flow is outstanding the
@@ -93,18 +90,14 @@ FluidNetwork::resourceName(ResourceId id) const
 std::string
 FluidNetwork::stallDiagnostic() const
 {
-    if (flows_.empty())
+    if (activeFlowCount() == 0)
         return "";
     std::string out = strprintf("%zu flow(s) still outstanding:\n",
-                                flows_.size());
-    // Ordered by id for a deterministic dump.
-    std::vector<FlowId> ids;
-    ids.reserve(flows_.size());
-    for (const auto &entry : flows_)
-        ids.push_back(entry.first);
-    std::sort(ids.begin(), ids.end());
-    for (FlowId id : ids) {
-        const Flow &flow = flows_.at(id);
+                                activeFlowCount());
+    for (FlowId id : liveIds_) {
+        if (!isActive(id))
+            continue;
+        const Flow &flow = flows_[slotOf(id)];
         out += strprintf("  flow %lld: remaining %.6g units, rate %.6g "
                          "units/s, demands:",
                          static_cast<long long>(id), flow.remaining,
@@ -155,17 +148,27 @@ FluidNetwork::startFlow(double size, std::vector<Demand> demands,
             panic("FluidNetwork: demand coefficients must be positive");
     }
 
-    FlowId id = nextFlowId_++;
-    Flow flow;
+    if (nextFlowSeq_ > 0x7fffffff)
+        panic("FluidNetwork: more than 2^31 flows in one network");
+    std::uint32_t slot;
+    if (!freeFlowSlots_.empty()) {
+        slot = freeFlowSlots_.back();
+        freeFlowSlots_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(flows_.size());
+        flows_.emplace_back();
+    }
+    const FlowId id = (nextFlowSeq_++ << 32) | slot;
+    Flow &flow = flows_[slot];
+    flow.id = id;
     flow.remaining = size;
     flow.size = size;
-    flow.rate = 0.0;
     flow.lastUpdate = sim_.now();
     flow.demands = std::move(demands);
     flow.onComplete = std::move(on_complete);
     for (const auto &d : flow.demands)
         resources_[static_cast<size_t>(d.resource)].activeFlows++;
-    flows_.emplace(id, std::move(flow));
+    liveIds_.push_back(id);
     markDirty();
     return id;
 }
@@ -173,19 +176,16 @@ FluidNetwork::startFlow(double size, std::vector<Demand> demands,
 bool
 FluidNetwork::cancelFlow(FlowId id)
 {
-    auto it = flows_.find(id);
-    if (it == flows_.end())
+    if (!isActive(id))
         return false;
     // Settle accounting so the work done before the abort stays
     // attributed to the correct window, then drop the flow without
     // invoking its completion callback.
-    settleFlowResources(it->second.demands);
-    advanceFlow(it->second);
-    sim_.cancel(it->second.completion);
-    for (const auto &d : it->second.demands)
-        resources_[static_cast<size_t>(d.resource)].activeFlows--;
-    flows_.erase(it);
-    markDirty();
+    Flow &flow = flows_[slotOf(id)];
+    settleFlowResources(flow.demands);
+    advanceFlow(flow);
+    sim_.cancel(flow.completion);
+    releaseFlow(flow);
     return true;
 }
 
@@ -218,8 +218,7 @@ FluidNetwork::resourceStats(ResourceId id) const
 double
 FluidNetwork::flowRate(FlowId id) const
 {
-    auto it = flows_.find(id);
-    return it == flows_.end() ? 0.0 : it->second.rate;
+    return isActive(id) ? flows_[slotOf(id)].rate : 0.0;
 }
 
 void
@@ -277,15 +276,14 @@ FluidNetwork::settleFlowResources(const std::vector<Demand> &demands)
 void
 FluidNetwork::finishFlow(FlowId id)
 {
-    auto it = flows_.find(id);
-    if (it == flows_.end())
+    if (!isActive(id))
         return; // cancelled completion that raced with a reschedule
-    settleFlowResources(it->second.demands);
-    advanceFlow(it->second);
+    Flow &flow = flows_[slotOf(id)];
+    settleFlowResources(flow.demands);
+    advanceFlow(flow);
     if (publishFlowInfo_) {
-        // Stash the profiler view of this flow before it is erased;
+        // Stash the profiler view of this flow before it is released;
         // the completion callback reads it via lastFinishedFlow().
-        const Flow &flow = it->second;
         FlowEndInfo info;
         info.valid = true;
         if (flow.binding >= 0)
@@ -312,13 +310,20 @@ FluidNetwork::finishFlow(FlowId id)
         }
         lastFlowInfo_ = std::move(info);
     }
-    std::function<void()> cb = std::move(it->second.onComplete);
-    for (const auto &d : it->second.demands)
-        resources_[static_cast<size_t>(d.resource)].activeFlows--;
-    flows_.erase(it);
-    markDirty();
+    std::function<void()> cb = std::move(flow.onComplete);
+    releaseFlow(flow);
     if (cb)
         cb();
+}
+
+void
+FluidNetwork::releaseFlow(Flow &flow)
+{
+    for (const auto &d : flow.demands)
+        resources_[static_cast<size_t>(d.resource)].activeFlows--;
+    freeFlowSlots_.push_back(static_cast<std::uint32_t>(slotOf(flow.id)));
+    flow = Flow{};
+    markDirty();
 }
 
 void
@@ -326,17 +331,21 @@ FluidNetwork::recompute()
 {
     dirty_ = false;
 
-    // Gather active flows into a dense working set (scratch vectors
+    // The live flows in start order are the working set: drop the ids
+    // of flows that ended since the last recompute. (Scratch vectors
     // keep their capacity across recomputes, so the steady state
-    // allocates nothing).
-    scratchFlows_.clear();
-    scratchIds_.clear();
-    for (auto &entry : flows_) {
-        advanceFlow(entry.second);
-        scratchIds_.push_back(entry.first);
-        scratchFlows_.push_back(&entry.second);
+    // allocates nothing.)
+    size_t n = 0;
+    for (FlowId id : liveIds_) {
+        if (!isActive(id))
+            continue;
+        advanceFlow(flows_[slotOf(id)]);
+        liveIds_[n++] = id;
     }
-    const size_t n = scratchFlows_.size();
+    liveIds_.resize(n);
+    auto flow_at = [this](size_t i) -> Flow & {
+        return flows_[slotOf(liveIds_[i])];
+    };
 
     // Solo rates: each flow limited by every resource's full capacity.
     // Flows demanding a *down* resource park at rate zero: they keep
@@ -347,7 +356,7 @@ FluidNetwork::recompute()
     if (publishFlowInfo_)
         scratchBinding_.assign(n, -1);
     for (size_t i = 0; i < n; ++i) {
-        const Flow &flow = *scratchFlows_[i];
+        const Flow &flow = flow_at(i);
         double r = 1e300;
         for (const auto &d : flow.demands) {
             const Resource &res =
@@ -377,7 +386,7 @@ FluidNetwork::recompute()
     for (size_t i = 0; i < n; ++i) {
         if (scratchParked_[i])
             continue;
-        for (const auto &d : scratchFlows_[i]->demands) {
+        for (const auto &d : flow_at(i).demands) {
             const size_t r = static_cast<size_t>(d.resource);
             if (resourceEpoch_[r] != epoch_) {
                 resourceEpoch_[r] = epoch_;
@@ -502,7 +511,7 @@ FluidNetwork::recompute()
         res.soloLoad = 0.0;
     }
     for (size_t i = 0; i < n; ++i) {
-        Flow &flow = *scratchFlows_[i];
+        Flow &flow = flow_at(i);
         if (scratchParked_[i]) {
             // Freeze: keep progress, drop the completion event. The
             // invalid EventId forces a reschedule once the flow resumes.
@@ -527,7 +536,7 @@ FluidNetwork::recompute()
         }
         if (changed || !flow.completion.valid()) {
             sim_.cancel(flow.completion);
-            FlowId id = scratchIds_[i];
+            const FlowId id = flow.id;
             flow.completion = sim_.schedule(
                 sim_.now() + flow.remaining / flow.rate,
                 [this, id] { finishFlow(id); });

@@ -34,12 +34,19 @@
  * per-event cost from O(all resources) into O(active members) — the
  * difference between a 100-chip and a 100k-chip torus being simulable.
  *
+ * Flows live in stable slots of a table, reused through a free list,
+ * and every pass over them walks the live flows in start (`FlowId`)
+ * order. So each load is summed, each member list is built and each
+ * same-instant completion is scheduled in start order, and a run's
+ * exact floating-point results do not depend on how a container lays
+ * out its entries.
+ *
  * The waterfill's pick comes from a lazy max-heap of those member
  * resources, keyed by oversubscription ratio (load over capacity,
  * highest first, lowest resource id on ties) and built once per
  * recompute. Rates only fall during a waterfill, and IEEE multiply,
- * add and divide are monotone, so with loads summed in a fixed member
- * order a key is an upper bound on its resource's current ratio. A
+ * add and divide are monotone, so with loads summed in flow-id order
+ * a key is an upper bound on its resource's current ratio. A
  * popped key that still equals the recomputed ratio is therefore the
  * most oversubscribed resource, lowest id on ties: the pick of a full
  * scan in increasing resource id. A stale key goes back with its new
@@ -53,13 +60,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/critical_path.hpp"
 #include "sim/simulator.hpp"
-#include "util/arena.hpp"
 #include "util/units.hpp"
 
 namespace meshslice {
@@ -168,12 +173,20 @@ class FluidNetwork
      * Start a flow of @p size units with the given demand vector.
      * @p on_complete fires when the flow finishes. Demands must be
      * non-empty with positive coefficients.
-     * @return id usable with `isActive`.
+     * @return id usable with `isActive`; ids grow with start order and
+     * are never reused within a network. A zero-size flow gets id 0,
+     * which is never active.
      */
     FlowId startFlow(double size, std::vector<Demand> demands,
                      std::function<void()> on_complete);
 
-    bool isActive(FlowId id) const { return flows_.count(id) > 0; }
+    /** True while the flow @p id runs (started, not finished or
+     *  cancelled). */
+    bool isActive(FlowId id) const
+    {
+        return id > 0 && slotOf(id) < flows_.size() &&
+               flows_[slotOf(id)].id == id;
+    }
 
     /**
      * Abort an in-flight flow without running its completion callback.
@@ -186,7 +199,10 @@ class FluidNetwork
      */
     bool cancelFlow(FlowId id);
 
-    size_t activeFlowCount() const { return flows_.size(); }
+    size_t activeFlowCount() const
+    {
+        return flows_.size() - freeFlowSlots_.size();
+    }
 
     /** Number of registered resources (ids are [0, resourceCount)). */
     size_t resourceCount() const { return resources_.size(); }
@@ -237,6 +253,8 @@ class FluidNetwork
 
     struct Flow
     {
+        /** (start sequence << 32) | slot; 0 marks a free slot. */
+        FlowId id = 0;
         double remaining = 0.0;
         double rate = 0.0;
         Time lastUpdate = 0.0;
@@ -250,10 +268,10 @@ class FluidNetwork
         ResourceId binding = -1; ///< rate-limiting resource
     };
 
-    /** Flow map nodes live on the per-run arena. */
-    using FlowMap = std::unordered_map<
-        FlowId, Flow, std::hash<FlowId>, std::equal_to<FlowId>,
-        ArenaAllocator<std::pair<const FlowId, Flow>>>;
+    static size_t slotOf(FlowId id)
+    {
+        return static_cast<size_t>(id & 0xffffffff);
+    }
 
     void markDirty();
     void recompute();
@@ -265,20 +283,24 @@ class FluidNetwork
      *  loaded by the previous rate assignment plus @p demands. */
     void settleFlowResources(const std::vector<Demand> &demands);
     void finishFlow(FlowId id);
+    /** Free @p flow's slot and release its resources' flow counts. */
+    void releaseFlow(Flow &flow);
 
     Simulator &sim_;
     std::vector<Resource> resources_;
-    Arena arena_;
-    FlowMap flows_;
-    FlowId nextFlowId_ = 1;
+    /** Flow table: a slot keeps its record until the flow ends. */
+    std::vector<Flow> flows_;
+    std::vector<std::uint32_t> freeFlowSlots_;
+    /** Ids of started flows in start order. Ids of flows that ended
+     *  since the last recompute stay until it drops them. */
+    std::vector<FlowId> liveIds_;
+    FlowId nextFlowSeq_ = 1;
     bool dirty_ = false;
     bool publishFlowInfo_ = false;
     FlowEndInfo lastFlowInfo_;
 
     // --- recompute scratch, reused across calls (capacity persists so
     // steady-state recomputes allocate nothing) ---
-    std::vector<Flow *> scratchFlows_;
-    std::vector<FlowId> scratchIds_;
     std::vector<double> scratchRate_;
     std::vector<double> scratchSolo_;
     std::vector<char> scratchParked_;
@@ -286,7 +308,7 @@ class FluidNetwork
     std::vector<ResourceId> scratchBinding_;
     /** Resources demanded by at least one non-parked flow this round. */
     std::vector<ResourceId> memberIds_;
-    /** memberLists_[memberSlot_[r]] = (flow index, coeff) pairs on r;
+    /** memberLists_[memberSlot_[r]] = (liveIds_ index, coeff) pairs on r;
      *  valid while resourceEpoch_[r] == epoch_. */
     std::vector<std::vector<std::pair<std::size_t, double>>> memberLists_;
     std::vector<std::int32_t> memberSlot_;

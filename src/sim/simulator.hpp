@@ -9,7 +9,7 @@
  * deterministic.
  *
  * The queue is a binary min-heap over (time, sequence) backed by a
- * recycled slot pool for the callbacks — the event arena of a run.
+ * recycled slot pool for the callbacks.
  * Cancellation is O(1): the slot is invalidated and freed immediately,
  * and the stale heap entry is discarded when it surfaces (it does not
  * count as a processed event). Rate-shared flows reschedule their

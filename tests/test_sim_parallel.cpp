@@ -7,8 +7,7 @@
  * the busy+idle==wall conservation law exact. The robust re-rank and
  * the explain layer simulate each distinct GeMM spec once; their folds
  * must equal a per-GeMM loop bit for bit. Also covers the event
- * queue's lazy-cancellation heap against a reference ordering and the
- * arena allocator backing per-run event/flow storage.
+ * queue's lazy-cancellation heap against a reference ordering.
  */
 #include <algorithm>
 #include <cstdint>
@@ -35,7 +34,6 @@
 #include "tuner/pipeline_tuner.hpp"
 #include "tuner/robust.hpp"
 #include "tuner/search_trace.hpp"
-#include "util/arena.hpp"
 #include "util/parallel.hpp"
 
 namespace meshslice {
@@ -218,30 +216,6 @@ TEST(SimParallel, CancelAfterHeapEntrySurfacesDoesNotCount)
 }
 
 // ---------------------------------------------------------------------
-// Arena allocator (per-run event/flow storage).
-
-TEST(SimParallel, ArenaRecyclesFreedBlocks)
-{
-    Arena arena(1024);
-    void *a = arena.allocate(64, 8);
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(arena.bytesInUse(), 64u);
-    arena.deallocate(a, 64);
-    EXPECT_EQ(arena.bytesInUse(), 0u);
-    // Same size class -> the free list must hand the block back.
-    void *b = arena.allocate(64, 8);
-    EXPECT_EQ(b, a);
-    arena.deallocate(b, 64);
-
-    // An STL container on the arena allocator round-trips.
-    std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(&arena)};
-    for (int i = 0; i < 1000; ++i)
-        v.push_back(i);
-    EXPECT_EQ(v[999], 999);
-    EXPECT_GT(arena.bytesReserved(), 0u);
-}
-
-// ---------------------------------------------------------------------
 // Batched fluid accounting: conservation exact.
 
 TEST(SimParallel, ConservationExactUnderBatchedAccounting)
@@ -281,8 +255,8 @@ TEST(SimParallel, ConcurrentScenarioRunsAreIndependent)
     // 32 full simulator runs on private clusters, concurrently on the
     // pool, each with a private stats registry. Under TSan this is the
     // race detector for the whole per-run state (simulator heap, fluid
-    // scratch, arena, calibration cache); in any build the results
-    // must all be bit-identical to the serial reference.
+    // flow table and scratch, calibration cache); in any build the
+    // results must all be bit-identical to the serial reference.
     PoolGuard guard;
     const ChipConfig cfg = tpuV4Config();
     Gemm2DSpec spec;
