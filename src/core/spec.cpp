@@ -241,6 +241,17 @@ requireDivides(const char *what, std::int64_t dim, std::int64_t by,
               static_cast<long long>(by));
 }
 
+void
+requireShards(const char *operand, std::int64_t height, std::int64_t width,
+              const Gemm2DSpec &spec, const std::string &s)
+{
+    if (height % spec.rows != 0 || width % spec.cols != 0)
+        fatal("Gemm2DSpec %s: operand %s (%lldx%lld) does not shard "
+              "evenly over the %dx%d mesh",
+              s.c_str(), operand, static_cast<long long>(height),
+              static_cast<long long>(width), spec.rows, spec.cols);
+}
+
 } // namespace
 
 void
@@ -276,6 +287,13 @@ validateSpec(const Gemm2DSpec &spec)
         requireDivides("N", spec.n, spec.cols, "cols", s);
         break;
     }
+    // Every operand, in its per-dataflow shape (core/functional.hpp),
+    // is scattered over the whole mesh.
+    const bool ls = spec.dataflow == Dataflow::kLS;
+    const bool rs = spec.dataflow == Dataflow::kRS;
+    requireShards("A", rs ? spec.k : spec.m, rs ? spec.m : spec.k, spec, s);
+    requireShards("B", ls ? spec.n : spec.k, ls ? spec.k : spec.n, spec, s);
+    requireShards("C", spec.m, spec.n, spec, s);
 }
 
 void

@@ -593,6 +593,10 @@ TEST(ValidationDeathTest, SpecShapesAreChecked)
     spec = studySpec();
     spec.bytesPerElement = 0;
     EXPECT_DEATH(validateSpec(spec), "bytesPerElement");
+    spec = studySpec();
+    spec.k = 2050; // A's 2050 columns do not split over 4 mesh columns
+    spec.sliceCount = 1;
+    EXPECT_DEATH(validateSpec(spec), "operand A .* does not shard evenly");
 
     Gemm1DSpec one;
     EXPECT_DEATH(validateSpec(one), "positive");
