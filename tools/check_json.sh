@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the observability report (and, when given, the robustness,
-# recovery, pipeline, explain, micro-kernel, one-sided and elastic
-# reports) in a scratch directory
+# recovery, pipeline, explain, micro-kernel, one-sided, elastic and
+# plan-server reports) in a scratch directory
 # and validates every JSON artifact they produce with
 # `python3 -m json.tool`, plus per-line checks of the JSONL search
 # traces. A missing-but-expected artifact is a failure — including a
@@ -9,56 +9,45 @@
 # in `--smoke` mode (shrunken sweeps, same JSON schema) to keep the
 # tier-1 `check_json` ctest and the `check-json` build target fast.
 #
-# Usage: check_json.sh <observability_report> [robustness_report]
-#        [recovery_report] [pipeline_report] [explain_report]
-#        [micro_kernels] [onesided_report] [elastic_report]
-#        [plan_server_report] [chips]
+# Usage: check_json.sh <report binary>... [chips]
+#
+# Each report binary is recognised by its file name, in any order:
+# observability_report (required), robustness_report, recovery_report,
+# pipeline_report, explain_report, micro_kernels, onesided_report,
+# elastic_report and plan_server_report. An argument that is not an
+# executable file is the chip count (default 16).
 set -euo pipefail
 
-bin=$(readlink -f "$1")
-shift
-robust_bin=""
-recovery_bin=""
-pipeline_bin=""
-explain_bin=""
-micro_bin=""
-onesided_bin=""
-elastic_bin=""
-planserver_bin=""
+declare -A bin=()
 chips=16
 for arg in "$@"; do
     if [ -f "$arg" ] && [ -x "$arg" ]; then
-        if [ -z "$robust_bin" ]; then
-            robust_bin=$(readlink -f "$arg")
-        elif [ -z "$recovery_bin" ]; then
-            recovery_bin=$(readlink -f "$arg")
-        elif [ -z "$pipeline_bin" ]; then
-            pipeline_bin=$(readlink -f "$arg")
-        elif [ -z "$explain_bin" ]; then
-            explain_bin=$(readlink -f "$arg")
-        elif [ -z "$micro_bin" ]; then
-            micro_bin=$(readlink -f "$arg")
-        elif [ -z "$onesided_bin" ]; then
-            onesided_bin=$(readlink -f "$arg")
-        elif [ -z "$elastic_bin" ]; then
-            elastic_bin=$(readlink -f "$arg")
-        elif [ -z "$planserver_bin" ]; then
-            planserver_bin=$(readlink -f "$arg")
-        else
-            echo "check_json.sh: too many report binaries: $arg" >&2
-            exit 2
-        fi
+        name=$(basename "$arg")
+        case $name in
+            observability_report | robustness_report | recovery_report | \
+            pipeline_report | explain_report | micro_kernels | \
+            onesided_report | elastic_report | plan_server_report)
+                bin[$name]=$(readlink -f "$arg") ;;
+            *)
+                echo "check_json.sh: unknown report binary: $arg" >&2
+                exit 2 ;;
+        esac
     else
         chips=$arg
     fi
 done
+have() { [ -n "${bin[$1]:-}" ]; }
+if ! have observability_report; then
+    echo "check_json.sh: no observability_report binary given" >&2
+    exit 2
+fi
 python3=${PYTHON3:-python3}
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
 
-"$bin" "$chips" --smoke > report.out
+"${bin[observability_report]}" "$chips" --smoke > report.out
 
 status=0
 check_file() {
@@ -114,16 +103,16 @@ for f in BENCH_observability.json observability_trace.json \
 done
 check_jsonl tuner_search.jsonl
 
-if [ -n "$robust_bin" ]; then
-    "$robust_bin" "$chips" --smoke > robust_report.out
+if have robustness_report; then
+    "${bin[robustness_report]}" "$chips" --smoke > robust_report.out
     for f in BENCH_robustness.json robustness_scenario.json; do
         check_file "$f"
     done
     check_jsonl robust_search.jsonl
 fi
 
-if [ -n "$recovery_bin" ]; then
-    "$recovery_bin" "$chips" --smoke > recovery_report.out
+if have recovery_report; then
+    "${bin[recovery_report]}" "$chips" --smoke > recovery_report.out
     for f in BENCH_recovery.json recovery_scenario.json; do
         check_file "$f"
     done
@@ -159,11 +148,11 @@ EOF
     fi
 fi
 
-if [ -n "$pipeline_bin" ]; then
+if have pipeline_report; then
     # The pipeline report sizes its own clusters (GPT-3 vs Megatron-NLG
     # need different factorizations), so it runs at its built-in default
     # chip count rather than the shared positional one.
-    "$pipeline_bin" --smoke > pipeline_report.out
+    "${bin[pipeline_report]}" --smoke > pipeline_report.out
     check_file BENCH_pipeline.json
     check_jsonl pipeline_search.jsonl
     # The report embeds its own acceptance cross-checks; surface them.
@@ -185,8 +174,8 @@ EOF
     fi
 fi
 
-if [ -n "$explain_bin" ]; then
-    "$explain_bin" "$chips" --smoke > explain_report.out
+if have explain_report; then
+    "${bin[explain_report]}" "$chips" --smoke > explain_report.out
     check_file BENCH_explain.json
     check_file explain_trace.json
     check_jsonl explain_search.jsonl
@@ -213,10 +202,10 @@ EOF
     fi
 fi
 
-if [ -n "$micro_bin" ]; then
+if have micro_kernels; then
     # The micro-kernel bench's positional argument is the GeMM dim,
     # not a chip count; --smoke picks its own sizes.
-    "$micro_bin" --smoke > micro_kernels.out
+    "${bin[micro_kernels]}" --smoke > micro_kernels.out
     check_file BENCH_kernels.json
     # The sim_throughput section (parallel-simulation PR) must be
     # present, with the bench's own determinism check true.
@@ -247,8 +236,8 @@ EOF
     fi
 fi
 
-if [ -n "$onesided_bin" ]; then
-    "$onesided_bin" "$chips" --smoke > onesided_report.out
+if have onesided_report; then
+    "${bin[onesided_report]}" "$chips" --smoke > onesided_report.out
     check_file BENCH_onesided.json
     check_jsonl onesided_search.jsonl
     # The one-sided report embeds its own acceptance cross-checks
@@ -280,8 +269,8 @@ EOF
     fi
 fi
 
-if [ -n "$elastic_bin" ]; then
-    "$elastic_bin" "$chips" --smoke > elastic_report.out
+if have elastic_report; then
+    "${bin[elastic_report]}" "$chips" --smoke > elastic_report.out
     for f in BENCH_elastic.json elastic_scenario.json \
              elastic_stats.json; do
         check_file "$f"
@@ -317,8 +306,8 @@ EOF
     fi
 fi
 
-if [ -n "$planserver_bin" ]; then
-    "$planserver_bin" "$chips" --smoke > plan_server_report.out
+if have plan_server_report; then
+    "${bin[plan_server_report]}" "$chips" --smoke > plan_server_report.out
     for f in BENCH_planserver.json plan_server_cache.json; do
         check_file "$f"
     done
