@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmark of the host-side hot paths this repo's design depends
- * on: the blocked multithreaded `Matrix::gemmAcc` kernel, the
+ * on: the blocked multithreaded `Matrix::gemmAcc` kernel (its
+ * `gemm.kernel` leaf names the instruction-set variant that ran), the
  * autotuner's parallel design-space search, the calibration cache, and
  * — since the parallel-simulation PR — the discrete-event simulator
  * itself (`sim_throughput`: event batching within one run, concurrent
@@ -32,6 +33,7 @@
 #include "bench/common.hpp"
 #include "core/fault_study.hpp"
 #include "core/taskgraph.hpp"
+#include "gemm/gemm_kernels.hpp"
 #include "gemm/matrix.hpp"
 #include "model/transformer.hpp"
 #include "net/topology.hpp"
@@ -133,6 +135,8 @@ main(int argc, char **argv)
     // parallel, all computing C += A*B on dim^3. The serial run
     // exercises the single-thread inline dispatch (no pool hand-off);
     // both paths are recorded so the dispatch overhead is visible.
+    // The blocked runs use the micro-kernel variant this host picks.
+    const char *kernel = activeGemmKernel().name;
     const Matrix a = Matrix::random(dim, dim, 1);
     const Matrix b = Matrix::random(dim, dim, 2);
 
@@ -157,7 +161,7 @@ main(int argc, char **argv)
     }
 
     const double gemm_speedup = naive_ms / blocked_parallel_ms;
-    std::cout << "gemm " << dim << "^3:\n"
+    std::cout << "gemm " << dim << "^3 (" << kernel << " kernel):\n"
               << "  naive (pre-PR)    " << naive_ms << " ms  "
               << gflops(dim, dim, dim, naive_ms) << " GFLOP/s\n"
               << "  blocked serial    " << blocked_serial_ms << " ms  "
@@ -316,6 +320,7 @@ main(int argc, char **argv)
          << std::thread::hardware_concurrency() << ",\n"
          << "  \"smoke\": " << (args.smoke ? "true" : "false") << ",\n"
          << "  \"gemm\": {\n"
+         << "    \"kernel\": \"" << kernel << "\",\n"
          << "    \"dim\": " << dim << ",\n"
          << "    \"naive_ms\": " << naive_ms << ",\n"
          << "    \"blocked_serial_ms\": " << blocked_serial_ms << ",\n"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "util/logging.hpp"
 #include "util/math.hpp"
@@ -241,18 +242,38 @@ requireDivides(const char *what, std::int64_t dim, std::int64_t by,
               static_cast<long long>(by));
 }
 
-void
-requireShards(const char *operand, std::int64_t height, std::int64_t width,
-              const Gemm2DSpec &spec, const std::string &s)
+/** One operand of a 2D GeMM, (height x width) in its per-dataflow
+ *  shape (core/functional.hpp). */
+struct OperandShape
 {
-    if (height % spec.rows != 0 || width % spec.cols != 0)
-        fatal("Gemm2DSpec %s: operand %s (%lldx%lld) does not shard "
-              "evenly over the %dx%d mesh",
-              s.c_str(), operand, static_cast<long long>(height),
-              static_cast<long long>(width), spec.rows, spec.cols);
+    const char *name;
+    std::int64_t height;
+    std::int64_t width;
+};
+
+/** The first of A, B and C that does not split evenly over the spec's
+ *  mesh, if any. */
+std::optional<OperandShape>
+unevenOperand(const Gemm2DSpec &spec)
+{
+    const bool ls = spec.dataflow == Dataflow::kLS;
+    const bool rs = spec.dataflow == Dataflow::kRS;
+    for (const OperandShape &op :
+         {OperandShape{"A", rs ? spec.k : spec.m, rs ? spec.m : spec.k},
+          OperandShape{"B", ls ? spec.n : spec.k, ls ? spec.k : spec.n},
+          OperandShape{"C", spec.m, spec.n}})
+        if (op.height % spec.rows != 0 || op.width % spec.cols != 0)
+            return op;
+    return std::nullopt;
 }
 
 } // namespace
+
+bool
+operandsShardEvenly(const Gemm2DSpec &spec)
+{
+    return !unevenOperand(spec);
+}
 
 void
 validateSpec(const Gemm2DSpec &spec)
@@ -287,13 +308,12 @@ validateSpec(const Gemm2DSpec &spec)
         requireDivides("N", spec.n, spec.cols, "cols", s);
         break;
     }
-    // Every operand, in its per-dataflow shape (core/functional.hpp),
-    // is scattered over the whole mesh.
-    const bool ls = spec.dataflow == Dataflow::kLS;
-    const bool rs = spec.dataflow == Dataflow::kRS;
-    requireShards("A", rs ? spec.k : spec.m, rs ? spec.m : spec.k, spec, s);
-    requireShards("B", ls ? spec.n : spec.k, ls ? spec.k : spec.n, spec, s);
-    requireShards("C", spec.m, spec.n, spec, s);
+    // Every operand is scattered over the whole mesh.
+    if (const std::optional<OperandShape> op = unevenOperand(spec))
+        fatal("Gemm2DSpec %s: operand %s (%lldx%lld) does not shard "
+              "evenly over the %dx%d mesh",
+              s.c_str(), op->name, static_cast<long long>(op->height),
+              static_cast<long long>(op->width), spec.rows, spec.cols);
 }
 
 void

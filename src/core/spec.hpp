@@ -103,6 +103,13 @@ struct Gemm2DSpec
  */
 void validateSpec(const Gemm2DSpec &spec);
 
+/**
+ * True iff A, B and C, each in its per-dataflow shape
+ * (core/functional.hpp), split evenly over the spec's rows x cols mesh
+ * — the operand-sharding rule `validateSpec` enforces.
+ */
+bool operandsShardEvenly(const Gemm2DSpec &spec);
+
 /** One moving matrix: its full size and the collective it uses. */
 struct FlowSide
 {

@@ -1,5 +1,8 @@
 #include "gemm/dist_matrix.hpp"
 
+#include <algorithm>
+#include <atomic>
+
 #include "util/logging.hpp"
 
 namespace meshslice {
@@ -22,15 +25,10 @@ DistMatrix
 DistMatrix::scatter(const Matrix &full, MeshShape mesh)
 {
     DistMatrix out(mesh, full.rows(), full.cols());
-    const std::int64_t sr = out.shardRows();
-    const std::int64_t sc = out.shardCols();
-    for (int i = 0; i < mesh.rows; ++i)
-        for (int j = 0; j < mesh.cols; ++j) {
-            Matrix &shard = out.shardAt(i, j);
-            for (std::int64_t r = 0; r < sr; ++r)
-                for (std::int64_t c = 0; c < sc; ++c)
-                    shard.at(r, c) = full.at(i * sr + r, j * sc + c);
-        }
+    out.forEachShardRow([&](std::int64_t r, std::int64_t c0, float *row,
+                            std::int64_t count) {
+        std::copy_n(full.data() + r * full.cols() + c0, count, row);
+    });
     return out;
 }
 
@@ -38,16 +36,49 @@ Matrix
 DistMatrix::gather() const
 {
     Matrix full(rows_, cols_);
+    forEachShardRow([&](std::int64_t r, std::int64_t c0, const float *row,
+                        std::int64_t count) {
+        std::copy_n(row, count, full.data() + r * cols_ + c0);
+    });
+    return full;
+}
+
+void
+DistMatrix::readRow(std::int64_t r, std::int64_t c0, std::int64_t count,
+                    float *out) const
+{
+    if (r < 0 || r >= rows_ || c0 < 0 || count < 0 || c0 + count > cols_)
+        panic("DistMatrix::readRow: row %lld, columns [%lld, %lld) outside "
+              "%lldx%lld", static_cast<long long>(r),
+              static_cast<long long>(c0),
+              static_cast<long long>(c0 + count),
+              static_cast<long long>(rows_), static_cast<long long>(cols_));
     const std::int64_t sr = shardRows();
     const std::int64_t sc = shardCols();
-    for (int i = 0; i < mesh_.rows; ++i)
-        for (int j = 0; j < mesh_.cols; ++j) {
-            const Matrix &shard = shardAt(i, j);
-            for (std::int64_t r = 0; r < sr; ++r)
-                for (std::int64_t c = 0; c < sc; ++c)
-                    full.at(i * sr + r, j * sc + c) = shard.at(r, c);
-        }
-    return full;
+    const std::int64_t end = c0 + count;
+    for (std::int64_t c = c0; c < end;) {
+        const std::int64_t j = c / sc;
+        const std::int64_t run_end = std::min((j + 1) * sc, end);
+        const Matrix &shard =
+            shardAt(static_cast<int>(r / sr), static_cast<int>(j));
+        std::copy_n(shard.data() + (r % sr) * sc + (c - j * sc),
+                    run_end - c, out + (c - c0));
+        c = run_end;
+    }
+}
+
+bool
+DistMatrix::sameAs(const Matrix &full) const
+{
+    if (full.rows() != rows_ || full.cols() != cols_)
+        return false;
+    std::atomic<bool> same{true};
+    forEachShardRow([&](std::int64_t r, std::int64_t c0, const float *row,
+                        std::int64_t count) {
+        if (!sameFloats(row, full.data() + r * cols_ + c0, count))
+            same.store(false, std::memory_order_relaxed);
+    });
+    return same.load();
 }
 
 Matrix &

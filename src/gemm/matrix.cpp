@@ -1,8 +1,11 @@
 #include "gemm/matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
+#include "gemm/gemm_kernels.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/parallel.hpp"
@@ -22,9 +25,22 @@ Matrix
 Matrix::random(std::int64_t rows, std::int64_t cols, std::uint64_t seed)
 {
     Matrix m(rows, cols);
-    std::uint64_t state = seed;
-    for (auto &v : m.data_)
-        v = static_cast<float>(uniform01(state) * 2.0 - 1.0);
+    // Row r's first draw is draw r * cols of the serial stream, so
+    // its state starts at seed + (r * cols) * gamma.
+    const auto fill = [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t r = begin; r < end; ++r) {
+            std::uint64_t state =
+                seed + static_cast<std::uint64_t>(r * cols) *
+                           kSplitMix64Gamma;
+            float *row = m.data() + r * cols;
+            for (std::int64_t c = 0; c < cols; ++c)
+                row[c] = static_cast<float>(uniform01(state) * 2.0 - 1.0);
+        }
+    };
+    parallelFor(rows,
+                std::max<std::int64_t>(
+                    1, kElementsPerTask / std::max<std::int64_t>(cols, 1)),
+                fill);
     return m;
 }
 
@@ -133,9 +149,15 @@ Matrix::maxAbsDiff(const Matrix &other) const
               static_cast<long long>(other.rows_),
               static_cast<long long>(other.cols_));
     double worst = 0.0;
-    for (size_t i = 0; i < data_.size(); ++i)
-        worst = std::max(
-            worst, static_cast<double>(std::fabs(data_[i] - other.data_[i])));
+    for (size_t i = 0; i < data_.size(); ++i) {
+        const float x = data_[i], y = other.data_[i];
+        if (x == y)
+            continue;
+        const double d = std::fabs(x - y);
+        if (std::isnan(d))
+            return d;
+        worst = std::max(worst, d);
+    }
     return worst;
 }
 
@@ -143,6 +165,21 @@ bool
 Matrix::allClose(const Matrix &other, double tol) const
 {
     return maxAbsDiff(other) <= tol;
+}
+
+bool
+sameFloats(const float *x, const float *y, std::int64_t n)
+{
+    // Branch-free integer ORs, so the loop vectorizes: any differing
+    // bit, or |x| above the infinity pattern (a NaN, which wraps the
+    // subtraction into bit 31), leaves a bit set.
+    std::uint32_t bad = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+        const auto bits = std::bit_cast<std::uint32_t>(x[i]);
+        bad |= (bits ^ std::bit_cast<std::uint32_t>(y[i])) |
+               ((0x7f800000u - (bits & 0x7fffffffu)) >> 31);
+    }
+    return bad == 0;
 }
 
 namespace {
@@ -154,56 +191,155 @@ constexpr std::int64_t kRowTile = 64;
 /** Contraction extent per panel (~64 KiB of B rows at n=64). */
 constexpr std::int64_t kColTileK = 256;
 
+typedef float Vec4 __attribute__((vector_size(16)));
+typedef float Vec8 __attribute__((vector_size(32)));
+typedef float Vec16 __attribute__((vector_size(64)));
+
 /**
- * One (kRowTile x kColTileK) panel update: C[i0:i1, :] +=
- * A[i0:i1, k0:k1] * B[k0:k1, :]. Branch-free, with the contraction
- * unrolled 4x so each C element stays in a register across four
- * multiply-adds (4x less C traffic than the naive loop). The four
- * adds are issued as *separate* statements in increasing-p order and
- * the k-panels are visited in order, so every output element
- * accumulates its terms in exactly the naive triple loop's order —
- * results are bit-identical, not merely close.
+ * C[0:R, 0:NV*W] += A[0:R, k0:k1] * B[k0:k1, 0:NV*W] for one register
+ * tile (W = floats per vector V). The R x NV accumulators stay in
+ * registers while k runs innermost in increasing order, one multiply
+ * and one add per term, so every element sums its terms in the naive
+ * loop's order. The translation unit is compiled with
+ * -ffp-contract=off: GCC fuses `acc + a * b` into an FMA under
+ * `target("avx512f")` otherwise, which rounds once instead of twice.
  */
-void
-gemmPanel(const float *__restrict a, const float *__restrict b,
-          float *__restrict c, std::int64_t i0, std::int64_t i1,
-          std::int64_t k0, std::int64_t k1, std::int64_t k,
-          std::int64_t n)
+template <typename V, int R, int NV>
+[[gnu::always_inline]] inline void
+registerTile(const float *__restrict a, const float *__restrict b,
+             float *__restrict c, std::int64_t k0, std::int64_t k1,
+             std::int64_t k, std::int64_t n)
 {
-    for (std::int64_t i = i0; i < i1; ++i) {
-        const float *arow = a + i * k;
-        float *__restrict crow = c + i * n;
-        std::int64_t p = k0;
-        for (; p + 4 <= k1; p += 4) {
-            const float a0 = arow[p], a1 = arow[p + 1];
-            const float a2 = arow[p + 2], a3 = arow[p + 3];
-            const float *b0 = b + p * n, *b1 = b0 + n;
-            const float *b2 = b1 + n, *b3 = b2 + n;
-            for (std::int64_t j = 0; j < n; ++j) {
-                float v = crow[j];
-                v += a0 * b0[j];
-                v += a1 * b1[j];
-                v += a2 * b2[j];
-                v += a3 * b3[j];
-                crow[j] = v;
-            }
-        }
-        for (; p < k1; ++p) {
-            const float av = arow[p];
-            const float *brow = b + p * n;
-            for (std::int64_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
+    constexpr std::int64_t kW = sizeof(V) / sizeof(float);
+    V acc[R][NV];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v)
+            std::memcpy(&acc[r][v], c + r * n + v * kW, sizeof(V));
+    for (std::int64_t p = k0; p < k1; ++p) {
+        V bv[NV];
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v)
+            std::memcpy(&bv[v], b + p * n + v * kW, sizeof(V));
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+            const float av = a[r * k + p];
+#pragma GCC unroll 8
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = acc[r][v] + av * bv[v];
         }
     }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v)
+            std::memcpy(c + r * n + v * kW, &acc[r][v], sizeof(V));
+}
+
+/** The scalar edge: C[i0:i1, j0:j1] += A[i0:i1, k0:k1] *
+ *  B[k0:k1, j0:j1], each element in increasing-k order. */
+inline void
+scalarBlock(const float *__restrict a, const float *__restrict b,
+            float *__restrict c, std::int64_t i0, std::int64_t i1,
+            std::int64_t j0, std::int64_t j1, std::int64_t k0,
+            std::int64_t k1, std::int64_t k, std::int64_t n)
+{
+    for (std::int64_t i = i0; i < i1; ++i)
+        for (std::int64_t p = k0; p < k1; ++p) {
+            const float av = a[i * k + p];
+            for (std::int64_t j = j0; j < j1; ++j)
+                c[i * n + j] += av * b[p * n + j];
+        }
+}
+
+/**
+ * One (rows [i0, i1), k-panel [k0, k1)) update: R x (NV*W) register
+ * tiles, column strip by column strip so one strip of the B panel is
+ * reused by every row tile of the panel, then the scalar edge for the
+ * leftover columns and rows. Each element of C is updated by exactly
+ * one tile or edge per k-panel.
+ */
+template <typename V, int R, int NV>
+[[gnu::always_inline]] inline void
+panelKernel(const float *__restrict a, const float *__restrict b,
+            float *__restrict c, std::int64_t i0, std::int64_t i1,
+            std::int64_t k0, std::int64_t k1, std::int64_t k,
+            std::int64_t n)
+{
+    constexpr std::int64_t kTileN = NV * (sizeof(V) / sizeof(float));
+    const std::int64_t i_end = i0 + (i1 - i0) / R * R;
+    const std::int64_t j_end = n / kTileN * kTileN;
+    for (std::int64_t j = 0; j < j_end; j += kTileN)
+        for (std::int64_t i = i0; i < i_end; i += R)
+            registerTile<V, R, NV>(a + i * k, b + j, c + i * n + j, k0, k1,
+                                   k, n);
+    scalarBlock(a, b, c, i0, i_end, j_end, n, k0, k1, k, n);
+    scalarBlock(a, b, c, i_end, i1, 0, n, k0, k1, k, n);
+}
+
+// One instantiation per instruction set. The AVX2 tile is 4x2: a 4x3
+// tile needs more than AVX2's 16 vector registers and spills.
+void
+panelBaseline(const float *a, const float *b, float *c, std::int64_t i0,
+              std::int64_t i1, std::int64_t k0, std::int64_t k1,
+              std::int64_t k, std::int64_t n)
+{
+    panelKernel<Vec4, 4, 2>(a, b, c, i0, i1, k0, k1, k, n);
+}
+
+__attribute__((target("avx2"))) void
+panelAvx2(const float *a, const float *b, float *c, std::int64_t i0,
+          std::int64_t i1, std::int64_t k0, std::int64_t k1,
+          std::int64_t k, std::int64_t n)
+{
+    panelKernel<Vec8, 4, 2>(a, b, c, i0, i1, k0, k1, k, n);
+}
+
+__attribute__((target("avx512f"))) void
+panelAvx512(const float *a, const float *b, float *c, std::int64_t i0,
+            std::int64_t i1, std::int64_t k0, std::int64_t k1,
+            std::int64_t k, std::int64_t n)
+{
+    panelKernel<Vec16, 4, 3>(a, b, c, i0, i1, k0, k1, k, n);
 }
 
 } // namespace
 
+std::span<const GemmKernel>
+gemmKernels()
+{
+    __builtin_cpu_init(); // a no-op unless called before constructors
+    static const GemmKernel kernels[] = {
+        {"baseline", true, panelBaseline},
+        {"avx2", __builtin_cpu_supports("avx2") != 0, panelAvx2},
+        {"avx512f", __builtin_cpu_supports("avx512f") != 0, panelAvx512},
+    };
+    return kernels;
+}
+
+const GemmKernel &
+activeGemmKernel()
+{
+    static const GemmKernel &active = []() -> const GemmKernel & {
+        const std::span<const GemmKernel> all = gemmKernels();
+        for (auto it = all.rbegin(); it != all.rend(); ++it)
+            if (it->supported)
+                return *it;
+        return all.front();
+    }();
+    return active;
+}
+
 void
-Matrix::gemmAcc(const Matrix &a, const Matrix &b, Matrix &c)
+gemmAccWith(const GemmKernel &kernel, const Matrix &a, const Matrix &b,
+            Matrix &c)
 {
     if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols())
         panic("Matrix::gemmAcc: shape mismatch");
+    if (!kernel.supported)
+        panic("gemmAccWith: the %s kernel does not run on this host",
+              kernel.name);
     const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
     if (m == 0 || k == 0 || n == 0)
         return;
@@ -216,8 +352,8 @@ Matrix::gemmAcc(const Matrix &a, const Matrix &b, Matrix &c)
             const std::int64_t i0 = panel * kRowTile;
             const std::int64_t i1 = std::min(i0 + kRowTile, m);
             for (std::int64_t k0 = 0; k0 < k; k0 += kColTileK)
-                gemmPanel(a.data(), b.data(), c.data(), i0, i1, k0,
-                          std::min(k0 + kColTileK, k), k, n);
+                kernel.panel(a.data(), b.data(), c.data(), i0, i1, k0,
+                             std::min(k0 + kColTileK, k), k, n);
         }
     };
     // Pool dispatch costs a mutex round-trip plus a std::function call
@@ -228,6 +364,12 @@ Matrix::gemmAcc(const Matrix &a, const Matrix &b, Matrix &c)
         return;
     }
     parallelFor(panels, 1, run_panels);
+}
+
+void
+Matrix::gemmAcc(const Matrix &a, const Matrix &b, Matrix &c)
+{
+    gemmAccWith(activeGemmKernel(), a, b, c);
 }
 
 Matrix

@@ -20,6 +20,10 @@ namespace meshslice {
 class Matrix
 {
   public:
+    /** Elementwise passes hand the shared pool tasks of about this many
+     *  elements; a smaller matrix runs inline. */
+    static constexpr std::int64_t kElementsPerTask = 1 << 16;
+
     Matrix() = default;
     Matrix(std::int64_t rows, std::int64_t cols);
 
@@ -41,7 +45,10 @@ class Matrix
     const float *data() const { return data_.data(); }
     float *data() { return data_.data(); }
 
-    /** Deterministic pseudo-random matrix in [-1, 1). */
+    /** Deterministic pseudo-random matrix in [-1, 1): element e (row
+     *  major) is the (e+1)-th draw of the splitmix64 stream from
+     *  @p seed. Rows fill in parallel on the shared pool; the result
+     *  does not depend on the thread count. */
     static Matrix random(std::int64_t rows, std::int64_t cols,
                          std::uint64_t seed);
 
@@ -65,18 +72,24 @@ class Matrix
     /** this += other (same shape). */
     void add(const Matrix &other);
 
-    /** Max absolute element difference; shapes must match. */
+    /** Max absolute element difference; shapes must match. NaN when
+     *  either side holds a NaN; equal elements (+0 and -0, equal
+     *  infinities) differ by 0. */
     double maxAbsDiff(const Matrix &other) const;
 
-    /** True if every element differs by at most @p tol. */
+    /** True if every element differs by at most @p tol (false when
+     *  either side holds a NaN). */
     bool allClose(const Matrix &other, double tol = 1e-3) const;
 
     /**
      * c += a * b (shapes must agree). Cache-blocked (64-row x 256-k
      * panels) and parallelized over row panels on the shared pool;
-     * per output element the contraction accumulates in increasing-k
-     * order, so results are bit-identical to the naive triple loop
-     * for any `MESHSLICE_THREADS`.
+     * inside a panel a register-blocked micro-kernel runs, built for
+     * the widest of baseline x86-64, AVX2 and AVX-512F that the host
+     * supports (`gemm/gemm_kernels.hpp`). Per output element the
+     * contraction accumulates in increasing-k order with a separate
+     * multiply and add per term, so results are bit-identical to the
+     * naive triple loop on every host and for any `MESHSLICE_THREADS`.
      */
     static void gemmAcc(const Matrix &a, const Matrix &b, Matrix &c);
 
@@ -88,6 +101,13 @@ class Matrix
     std::int64_t cols_ = 0;
     std::vector<float> data_;
 };
+
+/**
+ * True iff x[i] and y[i] have the same bits and are not NaN, for every
+ * i < @p n: exact equality that also tells -0 from +0 and fails on a
+ * NaN on either side.
+ */
+bool sameFloats(const float *x, const float *y, std::int64_t n);
 
 } // namespace meshslice
 

@@ -185,24 +185,14 @@ reshard(const DistMatrix &m, const SurvivorMesh &sv)
               "survivor mesh", static_cast<long long>(m.rows()),
               static_cast<long long>(m.cols()), to.rows, to.cols);
 
-    const std::int64_t nr1 = m.shardRows();
-    const std::int64_t nc1 = m.shardCols();
-    const std::int64_t nr2 = m.rows() / to.rows;
-    const std::int64_t nc2 = m.cols() / to.cols;
-
     DistMatrix out(to, m.rows(), m.cols());
-    // Element-wise copy in global coordinates: trivially bit-exact and
-    // independent of how the block movements are batched.
-    for (std::int64_t r = 0; r < m.rows(); ++r) {
-        const int i = static_cast<int>(r / nr1);
-        const int p = static_cast<int>(r / nr2);
-        for (std::int64_t c = 0; c < m.cols(); ++c) {
-            const int j = static_cast<int>(c / nc1);
-            const int q = static_cast<int>(c / nc2);
-            out.shardAt(p, q).at(r % nr2, c % nc2) =
-                m.shardAt(i, j).at(r % nr1, c % nc1);
-        }
-    }
+    // Each new shard row is read from the old layout in contiguous
+    // runs that end at the old shard boundaries: a pure copy, so
+    // bit-exact and independent of how block movements are batched.
+    out.forEachShardRow([&](std::int64_t r, std::int64_t c0, float *row,
+                            std::int64_t count) {
+        m.readRow(r, c0, count, row);
+    });
     return out;
 }
 

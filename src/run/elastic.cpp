@@ -1,6 +1,7 @@
 #include "run/elastic.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -296,7 +297,7 @@ runRecoveryReshardPhase(const ChipConfig &cfg, const Gemm2DSpec &spec,
 struct FunctionalState
 {
     Matrix aFull, bFull, pFull, w0Full;
-    DistMatrix a, b, w, p;
+    DistMatrix a, b, w;
     DistMatrix ckptW; ///< W snapshot at the last checkpoint
 };
 
@@ -312,42 +313,50 @@ initFunctional(FunctionalState &fs, const Gemm2DSpec &spec,
     fs.a = DistMatrix::scatter(fs.aFull, mesh);
     fs.b = DistMatrix::scatter(fs.bFull, mesh);
     fs.w = DistMatrix::scatter(fs.w0Full, mesh);
-    fs.p = DistMatrix::scatter(fs.pFull, mesh);
     fs.ckptW = fs.w;
 }
 
-/** W += lr * P, shard-wise (elementwise, so layout-independent). */
+/** W += lr * P, shard row by shard row (elementwise, so
+ *  layout-independent). */
 void
-applyStepUpdate(DistMatrix &w, const DistMatrix &p)
+applyStepUpdate(FunctionalState &fs)
 {
-    for (int r = 0; r < w.mesh().rows; ++r) {
-        for (int c = 0; c < w.mesh().cols; ++c) {
-            Matrix &ws = w.shardAt(r, c);
-            const Matrix &ps = p.shardAt(r, c);
-            float *wd = ws.data();
-            const float *pd = ps.data();
-            const std::int64_t n = ws.rows() * ws.cols();
-            for (std::int64_t i = 0; i < n; ++i)
-                wd[i] += kElasticLr * pd[i];
-        }
-    }
+    const std::int64_t cols = fs.pFull.cols();
+    fs.w.forEachShardRow([&](std::int64_t r, std::int64_t c0, float *row,
+                             std::int64_t count) {
+        const float *pd = fs.pFull.data() + r * cols + c0;
+        for (std::int64_t c = 0; c < count; ++c)
+            row[c] += kElasticLr * pd[c];
+    });
 }
 
-/** True iff the final W equals its serial reference: W0 then @p steps
- *  elementwise updates, the exact per-element operation sequence the
- *  distributed run applies regardless of shard layout or mid-run
- *  re-shards. */
+/** True iff the final W equals its serial reference bit for bit: W0
+ *  then @p steps elementwise updates, the exact per-element operation
+ *  sequence the distributed run applies regardless of shard layout or
+ *  mid-run re-shards. Each shard row is checked in place, a block of
+ *  columns at a time, against a reference built from W0 and P. */
 bool
 finalWIsExact(const FunctionalState &fs, int steps)
 {
-    Matrix ref = fs.w0Full;
-    float *rd = ref.data();
-    const float *pd = fs.pFull.data();
-    const std::int64_t n = ref.rows() * ref.cols();
-    for (int s = 0; s < steps; ++s)
-        for (std::int64_t i = 0; i < n; ++i)
-            rd[i] += kElasticLr * pd[i];
-    return fs.w.gather().maxAbsDiff(ref) == 0.0;
+    constexpr std::int64_t kBlock = 256;
+    const std::int64_t cols = fs.w0Full.cols();
+    std::atomic<bool> exact{true};
+    fs.w.forEachShardRow([&](std::int64_t r, std::int64_t c0,
+                             const float *row, std::int64_t count) {
+        float ref[kBlock];
+        for (std::int64_t b = 0; b < count; b += kBlock) {
+            const std::int64_t len = std::min(kBlock, count - b);
+            const std::int64_t at = r * cols + c0 + b;
+            std::copy_n(fs.w0Full.data() + at, len, ref);
+            const float *pd = fs.pFull.data() + at;
+            for (int s = 0; s < steps; ++s)
+                for (std::int64_t c = 0; c < len; ++c)
+                    ref[c] += kElasticLr * pd[c];
+            if (!sameFloats(row + b, ref, len))
+                exact.store(false, std::memory_order_relaxed);
+        }
+    });
+    return exact.load();
 }
 
 /** The trace record of a phase that began at global time @p start. */
@@ -541,7 +550,7 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             useful_since_ckpt += out.span;
             ++step;
             if (run.functionalState)
-                applyStepUpdate(fs.w, fs.p);
+                applyStepUpdate(fs);
             if (step < run.steps && ckpt_on &&
                 useful_since_ckpt >= interval) {
                 CheckpointSpec cspec;
@@ -639,10 +648,8 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             fs.w = reshard(fs.ckptW, sv);
             fs.a = reshard(fs.a, sv);
             fs.b = reshard(fs.b, sv);
-            fs.p = DistMatrix::scatter(fs.pFull, sv.to());
             fs.ckptW = fs.w;
-            if (fs.a.gather().maxAbsDiff(fs.aFull) != 0.0 ||
-                fs.b.gather().maxAbsDiff(fs.bFull) != 0.0)
+            if (!fs.a.sameAs(fs.aFull) || !fs.b.sameAs(fs.bFull))
                 fatal("runElastic: functional re-shard corrupted A/B — "
                       "reshard() must be a bit-exact redistribution");
         }
@@ -751,7 +758,7 @@ runPlainSteps(const ChipConfig &cfg, const ElasticRunConfig &run)
             phaseRecord(ElasticPhase::Kind::kStep, step, wall, out));
         wall += out.span;
         if (run.functionalState)
-            applyStepUpdate(fs.w, fs.p);
+            applyStepUpdate(fs);
     }
     result.wall = wall;
     if (run.functionalState) {

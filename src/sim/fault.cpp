@@ -198,7 +198,7 @@ derivePhaseSeed(std::uint64_t seed, std::uint64_t phase)
 {
     // Decorrelate (seed, phase) pairs with one splitmix64 mix; the
     // golden-ratio stride keeps phase 0 distinct from the raw seed.
-    std::uint64_t state = seed + (phase + 1) * 0x9e3779b97f4a7c15ULL;
+    std::uint64_t state = seed + (phase + 1) * kSplitMix64Gamma;
     return splitmix64(state);
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/fault_study.hpp"
 #include "core/recovery_study.hpp"
+#include "core/spec.hpp"
 #include "gemm/reshard.hpp"
 #include "tuner/explain.hpp"
 #include "tuner/search_trace.hpp"
@@ -399,8 +400,10 @@ tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
 namespace {
 
 /** Does @p algo's mesh partition of @p spec divide evenly on a
- *  `rows x cols` survivor shape? (The sliceCount axis is re-tuned
- *  separately; S=1 always divides.) */
+ *  `rows x cols` survivor shape? For the 2D algorithms that is
+ *  `validateSpec`'s operand sharding, which implies the local-GeMM
+ *  partition. (The sliceCount axis is re-tuned separately; S=1 always
+ *  divides.) */
 bool
 meshDivides(Algorithm algo, const Gemm2DSpec &spec, int rows, int cols)
 {
@@ -408,15 +411,10 @@ meshDivides(Algorithm algo, const Gemm2DSpec &spec, int rows, int cols)
         return spec.n % (static_cast<std::int64_t>(rows) * cols) == 0;
     if (algo == Algorithm::kFsdp)
         return spec.m % (static_cast<std::int64_t>(rows) * cols) == 0;
-    switch (spec.dataflow) {
-      case Dataflow::kOS:
-        return spec.m % rows == 0 && spec.n % cols == 0;
-      case Dataflow::kLS:
-        return spec.m % rows == 0 && spec.k % cols == 0;
-      case Dataflow::kRS:
-        return spec.k % rows == 0 && spec.n % cols == 0;
-    }
-    return false;
+    Gemm2DSpec survivor = spec;
+    survivor.rows = rows;
+    survivor.cols = cols;
+    return operandsShardEvenly(survivor);
 }
 
 void

@@ -32,6 +32,11 @@ isPow2(std::int64_t v)
     return v > 0 && (v & (v - 1)) == 0;
 }
 
+/** The SplitMix64 increment: draw e (from 0) of a stream seeded with
+ *  s mixes the state s + (e+1) * gamma, so a stream can start at any
+ *  index without drawing its prefix. */
+constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
 /**
  * One SplitMix64 draw: advance @p state and return the next 64 bits.
  * Tiny, portable and — unlike `std::uniform_real_distribution` over a
@@ -41,7 +46,7 @@ isPow2(std::int64_t v)
 inline std::uint64_t
 splitmix64(std::uint64_t &state)
 {
-    state += 0x9e3779b97f4a7c15ULL;
+    state += kSplitMix64Gamma;
     std::uint64_t z = state;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

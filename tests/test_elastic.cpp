@@ -366,6 +366,42 @@ TEST(ElasticRun, ResultIsInvariantToThreadCount)
     EXPECT_EQ(elasticTraceJson(serial), elasticTraceJson(parallel));
 }
 
+TEST(Replan, EveryFeasibleSurvivorPassesValidateSpec)
+{
+    const CostModel cost = CostModel::calibrated(tpuV4Config());
+    Gemm2DSpec spec;
+    spec.m = 1152;
+    spec.k = 1024;
+    spec.n = 1152;
+    spec.rows = spec.cols = 4;
+    // Chip 1 dies: retiring its column leaves 4x3, over which A
+    // (1152x1024) does not split, and retiring its row leaves 3x4,
+    // over which B (1024x1152) does not.
+    const ReplanResult none =
+        replanAfterFailure(cost, Algorithm::kMeshSlice, spec, 1, 10);
+    ASSERT_EQ(none.candidates.size(), 2u);
+    for (const ReplanCandidate &cand : none.candidates)
+        EXPECT_FALSE(cand.feasible)
+            << cand.mesh.to().rows << "x" << cand.mesh.to().cols;
+    EXPECT_FALSE(none.feasible());
+
+    // With k = 1152 and n = 1024 every operand splits over 3x4 only.
+    spec.k = 1152;
+    spec.n = 1024;
+    const ReplanResult rp =
+        replanAfterFailure(cost, Algorithm::kMeshSlice, spec, 1, 10);
+    ASSERT_TRUE(rp.feasible());
+    EXPECT_EQ(rp.picked().mesh.to(), (MeshShape{3, 4}));
+    for (const ReplanCandidate &cand : rp.candidates) {
+        Gemm2DSpec on = spec;
+        on.rows = cand.mesh.to().rows;
+        on.cols = cand.mesh.to().cols;
+        EXPECT_EQ(cand.feasible, operandsShardEvenly(on));
+        if (cand.feasible)
+            validateSpec(cand.spec); // fatal()s on a spec it rejects
+    }
+}
+
 // ---------------------------------------------------------------------
 // Malformed scenarios die with positional fatals (satellite 1).
 

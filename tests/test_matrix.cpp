@@ -4,7 +4,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "gemm/gemm_kernels.hpp"
 #include "gemm/matrix.hpp"
+#include "util/math.hpp"
+#include "util/parallel.hpp"
 
 namespace meshslice {
 namespace {
@@ -104,10 +111,9 @@ namespace {
 
 /** Reference kernel: naive i/p/j triple loop, fixed summation order
  *  (increasing p per output element), no zero-skip branch. */
-Matrix
-naiveGemm(const Matrix &a, const Matrix &b)
+void
+naiveGemmAcc(const Matrix &a, const Matrix &b, Matrix &c)
 {
-    Matrix c(a.rows(), b.cols());
     const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
     for (std::int64_t i = 0; i < m; ++i)
         for (std::int64_t p = 0; p < k; ++p) {
@@ -115,7 +121,23 @@ naiveGemm(const Matrix &a, const Matrix &b)
             for (std::int64_t j = 0; j < n; ++j)
                 c.at(i, j) += av * b.at(p, j);
         }
+}
+
+Matrix
+naiveGemm(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.rows(), b.cols());
+    naiveGemmAcc(a, b, c);
     return c;
+}
+
+bool
+sameBytes(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<size_t>(x.rows() * x.cols()) *
+                           sizeof(float)) == 0;
 }
 
 } // namespace
@@ -141,6 +163,112 @@ TEST(Matrix, BlockedGemmMatchesNaiveExactlyOnOddShapes)
         EXPECT_EQ(blocked.maxAbsDiff(naive), 0.0)
             << s.m << "x" << s.k << "x" << s.n;
     }
+}
+
+TEST(GemmKernels, EveryVariantMatchesTheNaiveLoopBitForBit)
+{
+    // Shapes off every tile: 1x1x1, k = 1, m off the 4-row register
+    // tile and the 64-row panel, n off the 8- to 48-column vector
+    // tiles, k off the 256-deep k-panel; m > 128 takes the pool path.
+    struct Shape
+    {
+        std::int64_t m, k, n;
+    };
+    const Shape shapes[] = {{1, 1, 1},     {6, 1, 50},    {4, 2, 48},
+                            {7, 300, 53},  {67, 257, 97}, {3, 700, 130},
+                            {193, 513, 61}};
+    const std::span<const GemmKernel> kernels = gemmKernels();
+    ASSERT_STREQ(kernels.front().name, "baseline");
+    ASSERT_TRUE(kernels.front().supported);
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (const GemmKernel &kernel : kernels) {
+            if (!kernel.supported)
+                continue;
+            for (const Shape &s : shapes) {
+                const Matrix a = Matrix::random(s.m, s.k, 31);
+                const Matrix b = Matrix::random(s.k, s.n, 32);
+                Matrix expected = Matrix::random(s.m, s.n, 33);
+                Matrix got = expected;
+                naiveGemmAcc(a, b, expected);
+                gemmAccWith(kernel, a, b, got);
+                EXPECT_TRUE(sameBytes(got, expected))
+                    << kernel.name << " at " << threads << " threads on "
+                    << s.m << "x" << s.k << "x" << s.n;
+            }
+        }
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::defaultThreadCount());
+}
+
+TEST(GemmKernels, ActiveVariantIsTheWidestSupported)
+{
+    const GemmKernel *widest = nullptr;
+    for (const GemmKernel &kernel : gemmKernels())
+        if (kernel.supported)
+            widest = &kernel;
+    EXPECT_EQ(&activeGemmKernel(), widest);
+}
+
+TEST(Matrix, MaxAbsDiffPropagatesNaNAndIgnoresZeroSign)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const Matrix zeros(2, 2);
+    Matrix with_nan(2, 2);
+    with_nan.at(1, 0) = nan;
+    EXPECT_TRUE(std::isnan(with_nan.maxAbsDiff(zeros)));
+    EXPECT_TRUE(std::isnan(zeros.maxAbsDiff(with_nan)));
+    EXPECT_TRUE(std::isnan(with_nan.maxAbsDiff(with_nan)));
+    EXPECT_FALSE(with_nan.allClose(zeros, 0.0));
+    EXPECT_FALSE(zeros.allClose(with_nan, 1e30));
+    // A NaN after a large difference still wins.
+    Matrix big(2, 2);
+    big.at(0, 0) = 5.0f;
+    big.at(1, 1) = nan;
+    EXPECT_TRUE(std::isnan(big.maxAbsDiff(zeros)));
+
+    Matrix negative_zeros(2, 2);
+    for (std::int64_t r = 0; r < 2; ++r)
+        for (std::int64_t c = 0; c < 2; ++c)
+            negative_zeros.at(r, c) = -0.0f;
+    EXPECT_EQ(negative_zeros.maxAbsDiff(zeros), 0.0);
+    EXPECT_TRUE(negative_zeros.allClose(zeros, 0.0));
+    const float inf = std::numeric_limits<float>::infinity();
+    Matrix infs(1, 1);
+    infs.at(0, 0) = inf;
+    EXPECT_EQ(infs.maxAbsDiff(infs), 0.0);
+}
+
+TEST(Matrix, SameFloatsIsBitEqualityWithoutNaN)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float x[] = {1.0f, -0.0f, 3.5f};
+    const float y[] = {1.0f, -0.0f, 3.5f};
+    const float plus_zero[] = {1.0f, 0.0f, 3.5f};
+    const float nans[] = {1.0f, -0.0f, nan};
+    EXPECT_TRUE(sameFloats(x, y, 3));
+    EXPECT_FALSE(sameFloats(x, plus_zero, 3));
+    EXPECT_FALSE(sameFloats(nans, nans, 3));
+    EXPECT_TRUE(sameFloats(nans, nans, 2));
+}
+
+TEST(Matrix, RandomIsTheSerialStreamAtAnyThreadCount)
+{
+    // Element e is the (e+1)-th draw of one splitmix64 stream, however
+    // the rows are split over the pool.
+    const std::int64_t rows = 300, cols = 301;
+    Matrix serial(rows, cols);
+    std::uint64_t state = 77;
+    for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t c = 0; c < cols; ++c)
+            serial.at(r, c) =
+                static_cast<float>(uniform01(state) * 2.0 - 1.0);
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        EXPECT_TRUE(sameBytes(Matrix::random(rows, cols, 77), serial))
+            << threads << " threads";
+    }
+    ThreadPool::setGlobalThreads(ThreadPool::defaultThreadCount());
 }
 
 TEST(Matrix, BlockedGemmAccHandlesZeroExtent)

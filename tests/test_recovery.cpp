@@ -14,7 +14,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/recovery_study.hpp"
@@ -174,6 +177,105 @@ TEST(Reshard, FunctionalReshardPreservesEveryElement)
         EXPECT_EQ(round.maxAbsDiff(full), 0.0)
             << c.from.rows << "x" << c.from.cols;
     }
+}
+
+/** The re-shard's definition: every element copied on its own, in
+ *  global coordinates. */
+DistMatrix
+elementwiseReshard(const DistMatrix &m, const SurvivorMesh &sv)
+{
+    const MeshShape to = sv.to();
+    const std::int64_t nr1 = m.shardRows(), nc1 = m.shardCols();
+    const std::int64_t nr2 = m.rows() / to.rows, nc2 = m.cols() / to.cols;
+    DistMatrix out(to, m.rows(), m.cols());
+    for (std::int64_t r = 0; r < m.rows(); ++r)
+        for (std::int64_t c = 0; c < m.cols(); ++c)
+            out.shardAt(static_cast<int>(r / nr2), static_cast<int>(c / nc2))
+                .at(r % nr2, c % nc2) =
+                m.shardAt(static_cast<int>(r / nr1), static_cast<int>(c / nc1))
+                    .at(r % nr1, c % nc1);
+    return out;
+}
+
+bool
+sameBytes(const Matrix &x, const Matrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<size_t>(x.rows() * x.cols()) *
+                           sizeof(float)) == 0;
+}
+
+/** Shard by shard, byte for byte. */
+bool
+sameShards(const DistMatrix &x, const DistMatrix &y)
+{
+    if (!(x.mesh() == y.mesh()) || x.rows() != y.rows() ||
+        x.cols() != y.cols())
+        return false;
+    for (int i = 0; i < x.mesh().rows; ++i)
+        for (int j = 0; j < x.mesh().cols; ++j)
+            if (!sameBytes(x.shardAt(i, j), y.shardAt(i, j)))
+                return false;
+    return true;
+}
+
+TEST(Reshard, RowRunsMatchTheElementwiseDefinitionOnNonSquareOperands)
+{
+    struct Case
+    {
+        MeshShape from;
+        int failedRow;
+        int failedCol;
+        std::int64_t rows, cols;
+    };
+    const Case cases[] = {
+        {{4, 4}, 1, -1, 1152, 1024}, // A of OS 1152x1024x1152 -> 3x4
+        {{4, 4}, -1, 1, 1024, 1152}, // its B -> 4x3
+        {{4, 4}, -1, 3, 96, 48},     // last column retired
+        {{2, 8}, -1, 3, 30, 112},    // 2x8 -> 2x7
+        {{2, 8}, 0, -1, 30, 112},    // 2x8 -> 1x8
+    };
+    for (const Case &c : cases) {
+        SurvivorMesh sv;
+        sv.from = c.from;
+        sv.failedRow = c.failedRow;
+        sv.failedCol = c.failedCol;
+        const Matrix full = Matrix::random(c.rows, c.cols, 13);
+        const DistMatrix before = DistMatrix::scatter(full, c.from);
+        const DistMatrix after = reshard(before, sv);
+        const std::string what = std::to_string(c.rows) + "x" +
+                                 std::to_string(c.cols) + " from " +
+                                 std::to_string(c.from.rows) + "x" +
+                                 std::to_string(c.from.cols);
+        EXPECT_TRUE(sameShards(after, elementwiseReshard(before, sv)))
+            << what;
+        EXPECT_TRUE(sameShards(after, DistMatrix::scatter(full, sv.to())))
+            << what;
+        EXPECT_TRUE(after.sameAs(full)) << what;
+        // Scatter and gather round trips, on both meshes.
+        EXPECT_TRUE(sameBytes(before.gather(), full)) << what;
+        EXPECT_TRUE(sameBytes(after.gather(), full)) << what;
+        EXPECT_TRUE(sameShards(DistMatrix::scatter(after.gather(), sv.to()),
+                               after))
+            << what;
+    }
+}
+
+TEST(Reshard, SameAsFailsOnOneFlippedSignOrNaN)
+{
+    const Matrix full = Matrix::random(12, 16, 5);
+    DistMatrix d = DistMatrix::scatter(full, MeshShape{3, 4});
+    EXPECT_TRUE(d.sameAs(full));
+    float &v = d.shardAt(2, 3).at(3, 3);
+    const float kept = v;
+    v = -v;
+    EXPECT_FALSE(d.sameAs(full));
+    v = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_FALSE(d.sameAs(full));
+    v = kept;
+    EXPECT_TRUE(d.sameAs(full));
+    EXPECT_FALSE(d.sameAs(full.transpose()));
 }
 
 TEST(Reshard, GemmOnSurvivorMeshMatchesReference)
