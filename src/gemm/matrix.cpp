@@ -278,8 +278,9 @@ panelKernel(const float *__restrict a, const float *__restrict b,
     scalarBlock(a, b, c, i_end, i1, 0, n, k0, k1, k, n);
 }
 
-// One instantiation per instruction set. The AVX2 tile is 4x2: a 4x3
-// tile needs more than AVX2's 16 vector registers and spills.
+// One instantiation per instruction set; GCC lowers the 16-byte
+// baseline vectors on any target. The AVX2 tile is 4x2: a 4x3 tile
+// needs more than AVX2's 16 vector registers and spills.
 void
 panelBaseline(const float *a, const float *b, float *c, std::int64_t i0,
               std::int64_t i1, std::int64_t k0, std::int64_t k1,
@@ -288,6 +289,7 @@ panelBaseline(const float *a, const float *b, float *c, std::int64_t i0,
     panelKernel<Vec4, 4, 2>(a, b, c, i0, i1, k0, k1, k, n);
 }
 
+#if defined(__x86_64__)
 __attribute__((target("avx2"))) void
 panelAvx2(const float *a, const float *b, float *c, std::int64_t i0,
           std::int64_t i1, std::int64_t k0, std::int64_t k1,
@@ -303,17 +305,22 @@ panelAvx512(const float *a, const float *b, float *c, std::int64_t i0,
 {
     panelKernel<Vec16, 4, 3>(a, b, c, i0, i1, k0, k1, k, n);
 }
+#endif
 
 } // namespace
 
 std::span<const GemmKernel>
 gemmKernels()
 {
+#if defined(__x86_64__)
     __builtin_cpu_init(); // a no-op unless called before constructors
+#endif
     static const GemmKernel kernels[] = {
         {"baseline", true, panelBaseline},
+#if defined(__x86_64__)
         {"avx2", __builtin_cpu_supports("avx2") != 0, panelAvx2},
         {"avx512f", __builtin_cpu_supports("avx512f") != 0, panelAvx512},
+#endif
     };
     return kernels;
 }
