@@ -5,8 +5,8 @@
  * calls `Matrix::gemmAcc`, which runs `activeGemmKernel()`).
  *
  * One register-blocked template is instantiated per instruction set:
- * 16-byte vectors for the baseline, and on x86-64 AVX2 and AVX-512F
- * builds through `target` attributes. Every variant accumulates each
+ * 16-byte vectors for the baseline, and on x86-64 an AVX-512F build
+ * through a `target` attribute. Every variant accumulates each
  * output element in increasing-k order with a separate multiply and
  * add per term, so all of them are bit-identical to the naive i/p/j
  * triple loop and to each other.
@@ -31,7 +31,7 @@ struct GemmKernel
                              std::int64_t k0, std::int64_t k1,
                              std::int64_t k, std::int64_t n);
 
-    const char *name;  ///< "baseline", or "avx2" / "avx512f" on x86-64
+    const char *name;  ///< "baseline", or "avx512f" on x86-64
     bool supported;    ///< this host can execute it
     PanelFn panel;
 };

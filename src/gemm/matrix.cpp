@@ -192,7 +192,6 @@ constexpr std::int64_t kRowTile = 64;
 constexpr std::int64_t kColTileK = 256;
 
 typedef float Vec4 __attribute__((vector_size(16)));
-typedef float Vec8 __attribute__((vector_size(32)));
 typedef float Vec16 __attribute__((vector_size(64)));
 
 /**
@@ -200,7 +199,7 @@ typedef float Vec16 __attribute__((vector_size(64)));
  * tile (W = floats per vector V). The R x NV accumulators stay in
  * registers while k runs innermost in increasing order, one multiply
  * and one add per term, so every element sums its terms in the naive
- * loop's order. The translation unit is compiled with
+ * loop's order. The build compiles every target with
  * -ffp-contract=off: GCC fuses `acc + a * b` into an FMA under
  * `target("avx512f")` otherwise, which rounds once instead of twice.
  */
@@ -279,8 +278,7 @@ panelKernel(const float *__restrict a, const float *__restrict b,
 }
 
 // One instantiation per instruction set; GCC lowers the 16-byte
-// baseline vectors on any target. The AVX2 tile is 4x2: a 4x3 tile
-// needs more than AVX2's 16 vector registers and spills.
+// baseline vectors on any target.
 void
 panelBaseline(const float *a, const float *b, float *c, std::int64_t i0,
               std::int64_t i1, std::int64_t k0, std::int64_t k1,
@@ -290,14 +288,6 @@ panelBaseline(const float *a, const float *b, float *c, std::int64_t i0,
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void
-panelAvx2(const float *a, const float *b, float *c, std::int64_t i0,
-          std::int64_t i1, std::int64_t k0, std::int64_t k1,
-          std::int64_t k, std::int64_t n)
-{
-    panelKernel<Vec8, 4, 2>(a, b, c, i0, i1, k0, k1, k, n);
-}
-
 __attribute__((target("avx512f"))) void
 panelAvx512(const float *a, const float *b, float *c, std::int64_t i0,
             std::int64_t i1, std::int64_t k0, std::int64_t k1,
@@ -318,7 +308,6 @@ gemmKernels()
     static const GemmKernel kernels[] = {
         {"baseline", true, panelBaseline},
 #if defined(__x86_64__)
-        {"avx2", __builtin_cpu_supports("avx2") != 0, panelAvx2},
         {"avx512f", __builtin_cpu_supports("avx512f") != 0, panelAvx512},
 #endif
     };

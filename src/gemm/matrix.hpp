@@ -85,8 +85,8 @@ class Matrix
      * c += a * b (shapes must agree). Cache-blocked (64-row x 256-k
      * panels) and parallelized over row panels on the shared pool;
      * inside a panel a register-blocked micro-kernel runs, built for
-     * the widest of baseline x86-64, AVX2 and AVX-512F that the host
-     * supports (`gemm/gemm_kernels.hpp`). Per output element the
+     * the baseline and for AVX-512F; the widest one the host supports
+     * runs (`gemm/gemm_kernels.hpp`). Per output element the
      * contraction accumulates in increasing-k order with a separate
      * multiply and add per term, so results are bit-identical to the
      * naive triple loop on every host and for any `MESHSLICE_THREADS`.
