@@ -254,7 +254,7 @@ main(int argc, char **argv)
             static_cast<std::int64_t>(side) * (side - 1) *
             (smoke ? 64 : 256);
         const ReshardPlan plan =
-            planReshard(rdim, rdim, cfg.bytesPerElement, sv);
+            planReshard({{rdim, rdim}}, cfg.bytesPerElement, sv);
         reshard_analytic = reshardTime(cfg, plan);
 
         Cluster cluster(cfg, chips);

@@ -27,7 +27,7 @@ bestSpecFor(const CostModel &cost, Algorithm algo, const FcGemm &gemm,
         if (!supportsMesh(algo, static_cast<int>(rows),
                           static_cast<int>(cols)))
             continue;
-        if (!shapeFeasible(gemm, static_cast<int>(rows),
+        if (!shapeFeasible(gemm.m, gemm.k, gemm.n, static_cast<int>(rows),
                            static_cast<int>(cols)))
             continue;
         Gemm2DSpec spec = makeSpec(gemm, df, static_cast<int>(rows),

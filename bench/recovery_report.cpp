@@ -9,10 +9,10 @@
  *  - τ-grid validation: a log-spaced grid search over the checkpoint
  *    interval against the closed-form `youngDalyInterval` optimum (the
  *    grid's best must bracket the closed form within one grid step).
- *  - Re-shard cost per mesh shape: modeled moved bytes and first-order
- *    time of the cheapest single-failure re-shard for every feasible
- *    shape of the cluster, plus one discrete `planReshard` cross-check
- *    against the continuous model.
+ *  - Re-shard cost per mesh shape: `expectedReshard`'s modeled moved
+ *    bytes and first-order time of the cheapest single-failure re-shard
+ *    for every feasible shape of the cluster, plus one discrete
+ *    `planReshard` cross-check against the continuous model.
  *  - Kill/retry transaction: one recoverable collective under a chip
  *    kill (detect → abort → ring rebuild → retry), with the fault-free
  *    run double-executed to demonstrate the bit-identical-replay
@@ -28,6 +28,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -39,65 +40,10 @@
 #include "tuner/search_trace.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/table.hpp"
 
 using namespace meshslice;
-
-namespace {
-
-/** Feasible 2D shapes of @p chips (rows <= cols, rows >= 1). */
-std::vector<std::pair<int, int>>
-meshShapes(int chips)
-{
-    std::vector<std::pair<int, int>> shapes;
-    for (int r = 1; r * r <= chips; ++r)
-        if (chips % r == 0)
-            shapes.emplace_back(r, chips / r);
-    return shapes;
-}
-
-/** Expected cost of the cheapest single-failure re-shard: moved bytes
- *  averaged over the uniformly random failed index, better of the
- *  row/column retirement orientations (mirrors
- *  `tuneWithRecoveryShortlist`). */
-struct ShapeReshard
-{
-    double movedBytes = 0.0;
-    Time time = -1.0;
-};
-
-ShapeReshard
-cheapestReshard(const ChipConfig &cfg, int rows, int cols,
-                double total_state)
-{
-    auto orientation = [&](bool retire_row) {
-        ShapeReshard est;
-        const int n = retire_row ? rows : cols;
-        if (n < 2)
-            return est;
-        double sum = 0.0;
-        for (int f = 0; f < n; ++f) {
-            SurvivorMesh sv;
-            sv.from = MeshShape{rows, cols};
-            (retire_row ? sv.failedRow : sv.failedCol) = f;
-            sum += reshardBytesModel(total_state, sv);
-        }
-        est.movedBytes = sum / static_cast<double>(n);
-        const int survivors =
-            retire_row ? (rows - 1) * cols : rows * (cols - 1);
-        est.time = reshardTimeModel(cfg, est.movedBytes, survivors);
-        return est;
-    };
-    const ShapeReshard by_row = orientation(true);
-    const ShapeReshard by_col = orientation(false);
-    if (by_row.time < 0.0)
-        return by_col;
-    if (by_col.time < 0.0)
-        return by_row;
-    return by_col.time < by_row.time ? by_col : by_row;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -119,13 +65,17 @@ main(int argc, char **argv)
               << " MiB/chip, per-chip MTBF " << base_mtbf / 3600.0
               << " h\n\n";
 
-    // A representative shape for the sweep's re-shard cost.
-    const std::vector<std::pair<int, int>> shapes = meshShapes(chips);
-    const auto [sweep_rows, sweep_cols] = shapes.back();
+    // The 2D shapes of the cluster with rows <= cols, and the last
+    // (squarest) one as the sweep's representative re-shard cost.
+    std::vector<MeshShape> shapes;
+    for (const auto &[r, c] : meshShapesOf(chips))
+        if (r <= c)
+            shapes.push_back(
+                MeshShape{static_cast<int>(r), static_cast<int>(c)});
+    const MeshShape sweep = shapes.back();
     const double total_state =
         static_cast<double>(ckpt_per_chip) * static_cast<double>(chips);
-    const Time sweep_reshard =
-        cheapestReshard(cfg, sweep_rows, sweep_cols, total_state).time;
+    const Time sweep_reshard = expectedReshard(cfg, sweep, total_state).time;
 
     // ---- Goodput vs per-chip MTBF (decreasing).
     const std::vector<double> mtbf_scales = {32.0, 8.0, 2.0, 0.5, 0.125};
@@ -153,8 +103,8 @@ main(int argc, char **argv)
                             Table::num(sweep_points[i].jobMtbf, 1),
                             Table::num(sweep_points[i].optimalInterval, 1),
                             Table::num(sweep_points[i].goodput, 4)});
-    std::cout << "goodput vs per-chip MTBF (" << sweep_rows << "x"
-              << sweep_cols << " re-shard charged, monotone="
+    std::cout << "goodput vs per-chip MTBF (" << sweep.rows << "x"
+              << sweep.cols << " re-shard charged, monotone="
               << (goodput_monotone ? "yes" : "NO") << "):\n";
     sweep_table.print(std::cout);
     std::cout << "\n";
@@ -194,57 +144,50 @@ main(int argc, char **argv)
     // ---- Re-shard cost per mesh shape.
     struct ShapeRow
     {
-        int rows, cols;
-        double movedBytes;
-        Time time;
+        MeshShape shape;
+        ReshardEstimate reshard;
     };
     std::vector<ShapeRow> shape_rows;
-    for (const auto &[r, c] : shapes) {
-        if (r * c < 2)
+    for (const MeshShape &shape : shapes) {
+        if (shape.chips() < 2)
             continue; // a 1x1 mesh has no survivor to re-shard onto
-        const ShapeReshard est = cheapestReshard(cfg, r, c, total_state);
-        shape_rows.push_back({r, c, est.movedBytes, est.time});
+        shape_rows.push_back(
+            {shape, expectedReshard(cfg, shape, total_state)});
     }
     Table shape_table({"shape", "moved_fraction", "reshard_s"});
     for (const ShapeRow &row : shape_rows)
         shape_table.addRow(
-            {strprintf("%dx%d", row.rows, row.cols),
-             Table::num(row.movedBytes / total_state, 4),
-             Table::num(row.time, 3)});
+            {strprintf("%dx%d", row.shape.rows, row.shape.cols),
+             Table::num(row.reshard.bytes / total_state, 4),
+             Table::num(row.reshard.time, 3)});
     std::cout << "cheapest single-failure re-shard by shape:\n";
     shape_table.print(std::cout);
     std::cout << "\n";
 
-    // Discrete-vs-continuous cross-check on one shape: `planReshard`
-    // is the ground truth; the continuous model must agree exactly
-    // when the dimensions divide both meshes.
-    SurvivorMesh check_sv;
-    check_sv.from = MeshShape{sweep_rows, sweep_cols};
-    bool discrete_matches = true;
-    if (std::min(sweep_rows, sweep_cols) >= 1 && sweep_rows >= 2) {
-        check_sv.failedRow = 0;
-        const std::int64_t check_rows =
-            static_cast<std::int64_t>(sweep_rows) * (sweep_rows - 1) * 8;
-        const std::int64_t check_cols =
-            static_cast<std::int64_t>(sweep_cols) * 8;
-        const ReshardPlan plan =
-            planReshard(check_rows, check_cols, cfg.bytesPerElement,
-                        check_sv);
-        const double modeled = reshardBytesModel(
-            static_cast<double>(check_rows) * check_cols *
-                cfg.bytesPerElement,
-            check_sv);
-        discrete_matches =
-            std::abs(static_cast<double>(plan.totalBytes) - modeled) <=
-            1e-6 * modeled + 1.0;
-        std::cout << "planReshard cross-check (" << sweep_rows << "x"
-                  << sweep_cols << " -> " << sweep_rows - 1 << "x"
-                  << sweep_cols << "): discrete "
-                  << plan.totalBytes << " B vs continuous "
-                  << Table::num(modeled, 0) << " B ("
-                  << (discrete_matches ? "exact" : "MISMATCH")
-                  << ")\n\n";
-    }
+    // Discrete-vs-continuous cross-check on the sweep shape:
+    // `planReshard` is the ground truth; the continuous model must
+    // agree exactly when the dimensions divide both meshes (eight times
+    // each axis' lcm). Retire row 0, or column 0 of a one-row mesh.
+    SurvivorMesh check_sv{sweep, -1, -1};
+    (sweep.rows >= 2 ? check_sv.failedRow : check_sv.failedCol) = 0;
+    const MeshShape check_to = check_sv.to();
+    const std::int64_t check_rows =
+        static_cast<std::int64_t>(std::lcm(sweep.rows, check_to.rows)) * 8;
+    const std::int64_t check_cols =
+        static_cast<std::int64_t>(std::lcm(sweep.cols, check_to.cols)) * 8;
+    const ReshardPlan plan = planReshard({{check_rows, check_cols}},
+                                         cfg.bytesPerElement, check_sv);
+    const double modeled = reshardBytesModel(
+        static_cast<double>(check_rows) * check_cols * cfg.bytesPerElement,
+        check_sv);
+    const bool discrete_matches =
+        std::abs(static_cast<double>(plan.totalBytes) - modeled) <=
+        1e-6 * modeled + 1.0;
+    std::cout << "planReshard cross-check (" << sweep.rows << "x"
+              << sweep.cols << " -> " << check_to.rows << "x"
+              << check_to.cols << "): discrete " << plan.totalBytes
+              << " B vs continuous " << Table::num(modeled, 0) << " B ("
+              << (discrete_matches ? "exact" : "MISMATCH") << ")\n\n";
 
     // ---- Kill/retry transaction on a 4x(chips/4) torus.
     const int rr = 4;
@@ -368,11 +311,12 @@ main(int argc, char **argv)
     for (size_t i = 0; i < shape_rows.size(); ++i) {
         const ShapeRow &row = shape_rows[i];
         json << "    "
-             << jsonString(strprintf("%dx%d", row.rows, row.cols))
-             << ": {\"moved_bytes\": " << jsonNumber(row.movedBytes)
+             << jsonString(
+                    strprintf("%dx%d", row.shape.rows, row.shape.cols))
+             << ": {\"moved_bytes\": " << jsonNumber(row.reshard.bytes)
              << ", \"moved_fraction\": "
-             << jsonNumber(row.movedBytes / total_state)
-             << ", \"reshard_s\": " << jsonNumber(row.time) << "}"
+             << jsonNumber(row.reshard.bytes / total_state)
+             << ", \"reshard_s\": " << jsonNumber(row.reshard.time) << "}"
              << (i + 1 < shape_rows.size() ? "," : "") << "\n";
     }
     json << "  },\n  \"plan_reshard_matches_model\": "

@@ -52,7 +52,8 @@ main()
         Time best = 1e300;
         int best_s = 1;
         for (auto [rows, cols] : meshShapesOf(chips)) {
-            if (!shapeFeasible(gemm, static_cast<int>(rows),
+            if (!shapeFeasible(gemm.m, gemm.k, gemm.n,
+                               static_cast<int>(rows),
                                static_cast<int>(cols)))
                 continue;
             Gemm2DSpec spec = makeSpec(gemm, Dataflow::kOS,

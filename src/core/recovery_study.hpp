@@ -87,8 +87,8 @@ struct TrainingRunModel
     Time detectionLatency = 0.5;
     /** Job restart overhead (scheduler + binary + checkpoint read). */
     Time restartTime = 60.0;
-    /** Elastic re-shard time onto the survivor mesh
-     *  (`reshardTime(cfg, planReshard(...))`). */
+    /** Elastic re-shard time onto the survivor mesh: the
+     *  `expectedReshard(...).time` of a failure. */
     Time reshardTime = 0.0;
 };
 

@@ -1,7 +1,6 @@
 #include "gemm/reshard.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "hw/chip_config.hpp"
 #include "util/logging.hpp"
@@ -13,6 +12,82 @@ namespace {
 /** Torus degree: each chip sources/sinks re-shard traffic over its
  *  four ICI links in parallel (first-order aggregate bandwidth). */
 constexpr int kTorusLinksPerChip = 4;
+
+/**
+ * The one block-overlap walk of a layout change: a (rows x cols)
+ * matrix cut into equal blocks over a `from`-shaped mesh, re-cut over
+ * a `to`-shaped one. Destination-major: new block (p, q) in row-major
+ * order, then every old block (i, j) it intersects in row-major order,
+ * each visited as visit(i, j, p, q, bytes) with the overlap's bytes.
+ * The caller has checked that the dimensions divide both meshes.
+ */
+template <typename Visit>
+void
+forEachBlockOverlap(std::int64_t rows, std::int64_t cols,
+                    int bytes_per_element, MeshShape from, MeshShape to,
+                    Visit &&visit)
+{
+    const std::int64_t nr1 = rows / from.rows; // old block rows
+    const std::int64_t nc1 = cols / from.cols;
+    const std::int64_t nr2 = rows / to.rows; // new block rows
+    const std::int64_t nc2 = cols / to.cols;
+    for (int p = 0; p < to.rows; ++p) {
+        for (int q = 0; q < to.cols; ++q) {
+            const std::int64_t r_lo = p * nr2;
+            const std::int64_t r_hi = (p + 1) * nr2;
+            const std::int64_t c_lo = q * nc2;
+            const std::int64_t c_hi = (q + 1) * nc2;
+            for (std::int64_t i = r_lo / nr1; i * nr1 < r_hi; ++i) {
+                const std::int64_t orows =
+                    std::min(r_hi, (i + 1) * nr1) - std::max(r_lo, i * nr1);
+                for (std::int64_t j = c_lo / nc1; j * nc1 < c_hi; ++j) {
+                    const std::int64_t ocols =
+                        std::min(c_hi, (j + 1) * nc1) -
+                        std::max(c_lo, j * nc1);
+                    visit(static_cast<int>(i), static_cast<int>(j), p, q,
+                          orows * ocols * bytes_per_element);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The one strip count of a layout change, per axis: the fraction of an
+ * axis cut into @p n_old old and @p n_new new equal strips whose owner
+ * stays. New strip s lies on old strip s, or on s + 1 at or past the
+ * @p retired line (negative: no line retired). floor(x * n_old) and
+ * floor(x * n_new) are constant on each elementary interval
+ * [c, c + 1) / (n_old * n_new), so an exact integer count replaces the
+ * integral.
+ */
+double
+sameOwnerFraction(int n_old, int n_new, int retired)
+{
+    std::int64_t same = 0;
+    const std::int64_t cells = static_cast<std::int64_t>(n_old) * n_new;
+    for (std::int64_t c = 0; c < cells; ++c) {
+        const std::int64_t s = c / n_old; // new strip
+        const std::int64_t owner = retired >= 0 && s >= retired ? s + 1 : s;
+        if (owner == c / n_new)
+            ++same;
+    }
+    return static_cast<double>(same) / static_cast<double>(cells);
+}
+
+/** @p total_bytes times the measure of the unit square whose owner
+ *  changes: row and column ownership are independent, so the
+ *  same-owner fraction factorizes over the two axes. */
+double
+movedBytesModel(double total_bytes, MeshShape from, MeshShape to,
+                int retired_row, int retired_col)
+{
+    const double row_same =
+        sameOwnerFraction(from.rows, to.rows, retired_row);
+    const double col_same =
+        sameOwnerFraction(from.cols, to.cols, retired_col);
+    return total_bytes * (1.0 - row_same * col_same);
+}
 
 } // namespace
 
@@ -102,72 +177,49 @@ oldToNewChipMap(const SurvivorMesh &sv)
 }
 
 ReshardPlan
-planReshard(std::int64_t rows, std::int64_t cols, int bytes_per_element,
-            const SurvivorMesh &sv)
+planReshard(const std::vector<std::pair<std::int64_t, std::int64_t>> &matrices,
+            int bytes_per_element, const SurvivorMesh &sv)
 {
     sv.validate();
     const MeshShape to = sv.to();
-    if (rows <= 0 || cols <= 0 || bytes_per_element <= 0)
-        fatal("planReshard: matrix %lldx%lld with %d-byte elements is "
-              "not re-shardable", static_cast<long long>(rows),
-              static_cast<long long>(cols), bytes_per_element);
-    if (rows % sv.from.rows != 0 || cols % sv.from.cols != 0 ||
-        rows % to.rows != 0 || cols % to.cols != 0)
-        fatal("planReshard: %lldx%lld must divide evenly by both the "
-              "%dx%d source mesh and the %dx%d survivor mesh",
-              static_cast<long long>(rows), static_cast<long long>(cols),
-              sv.from.rows, sv.from.cols, to.rows, to.cols);
-
-    const std::int64_t nr1 = rows / sv.from.rows; // old shard rows
-    const std::int64_t nc1 = cols / sv.from.cols;
-    const std::int64_t nr2 = rows / to.rows; // new shard rows
-    const std::int64_t nc2 = cols / to.cols;
+    for (const auto &[rows, cols] : matrices) {
+        if (rows <= 0 || cols <= 0 || bytes_per_element <= 0)
+            fatal("planReshard: matrix %lldx%lld with %d-byte elements is "
+                  "not re-shardable", static_cast<long long>(rows),
+                  static_cast<long long>(cols), bytes_per_element);
+        if (rows % sv.from.rows != 0 || cols % sv.from.cols != 0 ||
+            rows % to.rows != 0 || cols % to.cols != 0)
+            fatal("planReshard: %lldx%lld must divide evenly by both the "
+                  "%dx%d source mesh and the %dx%d survivor mesh",
+                  static_cast<long long>(rows),
+                  static_cast<long long>(cols), sv.from.rows,
+                  sv.from.cols, to.rows, to.cols);
+    }
 
     ReshardPlan plan;
     plan.from = sv.from;
     plan.to = to;
-    std::unordered_map<int, Bytes> ingress;
-    std::unordered_map<int, Bytes> egress;
-
-    // Destination-major enumeration of region overlaps: new shard
-    // (p, q) covers global rows [p*nr2, (p+1)*nr2) x cols
-    // [q*nc2, (q+1)*nc2); every old shard it intersects contributes
-    // one (src -> dst) block movement.
-    for (int p = 0; p < to.rows; ++p) {
-        for (int q = 0; q < to.cols; ++q) {
-            const int dst_chip = sv.oldChipAt(p, q);
-            const std::int64_t r_lo = p * nr2;
-            const std::int64_t r_hi = (p + 1) * nr2;
-            const std::int64_t c_lo = q * nc2;
-            const std::int64_t c_hi = (q + 1) * nc2;
-            for (std::int64_t i = r_lo / nr1; i * nr1 < r_hi; ++i) {
-                const std::int64_t orows =
-                    std::min(r_hi, (i + 1) * nr1) - std::max(r_lo, i * nr1);
-                for (std::int64_t j = c_lo / nc1; j * nc1 < c_hi; ++j) {
-                    const std::int64_t ocols =
-                        std::min(c_hi, (j + 1) * nc1) -
-                        std::max(c_lo, j * nc1);
-                    const Bytes bytes = orows * ocols * bytes_per_element;
-                    const int src_chip =
-                        static_cast<int>(i) * sv.from.cols +
-                        static_cast<int>(j);
-                    if (src_chip == dst_chip) {
-                        plan.localBytes += bytes;
-                        continue;
-                    }
-                    plan.moves.push_back(
-                        ReshardMove{src_chip, dst_chip, bytes});
-                    plan.totalBytes += bytes;
-                    ingress[dst_chip] += bytes;
-                    egress[src_chip] += bytes;
+    // Indexed by old chip id: sources and destinations both are.
+    std::vector<Bytes> ingress(static_cast<size_t>(sv.from.chips()), 0);
+    std::vector<Bytes> egress(ingress.size(), 0);
+    for (const auto &[rows, cols] : matrices) {
+        forEachBlockOverlap(
+            rows, cols, bytes_per_element, sv.from, to,
+            [&](int i, int j, int p, int q, Bytes bytes) {
+                const int src_chip = i * sv.from.cols + j;
+                const int dst_chip = sv.oldChipAt(p, q);
+                if (src_chip == dst_chip) {
+                    plan.localBytes += bytes;
+                    return;
                 }
-            }
-        }
+                plan.moves.push_back(ReshardMove{src_chip, dst_chip, bytes});
+                plan.totalBytes += bytes;
+                ingress[static_cast<size_t>(dst_chip)] += bytes;
+                egress[static_cast<size_t>(src_chip)] += bytes;
+            });
     }
-    for (const auto &[chip, bytes] : ingress)
-        plan.maxChipIngress = std::max(plan.maxChipIngress, bytes);
-    for (const auto &[chip, bytes] : egress)
-        plan.maxChipEgress = std::max(plan.maxChipEgress, bytes);
+    plan.maxChipIngress = *std::max_element(ingress.begin(), ingress.end());
+    plan.maxChipEgress = *std::max_element(egress.begin(), egress.end());
     return plan;
 }
 
@@ -200,35 +252,31 @@ double
 reshardBytesModel(double total_bytes, const SurvivorMesh &sv)
 {
     sv.validate();
-    const MeshShape to = sv.to();
-    // Same-owner fraction factorizes over the two axes because row and
-    // column ownership are independent. Along an axis split into N old
-    // and M new strips, floor(x*N) and floor(x*M) are constant on each
-    // elementary interval [k, k+1) / (N*M), so an exact integer count
-    // replaces the integral.
-    auto same_fraction = [](int n_old, int n_new, int failed) {
-        if (failed < 0) {
-            // Axis untouched: owners renumber identically.
-            return 1.0;
+    return movedBytesModel(total_bytes, sv.from, sv.to(), sv.failedRow,
+                           sv.failedCol);
+}
+
+ReshardEstimate
+expectedReshard(const ChipConfig &cfg, MeshShape mesh, double state_bytes)
+{
+    ReshardEstimate best;
+    for (const bool retire_row : {true, false}) {
+        const int lines = retire_row ? mesh.rows : mesh.cols;
+        if (lines < 2)
+            continue; // no survivor mesh in this orientation
+        SurvivorMesh sv{mesh, -1, -1};
+        double sum = 0.0;
+        for (int f = 0; f < lines; ++f) {
+            (retire_row ? sv.failedRow : sv.failedCol) = f;
+            sum += reshardBytesModel(state_bytes, sv);
         }
-        std::int64_t same = 0;
-        const std::int64_t cells =
-            static_cast<std::int64_t>(n_old) * n_new;
-        for (std::int64_t k = 0; k < cells; ++k) {
-            const int old_strip = static_cast<int>(k / n_new);
-            const int new_strip = static_cast<int>(k / n_old);
-            const int mapped =
-                new_strip >= failed ? new_strip + 1 : new_strip;
-            if (mapped == old_strip)
-                ++same;
-        }
-        return static_cast<double>(same) / static_cast<double>(cells);
-    };
-    const double row_same =
-        same_fraction(sv.from.rows, to.rows, sv.failedRow);
-    const double col_same =
-        same_fraction(sv.from.cols, to.cols, sv.failedCol);
-    return total_bytes * (1.0 - row_same * col_same);
+        ReshardEstimate est;
+        est.bytes = sum / static_cast<double>(lines);
+        est.time = reshardTimeModel(cfg, est.bytes, sv.to().chips());
+        if (best.time < 0.0 || est.time < best.time)
+            best = est;
+    }
+    return best;
 }
 
 RemapPlan
@@ -249,56 +297,23 @@ planRemap(std::int64_t rows, std::int64_t cols, int bytes_per_element,
               static_cast<long long>(rows), static_cast<long long>(cols),
               from.rows, from.cols, to.rows, to.cols);
 
-    const std::int64_t nr1 = rows / from.rows; // producer shard rows
-    const std::int64_t nc1 = cols / from.cols;
-    const std::int64_t nr2 = rows / to.rows; // consumer shard rows
-    const std::int64_t nc2 = cols / to.cols;
-
     RemapPlan plan;
     plan.from = from;
     plan.to = to;
-    std::unordered_map<int, Bytes> ingress;
-    std::unordered_map<int, Bytes> egress;
-
-    for (int p = 0; p < to.rows; ++p) {
-        for (int q = 0; q < to.cols; ++q) {
-            const std::int64_t r_lo = p * nr2;
-            const std::int64_t r_hi = (p + 1) * nr2;
-            const std::int64_t c_lo = q * nc2;
-            const std::int64_t c_hi = (q + 1) * nc2;
-            for (std::int64_t i = r_lo / nr1; i * nr1 < r_hi; ++i) {
-                const std::int64_t orows =
-                    std::min(r_hi, (i + 1) * nr1) - std::max(r_lo, i * nr1);
-                for (std::int64_t j = c_lo / nc1; j * nc1 < c_hi; ++j) {
-                    const std::int64_t ocols =
-                        std::min(c_hi, (j + 1) * nc1) -
-                        std::max(c_lo, j * nc1);
-                    const Bytes bytes = orows * ocols * bytes_per_element;
-                    RemapMove move;
-                    move.srcRow = static_cast<int>(i);
-                    move.srcCol = static_cast<int>(j);
-                    move.dstRow = p;
-                    move.dstCol = q;
-                    move.bytes = bytes;
-                    move.matched =
-                        move.srcRow == p && move.srcCol == q;
-                    plan.totalBytes += bytes;
-                    if (move.matched)
-                        plan.matchedBytes += bytes;
-                    else
-                        plan.movedBytes += bytes;
-                    ingress[p * to.cols + q] += bytes;
-                    egress[static_cast<int>(i) * from.cols +
-                           static_cast<int>(j)] += bytes;
-                    plan.moves.push_back(move);
-                }
-            }
-        }
-    }
-    for (const auto &[chip, bytes] : ingress)
-        plan.maxChipIngress = std::max(plan.maxChipIngress, bytes);
-    for (const auto &[chip, bytes] : egress)
-        plan.maxChipEgress = std::max(plan.maxChipEgress, bytes);
+    std::vector<Bytes> ingress(static_cast<size_t>(to.chips()), 0);
+    std::vector<Bytes> egress(static_cast<size_t>(from.chips()), 0);
+    forEachBlockOverlap(
+        rows, cols, bytes_per_element, from, to,
+        [&](int i, int j, int p, int q, Bytes bytes) {
+            const bool matched = i == p && j == q;
+            plan.moves.push_back(RemapMove{i, j, p, q, bytes, matched});
+            plan.totalBytes += bytes;
+            (matched ? plan.matchedBytes : plan.movedBytes) += bytes;
+            ingress[static_cast<size_t>(p * to.cols + q)] += bytes;
+            egress[static_cast<size_t>(i * from.cols + j)] += bytes;
+        });
+    plan.maxChipIngress = *std::max_element(ingress.begin(), ingress.end());
+    plan.maxChipEgress = *std::max_element(egress.begin(), egress.end());
     return plan;
 }
 
@@ -311,22 +326,7 @@ remapBytesModel(double total_bytes, MeshShape from, MeshShape to)
     if (total_bytes < 0.0)
         fatal("remapBytesModel: total bytes must be >= 0 (got %g)",
               total_bytes);
-    // Same-position fraction factorizes over the axes; along one axis
-    // split into N producer and M consumer strips, floor(x*N) and
-    // floor(x*M) are constant on each elementary interval of length
-    // 1 / (N*M), so an exact integer count replaces the integral.
-    auto same_fraction = [](int n_from, int n_to) {
-        std::int64_t same = 0;
-        const std::int64_t cells =
-            static_cast<std::int64_t>(n_from) * n_to;
-        for (std::int64_t k = 0; k < cells; ++k)
-            if (k / n_to == k / n_from)
-                ++same;
-        return static_cast<double>(same) / static_cast<double>(cells);
-    };
-    const double row_same = same_fraction(from.rows, to.rows);
-    const double col_same = same_fraction(from.cols, to.cols);
-    return total_bytes * (1.0 - row_same * col_same);
+    return movedBytesModel(total_bytes, from, to, -1, -1);
 }
 
 Time
@@ -353,30 +353,6 @@ reshardTimeModel(const ChipConfig &cfg, double moved_bytes,
            moved_bytes / static_cast<double>(survivor_chips) /
                reshardChipRate(cfg) +
            cfg.syncLatency;
-}
-
-std::vector<ReshardChipTraffic>
-reshardChipTraffic(const ReshardPlan &plan)
-{
-    std::unordered_map<int, ReshardChipTraffic> by_chip;
-    auto slot = [&by_chip](int chip) -> ReshardChipTraffic & {
-        ReshardChipTraffic &t = by_chip[chip];
-        t.chip = chip;
-        return t;
-    };
-    for (const ReshardMove &mv : plan.moves) {
-        slot(mv.srcChip).egress += mv.bytes;
-        slot(mv.dstChip).ingress += mv.bytes;
-    }
-    std::vector<ReshardChipTraffic> out;
-    out.reserve(by_chip.size());
-    for (const auto &kv : by_chip)
-        out.push_back(kv.second);
-    std::sort(out.begin(), out.end(),
-              [](const ReshardChipTraffic &a, const ReshardChipTraffic &b) {
-                  return a.chip < b.chip;
-              });
-    return out;
 }
 
 Rate

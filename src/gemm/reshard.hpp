@@ -13,13 +13,20 @@
  *    survivor mesh still matches the single-chip reference; and
  *  - the *modeled* re-shard (`planReshard` / `reshardTime`): the exact
  *    block-movement traffic (per-move SendRecv bytes, per-chip
- *    ingress/egress) and a first-order time estimate, which the
- *    recovery-aware tuner charges when comparing mesh shapes.
+ *    ingress/egress) and a first-order time estimate, and its
+ *    closed-form twin (`reshardBytesModel` / `reshardTimeModel`),
+ *    which `expectedReshard` averages over the failed line to price a
+ *    failure for the recovery-aware tuner, the elastic runtime's
+ *    Young–Daly solve and the recovery report.
  *
  * Ownership convention matches `DistMatrix`: the global matrix is cut
  * into equal blocks, shard (i, j) lives on the chip at mesh coordinate
  * (i, j). Survivors keep their physical chip ids; only their mesh
  * coordinates are renumbered (row-major, skipping the dead row/col).
+ * The cross-mesh remap between pipeline stages (`planRemap` /
+ * `remapBytesModel`) is the same geometry with owners compared by
+ * position: both plans come from one block-overlap walk, and both
+ * models from one per-axis strip count.
  */
 #ifndef MESHSLICE_GEMM_RESHARD_HPP_
 #define MESHSLICE_GEMM_RESHARD_HPP_
@@ -82,14 +89,15 @@ struct ReshardPlan
 {
     MeshShape from;
     MeshShape to;
-    /** Cross-chip movements, ordered by (dst, src) for determinism. */
+    /** Cross-chip movements, matrix by matrix, each matrix's ordered
+     *  by (dst, src) for determinism. */
     std::vector<ReshardMove> moves;
     /** Sum of `moves[].bytes` (bytes that cross the ICI). */
     Bytes totalBytes = 0;
     /** Bytes whose owner did not change (pure local relabeling). */
     Bytes localBytes = 0;
-    /** Heaviest per-chip receive / send totals — what the first-order
-     *  time model is limited by. */
+    /** Heaviest per-chip receive / send totals over all the plan's
+     *  matrices — what the first-order time model is limited by. */
     Bytes maxChipIngress = 0;
     Bytes maxChipEgress = 0;
 };
@@ -114,13 +122,16 @@ std::vector<SurvivorMesh> survivorOptionsForChip(MeshShape from,
 std::vector<int> oldToNewChipMap(const SurvivorMesh &sv);
 
 /**
- * Exact block-movement plan for re-sharding a global (rows x cols)
- * matrix of @p bytes_per_element-byte elements from `sv.from` onto
- * `sv.to()`. Dimensions must divide evenly by both mesh shapes (the
- * same invariant `DistMatrix::scatter` enforces).
+ * Exact block-movement plan for re-sharding the live global
+ * @p matrices, each (rows, cols) of @p bytes_per_element-byte
+ * elements, from `sv.from` onto `sv.to()`: every matrix's moves in
+ * list order, summed totals, and per-chip maxima over the matrices'
+ * summed traffic. Dimensions must divide evenly by both mesh shapes
+ * (the same invariant `DistMatrix::scatter` enforces).
  */
-ReshardPlan planReshard(std::int64_t rows, std::int64_t cols,
-                        int bytes_per_element, const SurvivorMesh &sv);
+ReshardPlan
+planReshard(const std::vector<std::pair<std::int64_t, std::int64_t>> &matrices,
+            int bytes_per_element, const SurvivorMesh &sv);
 
 /**
  * Functional re-shard: returns @p m redistributed onto the survivor
@@ -139,6 +150,24 @@ DistMatrix reshard(const DistMatrix &m, const SurvivorMesh &sv);
  */
 double reshardBytesModel(double total_bytes, const SurvivorMesh &sv);
 
+/** Modeled moved bytes and time of one single-failure re-shard. */
+struct ReshardEstimate
+{
+    double bytes = 0.0;
+    Time time = -1.0; ///< negative: the mesh has no survivor mesh
+};
+
+/**
+ * The expected single-failure re-shard of @p state_bytes of live state
+ * on @p mesh: `reshardBytesModel` averaged over the uniformly random
+ * failed row (or column), priced by `reshardTimeModel` on the survivor
+ * chips. The recovery controller picks the orientation after seeing the
+ * failure, so this returns the cheaper one, rows on a tie; a 1x1 mesh
+ * has neither and gets a negative time.
+ */
+ReshardEstimate expectedReshard(const ChipConfig &cfg, MeshShape mesh,
+                                double state_bytes);
+
 /**
  * First-order re-shard time for @p plan: one launch, then every chip
  * streams its ingress/egress through its 4 torus links in parallel
@@ -154,22 +183,6 @@ Time reshardTime(const ChipConfig &cfg, const ReshardPlan &plan);
  */
 Time reshardTimeModel(const ChipConfig &cfg, double moved_bytes,
                       int survivor_chips);
-
-/** Aggregate traffic of one chip across a re-shard plan. */
-struct ReshardChipTraffic
-{
-    int chip = -1;
-    Bytes ingress = 0; ///< bytes this chip receives
-    Bytes egress = 0;  ///< bytes this chip sends
-};
-
-/**
- * Per-chip ingress/egress totals of @p plan, ordered by chip id.
- * `max_element` over these reproduces `plan.maxChipIngress/Egress`;
- * the simulated re-shard (`runReshard`) sizes its per-chip NIC
- * resources from this list.
- */
-std::vector<ReshardChipTraffic> reshardChipTraffic(const ReshardPlan &plan);
 
 /**
  * Per-chip streaming rate both re-shard time models charge: all four
@@ -223,10 +236,11 @@ struct RemapPlan
 /**
  * Exact block-overlap plan for re-laying a global (rows x cols) tensor
  * of @p bytes_per_element-byte elements from a `from`-shaped mesh onto
- * a `to`-shaped one (the same destination-major overlap enumeration as
- * `planReshard`). Dimensions must divide evenly by both shapes. When
- * `from == to` the plan is all-matched: zero remap bytes, which is how
- * layout-aligned adjacent stages get their free boundary.
+ * a `to`-shaped one (`planReshard`'s destination-major overlap walk).
+ * Dimensions must divide evenly by both shapes. When `from == to` the
+ * plan is all-matched: zero remap bytes, which is how layout-aligned
+ * adjacent stages get their free boundary. The discrete reference the
+ * tests check `remapBytesModel` against.
  */
 RemapPlan planRemap(std::int64_t rows, std::int64_t cols,
                     int bytes_per_element, MeshShape from, MeshShape to);
@@ -235,8 +249,8 @@ RemapPlan planRemap(std::int64_t rows, std::int64_t cols,
  * Continuous companion of `planRemap` for closed-form sweeps: the
  * moved-byte total (position-changing fraction of @p total_bytes).
  * Equals `planRemap(...).movedBytes` exactly whenever the dimensions
- * divide both meshes — computed on the elementary-interval lattice per
- * axis, like `reshardBytesModel`.
+ * divide both meshes — `reshardBytesModel`'s per-axis strip count with
+ * no line retired. The pipeline stage model charges it.
  */
 double remapBytesModel(double total_bytes, MeshShape from, MeshShape to);
 

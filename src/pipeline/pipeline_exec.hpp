@@ -89,7 +89,7 @@ struct PipelineExecSpec
      *  boundary, total over the mesh (split evenly over positions). */
     Bytes boundaryBytes = 0;
     /** Extra bytes when adjacent stages' 2D layouts mismatch (the
-     *  cross-mesh remap traffic; see `planRemap`). */
+     *  cross-mesh remap traffic; see `remapBytesModel`). */
     Bytes remapBytes = 0;
     /** Charge the host launch overhead on every boundary transfer. */
     bool chargeLaunch = false;

@@ -15,6 +15,7 @@
 #include "pipeline/pipeline_exec.hpp"
 #include "sim/abandon.hpp"
 #include "sim/stats.hpp"
+#include "tuner/autotuner.hpp"
 #include "tuner/robust.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -26,16 +27,6 @@ namespace {
 /** Per-step weight-update scale of the functional state. Elementwise,
  *  so the result is bit-exact across shard layouts and re-shards. */
 constexpr float kElasticLr = 0.5f;
-
-/** m, k and n all divide both axes of @p shape — the precondition for
- *  exact operand re-shard plans and functional scatter. */
-bool
-fullyDivides(const Gemm2DSpec &spec, MeshShape shape)
-{
-    return spec.m % shape.rows == 0 && spec.m % shape.cols == 0 &&
-           spec.k % shape.rows == 0 && spec.k % shape.cols == 0 &&
-           spec.n % shape.rows == 0 && spec.n % shape.cols == 0;
-}
 
 /** Outcome of one phase simulation (step / checkpoint / re-shard). */
 struct PhaseOut
@@ -237,32 +228,6 @@ runCheckpointPhase(const ChipConfig &cfg, int chips,
     return h.close(span);
 }
 
-/** Exact combined re-shard plan of the three live operands. */
-ReshardPlan
-liveStatePlan(const Gemm2DSpec &spec, const SurvivorMesh &sv)
-{
-    const ReshardPlan a =
-        planReshard(spec.m, spec.k, spec.bytesPerElement, sv);
-    const ReshardPlan b =
-        planReshard(spec.k, spec.n, spec.bytesPerElement, sv);
-    const ReshardPlan w =
-        planReshard(spec.m, spec.n, spec.bytesPerElement, sv);
-    ReshardPlan out;
-    out.from = a.from;
-    out.to = a.to;
-    for (const ReshardPlan *p : {&a, &b, &w}) {
-        out.moves.insert(out.moves.end(), p->moves.begin(),
-                         p->moves.end());
-        out.totalBytes += p->totalBytes;
-        out.localBytes += p->localBytes;
-    }
-    for (const ReshardChipTraffic &t : reshardChipTraffic(out)) {
-        out.maxChipIngress = std::max(out.maxChipIngress, t.ingress);
-        out.maxChipEgress = std::max(out.maxChipEgress, t.egress);
-    }
-    return out;
-}
-
 /** The enacted recovery re-shard on a fresh old-shape cluster. */
 PhaseOut
 runRecoveryReshardPhase(const ChipConfig &cfg, const Gemm2DSpec &spec,
@@ -444,15 +409,16 @@ validateElasticConfig(const ElasticRunConfig &run, int chips0)
                       "from the checkpoint target — "
                       "checkpointTargetBandwidth must be positive when "
                       "the scenario kills a chip");
-            if (!fullyDivides(run.spec,
-                              MeshShape{run.spec.rows, run.spec.cols}))
+            if (!shapeFeasible(run.spec.m, run.spec.k, run.spec.n,
+                               run.spec.rows, run.spec.cols))
                 fatal("runElastic: fail-stop recovery re-shards all "
                       "three operands exactly, so m, k and n must "
                       "divide both mesh axes");
         }
     }
     if (run.functionalState &&
-        !fullyDivides(run.spec, MeshShape{run.spec.rows, run.spec.cols}))
+        !shapeFeasible(run.spec.m, run.spec.k, run.spec.n, run.spec.rows,
+                       run.spec.cols))
         fatal("runElastic: functional state scatters A, B and W, so m, "
               "k and n must divide both mesh axes");
 }
@@ -499,12 +465,14 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
             m.detectionLatency =
                 run.haveScenario ? run.scenario.detectionLatency : 0.5;
             m.restartTime = run.restartTime;
-            const std::vector<SurvivorMesh> opts = survivorOptionsForChip(
-                MeshShape{run.spec.rows, run.spec.cols}, 0);
-            m.reshardTime = reshardTimeModel(
-                cfg,
-                reshardBytesModel(liveStateBytes(run.spec), opts.front()),
-                opts.front().to().chips());
+            const ReshardEstimate reshard = expectedReshard(
+                cfg, MeshShape{run.spec.rows, run.spec.cols},
+                liveStateBytes(run.spec));
+            if (reshard.time < 0.0)
+                fatal("runElastic: a %dx%d mesh has no survivor mesh to "
+                      "re-shard onto, so no Young-Daly interval exists",
+                      run.spec.rows, run.spec.cols);
+            m.reshardTime = reshard.time;
             interval = evaluateTrainingRun(cfg, m).optimalInterval;
         }
     }
@@ -605,8 +573,10 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
         int pick = -1;
         for (size_t i = 0; i < rp.candidates.size(); ++i) {
             const ReplanCandidate &cand = rp.candidates[i];
-            if (!cand.feasible ||
-                !fullyDivides(spec_cur, cand.mesh.to()))
+            const MeshShape to = cand.mesh.to();
+            if (!cand.feasible || !shapeFeasible(spec_cur.m, spec_cur.k,
+                                                 spec_cur.n, to.rows,
+                                                 to.cols))
                 continue;
             if (pick < 0 ||
                 cand.objective <
@@ -628,7 +598,11 @@ runElastic(const ChipConfig &cfg, const ElasticRunConfig &run)
         // The enacted re-shard: all three live operands, survivor
         // blocks over real links, corpse blocks from the checkpoint
         // target.
-        const ReshardPlan plan = liveStatePlan(spec_cur, sv);
+        const ReshardPlan plan = planReshard(
+            {{spec_cur.m, spec_cur.k},
+             {spec_cur.k, spec_cur.n},
+             {spec_cur.m, spec_cur.n}},
+            spec_cur.bytesPerElement, sv);
         const PhaseOut rout = runRecoveryReshardPhase(
             cfg, spec_cur, plan, dead, run.checkpointTargetBandwidth,
             run.profile);

@@ -143,12 +143,21 @@ distinctGemmSpecs(const AutotuneResult &plan,
 }
 
 bool
-shapeFeasible(const FcGemm &gemm, int rows, int cols)
+shapeFeasible(std::int64_t m, std::int64_t k, std::int64_t n, int rows,
+              int cols)
 {
-    for (std::int64_t dim : {gemm.m, gemm.k, gemm.n})
+    for (std::int64_t dim : {m, k, n})
         if (dim % rows != 0 || dim % cols != 0)
             return false;
     return true;
+}
+
+bool
+shapeFeasible(const std::vector<FcGemm> &gemms, int rows, int cols)
+{
+    return std::all_of(gemms.begin(), gemms.end(), [&](const FcGemm &g) {
+        return shapeFeasible(g.m, g.k, g.n, rows, cols);
+    });
 }
 
 AutotuneResult
@@ -217,7 +226,8 @@ LlmAutotuner::planAtShape(Algorithm algo, const TransformerConfig &model,
     out.blockFcTime = 0.0;
     for (FcLayerPlan &layer : out.layers) {
         for (GemmPlan &plan : layer.passes) {
-            if (!shapeFeasible(plan.gemm, rows, cols))
+            if (!shapeFeasible(plan.gemm.m, plan.gemm.k, plan.gemm.n, rows,
+                               cols))
                 panic("planAtShape: %dx%d does not divide GeMM %s", rows,
                       cols, plan.gemm.name.c_str());
             Gemm2DSpec spec = makeSpec(plan.gemm, plan.dataflow, rows,
@@ -281,31 +291,19 @@ LlmAutotuner::rankShapes(Algorithm algo, const TransformerConfig &model,
         buildPhase1(algo, model, train, optimize_dataflow);
 
     // Feasibility pre-check (cheap, serial): collect the candidate
-    // mesh shapes, breaking out of the pass scan on the first
-    // non-dividing GeMM instead of evaluating all 12.
+    // mesh shapes. Phase 1 permutes each layer's dimensions, so the
+    // block's GeMMs decide divisibility for the planned passes.
+    const std::vector<FcGemm> gemms = blockFcGemms(model, train);
     std::vector<std::pair<int, int>> shapes;
-    for (auto [rows, cols] : meshShapesOf(chips)) {
-        if (!supportsMesh(algo, static_cast<int>(rows),
-                          static_cast<int>(cols)))
+    for (auto [rows64, cols64] : meshShapesOf(chips)) {
+        const int rows = static_cast<int>(rows64);
+        const int cols = static_cast<int>(cols64);
+        if (!supportsMesh(algo, rows, cols))
             continue;
-        bool feasible = true;
-        for (const FcLayerPlan &layer : layers) {
-            for (const GemmPlan &plan : layer.passes) {
-                if (!shapeFeasible(plan.gemm, static_cast<int>(rows),
-                                   static_cast<int>(cols))) {
-                    feasible = false;
-                    break;
-                }
-            }
-            if (!feasible)
-                break;
-        }
-        if (feasible)
-            shapes.emplace_back(static_cast<int>(rows),
-                                static_cast<int>(cols));
+        if (shapeFeasible(gemms, rows, cols))
+            shapes.emplace_back(rows, cols);
         else if (SearchTrace::global().enabled())
-            traceShapeCandidate(algo, chips, static_cast<int>(rows),
-                                static_cast<int>(cols),
+            traceShapeCandidate(algo, chips, rows, cols,
                                 /*feasible=*/false, 1e300);
     }
     if (shapes.empty())

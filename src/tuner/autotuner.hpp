@@ -94,8 +94,17 @@ DistinctGemmSpecs distinctGemmSpecs(const AutotuneResult &plan,
                                     const std::vector<GemmPlan> &gemms,
                                     int bytes_per_element);
 
-/** True if the mesh shape divides all three GeMM dimensions. */
-bool shapeFeasible(const FcGemm &gemm, int rows, int cols);
+/**
+ * True if both mesh axes divide all three GeMM dimensions: the rule
+ * the phase-2 sweep prunes shapes by, and the one the elastic runtime
+ * requires for exact operand re-shards and functional scatter.
+ */
+bool shapeFeasible(std::int64_t m, std::int64_t k, std::int64_t n, int rows,
+                   int cols);
+
+/** True if the mesh shape is `shapeFeasible` for every GeMM of
+ *  @p gemms (a block's FC GeMMs). */
+bool shapeFeasible(const std::vector<FcGemm> &gemms, int rows, int cols);
 
 /** The MeshSlice LLM autotuner. */
 class LlmAutotuner

@@ -6,6 +6,7 @@
 #include "tuner/search_trace.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/parallel.hpp"
 
 namespace meshslice {
@@ -19,31 +20,21 @@ constexpr double kFwdShare = 1.0 / 3.0;
 
 /**
  * True when at least one rows x cols factorization of @p tp divides
- * every FC GeMM dimension at the micro-batch size. Mirrors the phase-2
- * feasibility loop so structurally impossible TP degrees (e.g. a
- * factor of 5 against GPT-3's power-of-two-times-three dimensions) are
- * *pruned* with a reason instead of tripping the autotuner's
- * no-feasible-shape `fatal`.
+ * every FC GeMM dimension at the micro-batch size — the phase-2 sweep's
+ * own `shapeFeasible` rule — so structurally impossible TP degrees
+ * (e.g. a factor of 5 against GPT-3's power-of-two-times-three
+ * dimensions) are *pruned* with a reason instead of tripping the
+ * autotuner's no-feasible-shape `fatal`.
  */
 bool
 anyTpMeshFeasible(const TransformerConfig &model,
                   const TrainingConfig &micro, int tp)
 {
     const std::vector<FcGemm> gemms = blockFcGemms(model, micro);
-    for (int rows = 1; rows <= tp; ++rows) {
-        if (tp % rows != 0)
-            continue;
-        const int cols = tp / rows;
-        bool ok = true;
-        for (const FcGemm &gemm : gemms) {
-            if (!shapeFeasible(gemm, rows, cols)) {
-                ok = false;
-                break;
-            }
-        }
-        if (ok)
+    for (auto [rows, cols] : meshShapesOf(tp))
+        if (shapeFeasible(gemms, static_cast<int>(rows),
+                          static_cast<int>(cols)))
             return true;
-    }
     return false;
 }
 

@@ -83,37 +83,6 @@ traceRecoveryPick(Algorithm algo, int chips,
         result.pickDiffers() ? "true" : "false"));
 }
 
-/** Expected moved bytes + modeled time of one re-shard orientation
- *  (retire a row / a column), averaged over the uniformly random
- *  failed index. */
-struct ReshardEstimate
-{
-    double bytes = 0.0;
-    Time time = -1.0; ///< negative = orientation infeasible
-};
-
-ReshardEstimate
-expectedReshard(const ChipConfig &chip, int rows, int cols,
-                double total_state_bytes, bool retire_row)
-{
-    ReshardEstimate est;
-    const int n = retire_row ? rows : cols;
-    if (n < 2)
-        return est; // no survivor mesh in this orientation
-    double sum = 0.0;
-    for (int f = 0; f < n; ++f) {
-        SurvivorMesh sv;
-        sv.from = MeshShape{rows, cols};
-        (retire_row ? sv.failedRow : sv.failedCol) = f;
-        sum += reshardBytesModel(total_state_bytes, sv);
-    }
-    est.bytes = sum / static_cast<double>(n);
-    const int survivors =
-        retire_row ? (rows - 1) * cols : rows * (cols - 1);
-    est.time = reshardTimeModel(chip, est.bytes, survivors);
-    return est;
-}
-
 } // namespace
 
 Time
@@ -343,25 +312,14 @@ tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
             cand.plan = plan;
             cand.stepTime = plan.blockFcTime;
 
-            // Cheapest orientation of the single-failure re-shard: the
-            // recovery controller picks row vs column retirement after
-            // seeing the failure, so the tuner charges the better of
-            // the two expectations.
-            const ReshardEstimate by_row = expectedReshard(
-                chip, plan.rows, plan.cols, total_state, true);
-            const ReshardEstimate by_col = expectedReshard(
-                chip, plan.rows, plan.cols, total_state, false);
-            const ReshardEstimate *best = nullptr;
-            if (by_row.time >= 0.0)
-                best = &by_row;
-            if (by_col.time >= 0.0 && (!best || by_col.time < best->time))
-                best = &by_col;
-            if (!best)
+            const ReshardEstimate reshard = expectedReshard(
+                chip, MeshShape{plan.rows, plan.cols}, total_state);
+            if (reshard.time < 0.0)
                 fatal("tuneWithRecoveryShortlist: a %dx%d mesh has no "
                       "survivor mesh to re-shard onto after a failure",
                       plan.rows, plan.cols);
-            cand.reshardBytes = best->bytes;
-            cand.reshardTime = best->time;
+            cand.reshardBytes = reshard.bytes;
+            cand.reshardTime = reshard.time;
 
             TrainingRunModel run;
             run.checkpointBytesPerChip = cfg.checkpointBytesPerChip;
@@ -369,7 +327,7 @@ tuneWithRecoveryShortlist(const LlmAutotuner &tuner, Algorithm algo,
             run.chips = chips;
             run.detectionLatency = cfg.detectionLatency;
             run.restartTime = cfg.restartTime;
-            run.reshardTime = best->time;
+            run.reshardTime = reshard.time;
             const TrainingGoodput g = evaluateTrainingRun(chip, run);
             cand.checkpointInterval = g.optimalInterval;
             cand.goodput = g.goodput;

@@ -91,7 +91,8 @@ TEST_F(AutotunerTest, TunePicksFeasibleShapeAndSliceCounts)
     for (const GemmPlan &p : result.allPlans()) {
         EXPECT_GE(p.sliceCount, 1);
         EXPECT_GT(p.estTime, 0.0);
-        EXPECT_TRUE(shapeFeasible(p.gemm, result.rows, result.cols));
+        EXPECT_TRUE(shapeFeasible(p.gemm.m, p.gemm.k, p.gemm.n,
+                                  result.rows, result.cols));
     }
     EXPECT_GT(result.blockFcTime, 0.0);
 }
@@ -217,7 +218,8 @@ TEST_F(AutotunerTest, RankShapesTracesEveryMeshShape)
             bool divides = true;
             for (const FcGemm &gemm : blockFcGemms(model, train))
                 divides = divides &&
-                          shapeFeasible(gemm, shape.first, shape.second);
+                          shapeFeasible(gemm.m, gemm.k, gemm.n, shape.first,
+                                        shape.second);
             ASSERT_EQ(traced[shape].size(), 1u)
                 << rows << "x" << cols << " traced once";
             EXPECT_EQ(traced[shape][0], divides) << rows << "x" << cols;
@@ -234,8 +236,8 @@ TEST_F(AutotunerTest, RankShapesTracesEveryMeshShape)
 TEST_F(AutotunerTest, ShapeFeasibilityChecksDivisibility)
 {
     const FcGemm gemm{"x", 1000, 1000, 1000, Pass::kForward, 0};
-    EXPECT_TRUE(shapeFeasible(gemm, 10, 10));
-    EXPECT_FALSE(shapeFeasible(gemm, 3, 10));
+    EXPECT_TRUE(shapeFeasible(gemm.m, gemm.k, gemm.n, 10, 10));
+    EXPECT_FALSE(shapeFeasible(gemm.m, gemm.k, gemm.n, 3, 10));
 }
 
 } // namespace

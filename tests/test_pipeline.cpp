@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 
 #include "core/memory_model.hpp"
@@ -251,6 +252,25 @@ TEST(PipelineRemap, DiscreteRemapMatchesContinuousModel)
         static_cast<double>(plan.totalBytes), from, to);
     EXPECT_NEAR(static_cast<double>(plan.movedBytes), modeled,
                 1e-6 * modeled + 1.0);
+
+    // Every from/to pair of meshes with rows and cols <= 6, on
+    // non-square dimensions that divide both.
+    std::vector<MeshShape> meshes;
+    for (int r = 1; r <= 6; ++r)
+        for (int c = 1; c <= 6; ++c)
+            meshes.push_back(MeshShape{r, c});
+    for (const MeshShape &a : meshes)
+        for (const MeshShape &b : meshes) {
+            const std::int64_t r = 2 * std::lcm(a.rows, b.rows);
+            const std::int64_t c = 3 * std::lcm(a.cols, b.cols);
+            const RemapPlan p = planRemap(r, c, 2, a, b);
+            const double m =
+                remapBytesModel(static_cast<double>(p.totalBytes), a, b);
+            EXPECT_NEAR(static_cast<double>(p.movedBytes), m,
+                        1e-6 * m + 1.0)
+                << a.rows << "x" << a.cols << " -> " << b.rows << "x"
+                << b.cols;
+        }
 }
 
 // ---------------------------------------------------------------------

@@ -12,12 +12,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/recovery_study.hpp"
@@ -94,7 +97,7 @@ TEST(Reshard, RetireRowOf4x4HandComputedBytes)
     SurvivorMesh sv;
     sv.from = {4, 4};
     sv.failedRow = 1;
-    const ReshardPlan plan = planReshard(24, 8, 4, sv);
+    const ReshardPlan plan = planReshard({{24, 8}}, 4, sv);
     EXPECT_EQ(plan.to.rows, 3);
     EXPECT_EQ(plan.to.cols, 4);
     EXPECT_EQ(plan.totalBytes, 256);
@@ -117,7 +120,7 @@ TEST(Reshard, RetireColOf4x4HandComputedBytes)
     SurvivorMesh sv;
     sv.from = {4, 4};
     sv.failedCol = 1;
-    const ReshardPlan plan = planReshard(8, 24, 4, sv);
+    const ReshardPlan plan = planReshard({{8, 24}}, 4, sv);
     EXPECT_EQ(plan.to.rows, 4);
     EXPECT_EQ(plan.to.cols, 3);
     EXPECT_EQ(plan.totalBytes, 256);
@@ -133,7 +136,7 @@ TEST(Reshard, RetireColOf2x8HandComputedBytes)
     SurvivorMesh sv;
     sv.from = {2, 8};
     sv.failedCol = 3;
-    const ReshardPlan plan = planReshard(4, 56, 4, sv);
+    const ReshardPlan plan = planReshard({{4, 56}}, 4, sv);
     EXPECT_EQ(plan.to.rows, 2);
     EXPECT_EQ(plan.to.cols, 7);
     EXPECT_EQ(plan.totalBytes, 256);
@@ -301,6 +304,30 @@ TEST(Reshard, GemmOnSurvivorMeshMatchesReference)
     }
 }
 
+/** Every survivor of every mesh with rows and cols <= 6: each failed
+ *  row, then each failed column. */
+std::vector<SurvivorMesh>
+smallSurvivorMeshes()
+{
+    std::vector<SurvivorMesh> out;
+    for (int rows = 1; rows <= 6; ++rows)
+        for (int cols = 1; cols <= 6; ++cols) {
+            for (int f = 0; rows >= 2 && f < rows; ++f)
+                out.push_back(SurvivorMesh{{rows, cols}, f, -1});
+            for (int f = 0; cols >= 2 && f < cols; ++f)
+                out.push_back(SurvivorMesh{{rows, cols}, -1, f});
+        }
+    return out;
+}
+
+/** Non-square global dimensions that divide both @p from and @p to. */
+std::pair<std::int64_t, std::int64_t>
+dividingDims(MeshShape from, MeshShape to)
+{
+    return {2 * std::lcm(from.rows, to.rows),
+            3 * std::lcm(from.cols, to.cols)};
+}
+
 TEST(Reshard, ContinuousModelMatchesDiscretePlanAcrossShapes)
 {
     // Whenever the dimensions divide both meshes the measure-theoretic
@@ -312,13 +339,130 @@ TEST(Reshard, ContinuousModelMatchesDiscretePlanAcrossShapes)
         sv.failedRow = c.failedRow;
         sv.failedCol = c.failedCol;
         const int e = 4;
-        const ReshardPlan plan = planReshard(c.dims, c.dims, e, sv);
+        const ReshardPlan plan = planReshard({{c.dims, c.dims}}, e, sv);
         const double total =
             static_cast<double>(c.dims) * c.dims * e;
         EXPECT_NEAR(reshardBytesModel(total, sv),
                     static_cast<double>(plan.totalBytes),
                     1e-9 * total + 1e-9);
     }
+    for (const SurvivorMesh &sv : smallSurvivorMeshes()) {
+        const int e = 2;
+        const auto [rows, cols] = dividingDims(sv.from, sv.to());
+        const ReshardPlan plan = planReshard({{rows, cols}}, e, sv);
+        const double total = static_cast<double>(rows) * cols * e;
+        EXPECT_NEAR(reshardBytesModel(total, sv),
+                    static_cast<double>(plan.totalBytes),
+                    1e-9 * total + 1e-9)
+            << sv.from.rows << "x" << sv.from.cols << " retiring row "
+            << sv.failedRow << " / col " << sv.failedCol;
+    }
+}
+
+TEST(Reshard, ListPlanIsTheConcatenationOfSingleMatrixPlans)
+{
+    // A, B and W of a 48x24x96 GeMM: every dimension divides 4x4,
+    // 3x4 and 4x3.
+    const std::vector<std::pair<std::int64_t, std::int64_t>> live = {
+        {48, 24}, {24, 96}, {48, 96}};
+    for (const SurvivorMesh &sv :
+         {SurvivorMesh{{4, 4}, 1, -1}, SurvivorMesh{{4, 4}, -1, 3}}) {
+        const ReshardPlan all = planReshard(live, 2, sv);
+        std::vector<ReshardMove> moves;
+        Bytes total = 0, local = 0;
+        std::vector<Bytes> ingress(16, 0), egress(16, 0);
+        for (const auto &matrix : live) {
+            const ReshardPlan one = planReshard({matrix}, 2, sv);
+            moves.insert(moves.end(), one.moves.begin(), one.moves.end());
+            total += one.totalBytes;
+            local += one.localBytes;
+            for (const ReshardMove &mv : one.moves) {
+                ingress[static_cast<size_t>(mv.dstChip)] += mv.bytes;
+                egress[static_cast<size_t>(mv.srcChip)] += mv.bytes;
+            }
+        }
+        ASSERT_EQ(all.moves.size(), moves.size());
+        for (size_t i = 0; i < moves.size(); ++i) {
+            EXPECT_EQ(all.moves[i].srcChip, moves[i].srcChip) << i;
+            EXPECT_EQ(all.moves[i].dstChip, moves[i].dstChip) << i;
+            EXPECT_EQ(all.moves[i].bytes, moves[i].bytes) << i;
+        }
+        EXPECT_TRUE(all.from == sv.from);
+        EXPECT_TRUE(all.to == sv.to());
+        EXPECT_EQ(all.totalBytes, total);
+        EXPECT_EQ(all.localBytes, local);
+        EXPECT_EQ(all.maxChipIngress,
+                  *std::max_element(ingress.begin(), ingress.end()));
+        EXPECT_EQ(all.maxChipEgress,
+                  *std::max_element(egress.begin(), egress.end()));
+    }
+}
+
+/** The mean `planReshard` moved bytes of a (rows x cols) matrix over
+ *  every failed row (or column) of @p mesh. */
+double
+meanPlanBytes(MeshShape mesh, bool retire_row, std::int64_t rows,
+              std::int64_t cols, int bytes_per_element)
+{
+    const int lines = retire_row ? mesh.rows : mesh.cols;
+    double sum = 0.0;
+    for (int f = 0; f < lines; ++f) {
+        const SurvivorMesh sv{mesh, retire_row ? f : -1,
+                              retire_row ? -1 : f};
+        sum += static_cast<double>(
+            planReshard({{rows, cols}}, bytes_per_element, sv).totalBytes);
+    }
+    return sum / lines;
+}
+
+TEST(Reshard, ExpectedReshardIsTheMeanPlanOfTheCheaperOrientation)
+{
+    const ChipConfig cfg = tpuV4Config();
+    struct Case
+    {
+        MeshShape mesh;
+        bool retireRow; ///< the orientation expected to win
+    };
+    const Case cases[] = {
+        {{4, 4}, true},  // a square mesh ties, and rows win the tie
+        {{2, 6}, false}, // a column of 6 moves less than a row of 2
+        {{6, 2}, true},
+        {{3, 5}, false},
+        {{1, 6}, false}, // one row: columns only
+        {{5, 1}, true},
+    };
+    for (const Case &c : cases) {
+        const MeshShape m = c.mesh;
+        // Dimensions that divide the mesh and both survivor shapes.
+        const auto [rows, cols] = dividingDims(
+            m, MeshShape{std::max(m.rows - 1, 1), std::max(m.cols - 1, 1)});
+        const int e = 2;
+        const double total = static_cast<double>(rows) * cols * e;
+        const ReshardEstimate est = expectedReshard(cfg, m, total);
+        const std::string what =
+            std::to_string(m.rows) + "x" + std::to_string(m.cols);
+
+        const double bytes = meanPlanBytes(m, c.retireRow, rows, cols, e);
+        const int survivors = c.retireRow ? (m.rows - 1) * m.cols
+                                          : m.rows * (m.cols - 1);
+        EXPECT_NEAR(est.bytes, bytes, 1e-9 * total) << what;
+        EXPECT_NEAR(est.time, reshardTimeModel(cfg, bytes, survivors),
+                    1e-12)
+            << what;
+        // The other orientation, where it exists, is no cheaper.
+        if ((c.retireRow ? m.cols : m.rows) >= 2) {
+            const double other =
+                meanPlanBytes(m, !c.retireRow, rows, cols, e);
+            const int other_survivors = c.retireRow
+                                            ? m.rows * (m.cols - 1)
+                                            : (m.rows - 1) * m.cols;
+            EXPECT_LE(est.time,
+                      reshardTimeModel(cfg, other, other_survivors) + 1e-12)
+                << what;
+        }
+    }
+    // A 1x1 mesh has no survivor mesh in either orientation.
+    EXPECT_LT(expectedReshard(cfg, MeshShape{1, 1}, 1e9).time, 0.0);
 }
 
 TEST(Reshard, TimeModelIsFiniteAndOrdered)
@@ -327,7 +471,7 @@ TEST(Reshard, TimeModelIsFiniteAndOrdered)
     SurvivorMesh sv;
     sv.from = {4, 4};
     sv.failedRow = 1;
-    const ReshardPlan plan = planReshard(48, 48, 4, sv);
+    const ReshardPlan plan = planReshard({{48, 48}}, 4, sv);
     const Time exact = reshardTime(cfg, plan);
     const Time modeled = reshardTimeModel(
         cfg, static_cast<double>(plan.totalBytes), sv.to().chips());
@@ -600,7 +744,7 @@ TEST(RecoveryDeathTest, SurvivorMeshRejectsAmbiguousRetirement)
     both.from = {4, 4};
     both.failedRow = 1;
     both.failedCol = 1;
-    EXPECT_DEATH(planReshard(48, 48, 4, both),
+    EXPECT_DEATH(planReshard({{48, 48}}, 4, both),
                  "exactly one of failedRow");
 }
 
@@ -609,7 +753,7 @@ TEST(RecoveryDeathTest, SurvivorMeshRejectsEmptySurvivorSet)
     SurvivorMesh none;
     none.from = {1, 4};
     none.failedRow = 0;
-    EXPECT_DEATH(planReshard(8, 8, 4, none), "no survivors would remain");
+    EXPECT_DEATH(planReshard({{8, 8}}, 4, none), "no survivors would remain");
 }
 
 TEST(RecoveryDeathTest, KillOverlappingCapacityFaultIsRejected)
